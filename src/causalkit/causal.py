@@ -443,9 +443,13 @@ def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
     return True
 
 
+# atom count of the two families up to which every union pair is enumerated
+MAX_ENUM_ATOMS = 16
+
+
 def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
                             first: Iterable[str], second: Iterable[str],
-                            max_enum_atoms: int = 16, samples: int = 64,
+                            max_enum_atoms: int = MAX_ENUM_ATOMS, samples: int = 64,
                             seed: int = 0) -> bool:
     """Causal independence of two sub-sigma-algebras on H_U.
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import serialize
 from .causal import (
+    MAX_ENUM_ATOMS,
     FiniteCausalSpace,
     causally_independent,
     causally_independent_on,
@@ -233,8 +234,10 @@ def cmd_independence(args) -> int:
         details = (f"event pair checked on every atom of H_{{{','.join(sorted(on))}}}",)
     else:
         ok = causally_independent_on(space, on, first, second)
+        n_atoms = sum(len(space.space.projector(names).masks)
+                      for names in (first, second))
         details = ("all union pairs of the two atom families checked"
-                   if len(first) + len(second) <= 16 else
+                   if n_atoms <= MAX_ENUM_ATOMS else
                    "atom pairs plus seeded random union pairs checked",)
         if not ok:
             witness = Witness(

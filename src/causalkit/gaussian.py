@@ -15,16 +15,22 @@ absolute-plus-relative tolerance, 1e-9 by default.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from itertools import groupby, islice
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
+from .causal import subsets_of
 from .errors import SingularConditioningError, SpaceError
 from .report import CheckReport, Witness, combine
 
 DEFAULT_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
+# subsets per stacked block of the interventional scan: the block's arrays
+# are what the scan holds in memory, whatever the size of the image
+_BLOCK = 32
+_COV_FAULTS = ("valid", "not symmetric", "not positive semi-definite")
 
 
 def _as_matrix(x, rows: int, cols: int, what: str) -> np.ndarray:
@@ -34,11 +40,40 @@ def _as_matrix(x, rows: int, cols: int, what: str) -> np.ndarray:
     return a
 
 
-def _check_cov(cov: np.ndarray, what: str) -> None:
-    if not np.all(np.abs(cov - cov.T) <= SYMMETRY_TOL):
-        raise SpaceError(f"{what} is not symmetric")
-    if cov.shape[0] and np.linalg.eigvalsh(cov).min() < PSD_TOL:
-        raise SpaceError(f"{what} is not positive semi-definite")
+def _cov_faults(cov: np.ndarray) -> np.ndarray:
+    """Fault index into ``_COV_FAULTS`` of each matrix in a stack (last two axes).
+
+    Both tolerances scale with the largest absolute entry (at least 1), so
+    a rescaled model gets the verdict of the original.  A NaN or infinite
+    entry fails the symmetry test; only symmetric matrices reach
+    ``eigvalsh``.
+    """
+    n = cov.shape[-1]
+    flat = cov.reshape(-1, n, n)
+    faults = np.zeros(len(flat), dtype=np.intp)
+    if n:
+        scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
+        asym = ~np.all(np.abs(flat - flat.transpose(0, 2, 1))
+                       <= (SYMMETRY_TOL * scale)[:, None, None], axis=(1, 2))
+        faults[asym] = 1
+        sym = ~asym
+        if sym.any():
+            low = np.linalg.eigvalsh(flat[sym]).min(axis=1) < PSD_TOL * scale[sym]
+            faults[sym] = np.where(low, 2, 0)
+    return faults.reshape(cov.shape[:-2])
+
+
+def _check_cov(what: str, *covs: np.ndarray) -> None:
+    """Raise for the first invalid covariance among equally long stacks.
+
+    The stacks are read interleaved, item by item along their leading
+    axes, and the error names the fault of the first bad matrix in that
+    order.  A single matrix is a stack with no leading axis.
+    """
+    faults = np.stack([_cov_faults(c) for c in covs], axis=-1).ravel()
+    bad = np.flatnonzero(faults)
+    if bad.size:
+        raise SpaceError(f"{what} is {_COV_FAULTS[faults[bad[0]]]}")
 
 
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -62,7 +97,7 @@ class GaussianLaw:
         if self.mean.shape != (d,):
             raise SpaceError(f"mean must have shape ({d},)")
         object.__setattr__(self, "cov", _as_matrix(self.cov, d, d, "cov"))
-        _check_cov(self.cov, "covariance")
+        _check_cov("covariance", self.cov)
 
     def marginal(self, names: Iterable[str]) -> "GaussianLaw":
         idx = [self.coords.index(n) for n in names]
@@ -98,7 +133,7 @@ class AffineGaussianKernel:
             raise SpaceError(f"offset must have shape ({dout},)")
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "cov", _as_matrix(self.cov, dout, dout, "cov"))
-        _check_cov(self.cov, "kernel covariance")
+        _check_cov("kernel covariance", self.cov)
 
     def at(self, values: np.ndarray) -> GaussianLaw:
         values = np.asarray(values, float)
@@ -271,12 +306,38 @@ def compose_affine(first: AffineGaussianKernel, second: AffineGaussianKernel
     )
 
 
-def _subsets(names: tuple[str, ...]):
-    from itertools import combinations
+def _blocks(names: Iterable[str]) -> Iterator[list[tuple[str, ...]]]:
+    """All subsets in the canonical order, in runs of one size and at most _BLOCK."""
+    for _, same_size in groupby(subsets_of(names), key=len):
+        while block := list(islice(same_size, _BLOCK)):
+            yield block
 
-    base = sorted(names)
-    for size in range(len(base) + 1):
-        yield from combinations(base, size)
+
+def _pinned_stack(scm: LinearGaussianSCM, pins: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrices, offsets and covariances of a stack of K_S, unvalidated.
+
+    ``pins`` is an (n, k) array whose rows are the coordinate positions of
+    n pin sets of one size, each in increasing order.  Slice i is computed
+    with the shapes and the operation order of ``interventional_kernel``
+    on pin set i, so it holds the same floats.
+    """
+    n, k = pins.shape
+    d = len(scm.coords)
+    rows = np.arange(n)[:, None]
+    b = np.repeat(scm.coefficients[None], n, axis=0)
+    b[rows, pins] = 0.0
+    a = np.linalg.inv(np.eye(d) - b)
+    embed = np.zeros((n, d, k))
+    embed[rows, pins, np.arange(k)] = 1.0
+    means = np.repeat(scm.noise_means[None], n, axis=0)
+    variances = np.repeat(scm.noise_variances[None], n, axis=0)
+    means[rows, pins] = 0.0
+    variances[rows, pins] = 0.0
+    diag = np.zeros((n, d, d))
+    diag[:, np.arange(d), np.arange(d)] = variances
+    return (a @ embed, (a @ means[:, :, None])[:, :, 0],
+            a @ diag @ a.transpose(0, 2, 1))
 
 
 def affine_admissible(kernel: AffineGaussianKernel, rho: Mapping[str, str],
@@ -323,6 +384,16 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     routes are compared on the image coordinates only, since that is the
     sigma-algebra the consistency identity quantifies over.  Parameter
     comparisons use ``tol`` absolute-plus-relative.
+
+    The 2^|image| interventional sub-checks run in blocks: the canonical
+    subset order is cut into runs of one subset size, at most 32 subsets
+    each, and a block's mutilated solves, compositions, covariance
+    validations and comparisons are single stacked numpy calls.  Every
+    slice has the shapes and the operation order of
+    ``interventional_kernel`` followed by ``compose_affine``, so verdicts
+    and witness strings are those of the one-subset-at-a-time chain, and
+    an invalid covariance is reported at the first subset, and the first
+    object within it, where that chain would have met it.
     """
     if kernel.inputs != source.coords or kernel.outputs != target.coords:
         raise SpaceError("kernel does not match source and target coordinates")
@@ -330,17 +401,7 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     if missing:
         raise SpaceError(f"rho undefined on {sorted(missing)}")
     image = frozenset(rho[n] for n in source.coords)
-    img_positions = [i for i, n in enumerate(target.coords) if n in image]
-    img_names = tuple(target.coords[i] for i in img_positions)
-
-    def on_image(k: AffineGaussianKernel) -> AffineGaussianKernel:
-        return AffineGaussianKernel(
-            inputs=k.inputs,
-            outputs=img_names,
-            matrix=k.matrix[img_positions, :],
-            offset=k.offset[img_positions],
-            cov=k.cov[np.ix_(img_positions, img_positions)],
-        )
+    img = np.array([i for i, n in enumerate(target.coords) if n in image], dtype=np.intp)
 
     reports = [affine_admissible(kernel, rho, image)]
 
@@ -361,39 +422,77 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
                 f"pushed law mean {pushed.offset} cov diag {np.diag(pushed.cov)} "
                 f"vs target mean {law2.mean} cov diag {np.diag(law2.cov)}"))))
 
-    inter: list[CheckReport] = []
-    for subset in _subsets(tuple(sorted(image))):
-        s2 = tuple(sorted(subset, key=target.index))
-        s1 = tuple(n for n in source.coords if rho[n] in subset)
-        k1 = interventional_kernel(source, s1)
-        k2 = interventional_kernel(target, s2)
-        # both sides are affine kernels in the full source outcome; the
-        # left one provably reads only the pulled-back inputs, so extend
-        # its mean map with zero columns before comparing
-        small = compose_affine(k1, kernel)
-        lhs_matrix = np.zeros((len(target.coords), len(source.coords)))
-        for col, n in enumerate(s1):
-            lhs_matrix[:, source.coords.index(n)] = small.matrix[:, col]
-        lhs = AffineGaussianKernel(
-            inputs=source.coords, outputs=small.outputs,
-            matrix=lhs_matrix, offset=small.offset, cov=small.cov,
-        )
-        rhs = compose_affine(kernel, k2)
-        lhs_img, rhs_img = on_image(lhs), on_image(rhs)
-        name = "{" + ",".join(s2) + "}"
-        if lhs_img.agrees_with(rhs_img, tol):
-            inter.append(CheckReport(check=f"interventional S={name}", passed=True))
-        else:
-            inter.append(CheckReport(
+    src_pos = {n: i for i, n in enumerate(source.coords)}
+    tgt_pos = {n: i for i, n in enumerate(target.coords)}
+    # compose_affine(K^1, kappa) selects every source output, in order
+    m1 = kernel.matrix @ np.eye(len(source.coords))
+
+    def scan(block: list[tuple[str, ...]]) -> Iterator[CheckReport]:
+        n, k = len(block), len(block[0])
+        rows = np.arange(n)[:, None]
+        s2 = [tuple(sorted(subset, key=tgt_pos.__getitem__)) for subset in block]
+        pins2 = np.array([[tgt_pos[x] for x in s] for s in s2], dtype=np.intp).reshape(n, k)
+
+        # source route compose_affine(K^1_{rho^-1(S)}, kappa), its mean map
+        # widened to all source inputs; the pull-back sizes may differ
+        s1 = [tuple(x for x in source.coords if rho[x] in subset) for subset in block]
+        k1_cov = np.empty((n, len(source.coords), len(source.coords)))
+        lhs_matrix = np.zeros((n, len(target.coords), len(source.coords)))
+        lhs_offset = np.empty((n, len(target.coords)))
+        lhs_cov = np.empty((n, len(target.coords), len(target.coords)))
+        for size in sorted({len(s) for s in s1}):
+            at = np.array([i for i, s in enumerate(s1) if len(s) == size], dtype=np.intp)
+            pins1 = np.array([[src_pos[x] for x in s1[i]] for i in at],
+                             dtype=np.intp).reshape(len(at), size)
+            matrix, offset, cov = _pinned_stack(source, pins1)
+            k1_cov[at] = cov
+            lhs_matrix.transpose(0, 2, 1)[at[:, None], pins1] = (
+                m1 @ matrix).transpose(0, 2, 1)
+            lhs_offset[at] = (m1 @ offset[:, :, None])[:, :, 0] + kernel.offset
+            lhs_cov[at] = m1 @ cov @ m1.T + kernel.cov
+
+        # target route compose_affine(kappa, K^2_S)
+        k2_matrix, k2_offset, k2_cov = _pinned_stack(target, pins2)
+        sel = np.zeros((n, k, len(target.coords)))
+        sel[rows, np.arange(k), pins2] = 1.0
+        m2 = k2_matrix @ sel
+        rhs_matrix = m2 @ kernel.matrix
+        rhs_offset = m2 @ kernel.offset + k2_offset
+        rhs_cov = m2 @ kernel.cov @ m2.transpose(0, 2, 1) + k2_cov
+
+        # both routes on the image coordinates only
+        lhs_img = (lhs_matrix[:, img], lhs_offset[:, img], lhs_cov[:, img][:, :, img])
+        rhs_img = (rhs_matrix[:, img], rhs_offset[:, img], rhs_cov[:, img][:, :, img])
+        _check_cov("kernel covariance", k1_cov, lhs_cov, k2_cov, rhs_cov,
+                   lhs_img[2], rhs_img[2])
+        agree = np.isclose(np.concatenate([x.reshape(n, -1) for x in lhs_img], axis=1),
+                           np.concatenate([x.reshape(n, -1) for x in rhs_img], axis=1),
+                           rtol=tol, atol=tol).all(axis=1)
+        for i, s in enumerate(s2):
+            name = "{" + ",".join(s) + "}"
+            if agree[i]:
+                yield CheckReport(check=f"interventional S={name}", passed=True)
+                continue
+            lm, lo, lc = (x[i].tolist() for x in lhs_img)
+            rm, ro, rc = (x[i].tolist() for x in rhs_img)
+            yield CheckReport(
                 check=f"interventional S={name}", passed=False,
                 witness=Witness(
-                    message=(f"at S={name}: source route matrix "
-                             f"{lhs_img.matrix.tolist()} offset "
-                             f"{lhs_img.offset.tolist()} cov {lhs_img.cov.tolist()} "
-                             f"vs target route matrix {rhs_img.matrix.tolist()} "
-                             f"offset {rhs_img.offset.tolist()} cov "
-                             f"{rhs_img.cov.tolist()}"),
-                    subset=s2)))
+                    message=(f"at S={name}: source route matrix {lm} offset {lo} "
+                             f"cov {lc} vs target route matrix {rm} offset {ro} "
+                             f"cov {rc}"),
+                    subset=s))
+
+    inter: list[CheckReport] = []
+    for block in _blocks(image):
+        # a rho naming a coordinate the target lacks fails at the first
+        # subset that holds it, after the subsets before it are checked
+        cut = next((i for i, s in enumerate(block) if not tgt_pos.keys() >= set(s)),
+                   len(block))
+        if cut:
+            inter.extend(scan(block[:cut]))
+        if cut < len(block):
+            target.index(block[cut][0])  # that subset is a singleton: raises
     reports.append(combine("interventional", inter))
     return combine("causal-transformation", reports)
 

@@ -166,6 +166,8 @@ def _float_matrix(doc: Any, shape: tuple[int, int], what: str) -> np.ndarray:
         raise SpecError(f"{what}: expected a numeric matrix") from None
     if m.shape != shape:
         raise SpecError(f"{what}: expected shape {shape}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise SpecError(f"{what}: entries must be finite numbers, not NaN or Infinity")
     return m
 
 
@@ -176,6 +178,8 @@ def _float_vector(doc: Any, length: int, what: str) -> np.ndarray:
         raise SpecError(f"{what}: expected a numeric vector") from None
     if v.shape != (length,):
         raise SpecError(f"{what}: expected {length} numbers, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise SpecError(f"{what}: entries must be finite numbers, not NaN or Infinity")
     return v
 
 

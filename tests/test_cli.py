@@ -128,6 +128,23 @@ def test_invalid_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [("coefficients", float("inf")),
+                                          ("noise_variances", float("nan"))])
+def test_non_finite_gaussian_numbers_exit_2(capsys, tmp_path, field, value):
+    doc = json.loads(ck.dumps(examples.abstraction_gaussian_pair()[0]))
+    if field == "coefficients":
+        doc[field][2][0] = value
+    else:
+        doc[field][1] = value
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # writes Infinity / NaN
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: ") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_axiom_violation_exits_1(capsys, tmp_path, xor):
     doc = json.loads(ck.dumps(xor.materialize()))
     # move mass across the X-atom boundary in the X kernel
@@ -371,6 +388,25 @@ def test_independence_failure_names_the_offending_atom(capsys, corpus_dir):
     report = json.loads(out)
     assert not report["passed"]
     assert "on the intersection" in report["witness"]["message"]
+
+
+def test_independence_note_counts_atoms_not_names(capsys, tmp_path):
+    # two 3-valued chains A0 -> A1 and B0 -> B1: two names per family, but
+    # 9 + 9 = 18 atoms, more than are enumerated exhaustively
+    pairs = [("A0", 3), ("A1", 3), ("B0", 3), ("B1", 3)]
+    third, half = (F(1, 3),) * 3, (F(1, 2),) * 2
+    step = tuple((p + n) % 3 for p in range(3) for n in range(2))
+    scm = ck.FiniteSCM.build(
+        pairs, {"A0": (), "A1": ("A0",), "B0": (), "B1": ("B0",)},
+        {"A0": third, "A1": half, "B0": third, "B1": half},
+        {"A0": (0, 1, 2), "A1": step, "B0": (0, 1, 2), "B1": step})
+    path = tmp_path / "chains.json"
+    ck.dump(scm, path)
+    code, out, _ = run(capsys, "independence", str(path),
+                       "--first", "A0,A1", "--second", "B0,B1", "--json")
+    assert code == 0
+    assert json.loads(out)["details"] == [
+        "atom pairs plus seeded random union pairs checked"]
 
 
 def test_independence_rejects_mixed_argument_forms(capsys, corpus_dir):

@@ -432,6 +432,9 @@ def test_transform_shape_validation():
     with pytest.raises(ck.SpaceError):
         ck.check_linear_transform(source, target, matrix,
                                   {"X1": "X", "X2": "X", "Y1": "Y"})
+    with pytest.raises(ck.SpaceError, match="unknown coordinate 'Z'"):
+        ck.check_linear_transform(source, target, matrix,
+                                  {"X1": "X", "X2": "X", "Y1": "Y", "Y2": "Z"})
 
 
 def test_scm_validation():
@@ -462,3 +465,109 @@ def test_gaussian_law_marginal():
     assert m.coords == ("C", "A")
     assert np.allclose(m.mean, [3.0, 1.0], atol=TOL)
     assert np.allclose(m.cov, np.diag([9.0, 1.0]), atol=TOL)
+
+
+# ---------------------------------------------------------------------------
+# covariance validation and the stacked interventional scan
+
+
+def _wide_model(seed, d):
+    """Half of the coefficients N(0, 3^2): covariance entries up to ~1.5e6."""
+    rng = np.random.default_rng(seed)
+    b = np.tril(rng.normal(0.0, 3.0, (d, d)), -1) * (rng.random((d, d)) < 0.5)
+    return ck.LinearGaussianSCM(tuple(f"V{i}" for i in range(d)), b,
+                                rng.uniform(0.5, 2.0, d))
+
+
+def test_symmetry_tolerance_scales_with_the_covariance():
+    # an absolute 1e-12 symmetry test raised on 7 of these 40 models, twice
+    # on a covariance built inside the interventional scan
+    over_absolute = 0
+    for seed in range(20):
+        for d in (8, 10):
+            scm = _wide_model(seed, d)
+            a = np.linalg.inv(np.eye(d) - scm.coefficients)
+            cov = a @ np.diag(scm.noise_variances) @ a.T
+            over_absolute += np.abs(cov - cov.T).max() > ck.gaussian.SYMMETRY_TOL
+            ck.observational_law(scm)
+            report = ck.check_linear_transform(scm, scm, np.eye(d),
+                                               {n: n for n in scm.coords})
+            assert report.passed, report.render()
+    assert over_absolute > 0
+
+
+def _per_subset_routes(source, target, kernel, rho):
+    """The two interventional routes of each subset, one public call at a time."""
+    image = {rho[n] for n in source.coords}
+    img = [i for i, n in enumerate(target.coords) if n in image]
+    routes = {}
+    for subset in ck.subsets_of(image):
+        s2 = tuple(sorted(subset, key=target.index))
+        s1 = tuple(n for n in source.coords if rho[n] in subset)
+        small = ck.compose_affine(ck.interventional_kernel(source, s1), kernel)
+        lhs_matrix = np.zeros((len(target.coords), len(source.coords)))
+        for col, n in enumerate(s1):
+            lhs_matrix[:, source.index(n)] = small.matrix[:, col]
+        rhs = ck.compose_affine(kernel, ck.interventional_kernel(target, s2))
+        routes["{" + ",".join(s2) + "}"] = tuple(
+            (m[img], o[img], c[np.ix_(img, img)])
+            for m, o, c in ((lhs_matrix, small.offset, small.cov),
+                            (rhs.matrix, rhs.offset, rhs.cov)))
+    return routes
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([0.0, 1e-9, 1e-3, 10.0]))
+@settings(max_examples=40, deadline=None)
+def test_interventional_scan_agrees_with_per_subset_routes(seed, tol):
+    # d_s = d_t + 1 with an image smaller than the target forces a
+    # non-injective rho; the kernel carries a full-rank covariance
+    rng = np.random.default_rng(seed)
+    d2 = int(rng.integers(2, 6))
+    d1 = d2 + 1
+    src = tuple(f"X{i}" for i in range(d1))
+    tgt = tuple(f"Y{i}" for i in range(d2))
+
+    def model(names):
+        d = len(names)
+        b = np.tril(rng.normal(0.0, 1.0, (d, d)), -1) * (rng.random((d, d)) < 0.6)
+        return ck.LinearGaussianSCM(names, b, rng.uniform(0.5, 2.0, d),
+                                    rng.normal(0.0, 1.0, d))
+
+    source, target = model(src), model(tgt)
+    image = [str(y) for y in rng.choice(tgt, size=int(rng.integers(1, d2)), replace=False)]
+    rho = {x: image[i] if i < len(image) else str(rng.choice(image))
+           for i, x in enumerate(src)}
+    root = rng.normal(0.0, 1.0, (d2, d2))
+    kernel = ck.AffineGaussianKernel(src, tgt, rng.normal(0.0, 1.0, (d2, d1)),
+                                     rng.normal(0.0, 1.0, d2), root @ root.T)
+    report = ck.check_affine_transform(source, target, kernel, rho, tol)
+    inter = {r.check: r for r in next(r for r in report.subreports
+                                      if r.check == "interventional").subreports}
+    routes = _per_subset_routes(source, target, kernel, rho)
+    assert list(inter) == [f"interventional S={name}" for name in routes]
+    for name, (lhs, rhs) in routes.items():
+        sub = inter[f"interventional S={name}"]
+        agree = all(np.allclose(a, b, rtol=tol, atol=tol) for a, b in zip(lhs, rhs))
+        assert sub.passed is agree
+        if not agree:
+            halves = sub.witness.message.split(" vs target route ")
+            for half, side in zip(halves, (lhs, rhs)):
+                for part, want in zip(("matrix", "offset", "cov"), side):
+                    got = eval_matrix(half, part)
+                    assert np.allclose(got, want, rtol=tol, atol=tol)
+
+
+def test_invalid_kernel_covariances_raise_space_errors():
+    source, target, matrix, rho = examples.abstraction_gaussian_pair()
+    with pytest.raises(ck.SpaceError, match="^kernel covariance is not symmetric$"):
+        ck.AffineGaussianKernel(source.coords, target.coords, matrix, np.zeros(2),
+                                [[1.0, 0.5], [0.4, 1.0]])
+    # within tolerance on its own, but pinning Y = 2 X in the target
+    # doubles the negative direction past it inside the scan
+    kernel = ck.AffineGaussianKernel(source.coords, target.coords, matrix, np.zeros(2),
+                                     np.diag([-0.9e-10, 0.0]))
+    doubled = ck.LinearGaussianSCM(target.coords, [[0.0, 0.0], [2.0, 0.0]],
+                                   [1.0, 0.0])
+    with pytest.raises(ck.SpaceError,
+                       match="^kernel covariance is not positive semi-definite$"):
+        ck.check_affine_transform(source, doubled, kernel, rho)
