@@ -31,6 +31,7 @@ from .spaces import (
     FiniteMeasure,
     StochKernel,
     atoms,
+    iter_bits,
     kernel_product,
     product_space,
     project,
@@ -179,28 +180,19 @@ def independent_pinning_space(P: FiniteMeasure) -> FiniteCausalSpace:
     space = P.space
 
     def make(subset: frozenset) -> StochKernel:
-        sub = space.restrict(subset)
-        rest = tuple(n for n in space.names if n not in subset)
-        rest_marginal = project(P, rest)
+        pin = space.projector(subset)
+        rest = frozenset(space.names) - subset
+        to_rest = space.projector(rest).index
+        rest_weights = project(P, rest).weights
         rows = []
-        for a in range(sub.n_outcomes):
-            pinned = dict(zip(sub.names, sub.outcome(a)))
+        for mask in pin.masks:
             w = [ZERO] * space.n_outcomes
-            for i in range(space.n_outcomes):
-                vals = dict(zip(space.names, space.outcome(i)))
-                if all(vals[n] == v for n, v in pinned.items()):
-                    j = rest_marginal.space.index(tuple(vals[n] for n in rest))
-                    w[i] = rest_marginal.weights[j]
+            for i in iter_bits(mask):
+                w[i] = rest_weights[to_rest[i]]
             rows.append(FiniteMeasure(space, tuple(w)))
-        return StochKernel(sub, space, tuple(rows))
+        return StochKernel(pin.sub, space, tuple(rows))
 
     return FiniteCausalSpace.lazy(space, P, make)
-
-
-def _combine_atom_index(space: CoordinateSpace, parts: Mapping[str, int]) -> int:
-    """Index in space.restrict(parts.keys()) of a name-to-value assignment."""
-    sub = space.restrict(parts.keys())
-    return sub.index(tuple(parts[n] for n in sub.names))
 
 
 def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
@@ -246,32 +238,34 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
                 new_w[i] += q * row[i]
     new_p = FiniteMeasure(c.space, tuple(new_w))
 
-    u_names = u_space.names
+    # the lowest outcome of an atom of H_S is zero off S, so adding the
+    # lowest outcomes of atoms on disjoint blocks joins their values
+    u_reps = [next(iter_bits(m)) for m in c.space.projector(U).masks]
 
     def make(subset: frozenset) -> StochKernel:
-        sub = c.space.restrict(subset)
         inter = subset & U
-        s_minus_u = tuple(n for n in sub.names if n not in U)
+        pin = c.space.projector(subset)
+        free = c.space.projector(subset - U)
+        to_inter = c.space.projector(inter).index
+        to_big = c.space.projector(subset | U).index
         l_kernel = mechanism.kernel(inter)
         k_big = c.kernel(subset | U)
         rows = []
-        for a in range(sub.n_outcomes):
-            vals = dict(zip(sub.names, sub.outcome(a)))
-            l_row = l_kernel.rows[_combine_atom_index(u_space, {n: vals[n] for n in inter})]
+        for mask in pin.masks:
+            rep = next(iter_bits(mask))
+            l_row = l_kernel.rows[to_inter[rep]]
+            base = next(iter_bits(free.masks[free.index[rep]]))
             w = [ZERO] * n
-            for u in range(u_space.n_outcomes):
+            for u, u_rep in enumerate(u_reps):
                 lw = l_row.weights[u]
                 if lw == 0:
                     continue
-                u_vals = dict(zip(u_names, u_space.outcome(u)))
-                merged = {n: vals[n] for n in s_minus_u}
-                merged.update(u_vals)
-                big_row = k_big.rows[_combine_atom_index(c.space, merged)].weights
+                big_row = k_big.rows[to_big[base + u_rep]].weights
                 for i in range(n):
                     if big_row[i] != 0:
                         w[i] += lw * big_row[i]
             rows.append(FiniteMeasure(c.space, tuple(w)))
-        return StochKernel(sub, c.space, tuple(rows))
+        return StochKernel(pin.sub, c.space, tuple(rows))
 
     return FiniteCausalSpace.lazy(c.space, new_p, make)
 
@@ -318,14 +312,12 @@ def _first_interventional_violation(c: FiniteCausalSpace, U: frozenset,
             continue
         k_s = c.kernel(s)
         k_r = c.kernel(reduced)
-        sub = k_s.domain
-        for a in range(sub.n_outcomes):
+        to_reduced = c.space.projector(reduced).index
+        for a, mask in enumerate(c.space.projector(s).masks):
             lhs = k_s.value(a, event)
-            omega = sub.outcome(a)
-            vals = dict(zip(sub.names, omega))
-            r = _combine_atom_index(c.space, {n: vals[n] for n in reduced}) if reduced else 0
-            rhs = k_r.value(r, event)
+            rhs = k_r.value(to_reduced[next(iter_bits(mask))], event)
             if lhs != rhs:
+                omega = k_s.domain.outcome(a)
                 return Witness(
                     message=(f"K_{{{','.join(subset)}}} at {omega} gives {lhs} on the event "
                              f"but dropping {sorted(U)} gives {rhs}"),
@@ -432,15 +424,21 @@ def is_global_source(c: FiniteCausalSpace, on: Iterable[str]) -> CheckReport:
     return is_source(c, on, c.space.names)
 
 
-def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
-                         a: Event, b: Event) -> bool:
-    """Whether K_U(omega, A & B) = K_U(omega, A) K_U(omega, B) for every omega."""
+def _first_dependent_row(c: FiniteCausalSpace, on: Iterable[str],
+                         a: Event, b: Event) -> Optional[int]:
+    """First row of K_U where K_U(., A & B) != K_U(., A) K_U(., B), if any."""
     k_u = c.kernel(frozenset(on))
     both = a & b
     for row in range(k_u.domain.n_outcomes):
         if k_u.value(row, both) != k_u.value(row, a) * k_u.value(row, b):
-            return False
-    return True
+            return row
+    return None
+
+
+def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
+                         a: Event, b: Event) -> bool:
+    """Whether K_U(omega, A & B) = K_U(omega, A) K_U(omega, B) for every omega."""
+    return _first_dependent_row(c, on, a, b) is None
 
 
 # atom count of the two families up to which every union pair is enumerated
@@ -465,17 +463,9 @@ def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
 
     def union(atom_list, mask):
         ev = Event.empty(c.space)
-        for i in iter_atoms(mask):
+        for i in iter_bits(mask):
             ev = ev | atom_list[i]
         return ev
-
-    def iter_atoms(mask):
-        i = 0
-        while mask:
-            if mask & 1:
-                yield i
-            mask >>= 1
-            i += 1
 
     if na + nb <= max_enum_atoms:
         pairs = (

@@ -22,7 +22,7 @@ from . import serialize
 from .causal import (
     MAX_ENUM_ATOMS,
     FiniteCausalSpace,
-    causally_independent,
+    _first_dependent_row,
     causally_independent_on,
     classify_effect,
     classify_effect_on,
@@ -217,12 +217,11 @@ def cmd_independence(args) -> int:
                         "coordinate subsets")
     witness: Optional[Witness] = None
     if isinstance(first, Event):
-        ok = causally_independent(space, on, first, second)
+        row = _first_dependent_row(space, on, first, second)
+        ok = row is None
         if not ok:
             k_u = space.kernel(frozenset(on))
             both = first & second
-            row = next(r for r in range(k_u.domain.n_outcomes)
-                       if k_u.value(r, both) != k_u.value(r, first) * k_u.value(r, second))
             witness = Witness(
                 message=(f"at {k_u.domain.outcome(row)}: K gives "
                          f"{k_u.value(row, both)} on the intersection but "

@@ -215,9 +215,8 @@ def inclusion_transform(scm: FiniteSCM, subset: Iterable[str]):
     sub = source.space
     rows = []
     null = []
-    for a in range(sub.n_outcomes):
-        atom_values = dict(zip(sub.names, sub.outcome(a)))
-        atom_event = Event.cylinder(target.space, atom_values)
+    for a, mask in enumerate(target.space.projector(keep).masks):
+        atom_event = Event(target.space, mask)
         if target.P.mass(atom_event) == 0:
             null.append(sub.outcome(a))
             continue

@@ -245,13 +245,12 @@ class Event:
     @classmethod
     def cylinder(cls, space: CoordinateSpace, assignment: Mapping[str, int]) -> "Event":
         """Outcomes agreeing with a partial name-to-value assignment."""
-        pos = {space.position(n): v for n, v in assignment.items()}
-        mask = 0
-        for i in range(space.n_outcomes):
-            vals = space.outcome(i)
-            if all(vals[p] == v for p, v in pos.items()):
-                mask |= 1 << i
-        return cls(space, mask)
+        proj = space.projector(assignment)
+        try:
+            atom = proj.sub.index(tuple(assignment[n] for n in proj.sub.names))
+        except SpaceError:  # a value outside its coordinate's range matches nothing
+            return cls.empty(space)
+        return cls(space, proj.masks[atom])
 
     def indices(self) -> Iterator[int]:
         return iter_bits(self.mask)

@@ -476,15 +476,9 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
     # f restricted to the intervened block: admissibility makes the image
     # of omega_{U1} under f's U2-component independent of the rest
     n_u1 = u1_space.n_outcomes
-    rep_of_u1: list[Optional[int]] = [None] * n_u1
-    for i in range(source.space.n_outcomes):
-        a = source.space.project_index(i, u1_space.names)
-        if rep_of_u1[a] is None:
-            rep_of_u1[a] = i
-    f_block = tuple(
-        target_space.project_index(table[rep_of_u1[a]], u2_space.names)
-        for a in range(n_u1)
-    )
+    to_u2 = target_space.projector(u2).index
+    f_block = tuple(to_u2[table[next(iter_bits(mask))]]
+                    for mask in source.space.projector(u1).masks)
     nq = u2_space.n_outcomes
     if len(set(f_block)) != nq:
         raise NotSurjectiveError("f does not map onto the intervened block")

@@ -6,6 +6,7 @@ as exact rationals.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +128,71 @@ def test_bad_mechanism_rejected(xor):
                      mechanism=ck.independent_pinning_space(other))
 
 
+def row_at(kernel, values):
+    """Row of a kernel at a name-to-value assignment covering its domain."""
+    dom = kernel.domain
+    return kernel.rows[dom.index(tuple(values[n] for n in dom.names))].weights
+
+
+def assert_intervention_matches_definition(c, done, on, q, l_row):
+    """Compare do(U, Q, L) with its definition, enumerated on value tuples.
+
+        P^do({j})          = sum_u Q(u) K_U(u, {j})
+        K^do_S(omega, {j}) = sum_u L_{S n U}(omega_{S n U}, u) K_{S u U}((omega_{S \\ U}, u), {j})
+
+    ``l_row(T, pinned)`` gives L_T at a name-to-value assignment of T, as
+    weights over the U-assignments in mixed-radix order.
+    """
+    names = c.space.names
+    card = dict(zip(names, c.space.cards))
+    n = c.space.n_outcomes
+
+    def assignments(block):
+        block = [v for v in names if v in block]
+        return [dict(zip(block, vals))
+                for vals in product(*(range(card[v]) for v in block))]
+
+    def mix(pairs):
+        total = [F(0)] * n
+        for weight, row in pairs:
+            for j in range(n):
+                total[j] += weight * row[j]
+        return tuple(total)
+
+    U = frozenset(on)
+    us = assignments(U)
+    assert done.P.weights == mix(
+        (q.weights[i], row_at(c.kernel(U), u)) for i, u in enumerate(us))
+    for subset in c.subsets():
+        S = frozenset(subset)
+        k_do = done.kernel(S)
+        omegas = assignments(S)
+        assert k_do.domain.names == tuple(v for v in names if v in S)
+        assert len(k_do.rows) == len(omegas)
+        for a, omega in enumerate(omegas):
+            l_weights = l_row(S & U, {v: omega[v] for v in S & U})
+            free = {v: omega[v] for v in S - U}
+            expected = mix((l_weights[i], row_at(c.kernel(S | U), {**free, **u}))
+                           for i, u in enumerate(us))
+            assert k_do.rows[a].weights == expected, (sorted(S), omega)
+
+
+def pinning_rows(q):
+    """L_T of the independent pinning mechanism of Q, from its definition:
+    L_T(pinned, u) = [u agrees with pinned] * Q(u restricted to U \\ T)."""
+    names = q.space.names
+    us = [dict(zip(names, vals)) for vals in q.space.outcomes()]
+
+    def l_row(t, pinned):
+        def marginal(u):
+            return sum((w for w, u2 in zip(q.weights, us)
+                        if all(u2[v] == u[v] for v in names if v not in t)), F(0))
+        return [marginal(u) if all(u[v] == x for v, x in pinned.items()) else F(0)
+                for u in us]
+
+    return l_row
+
+
 def test_custom_mechanism_reshapes_kernels(parity):
     # mechanism that correlates X and Z instead of pinning them separately
     u_space = parity.space.restrict(("X", "Z"))
@@ -145,6 +211,9 @@ def test_custom_mechanism_reshapes_kernels(parity):
     mech = ck.FiniteCausalSpace(u_space, q, kernels=couple)
     done = ck.intervene(parity, ("X", "Z"), q, mechanism=mech)
     assert ck.validate_causal_space(done).passed
+    assert_intervention_matches_definition(
+        parity, done, ("X", "Z"), q,
+        lambda t, pinned: row_at(mech.kernel(t), pinned))
     # Y = X xor Z = 0 almost surely under the coupled law
     assert done.P.mass(cyl(parity.space, Y=0)) == 1
     # the new K_X knows that Z follows X ...
@@ -156,9 +225,8 @@ def test_custom_mechanism_reshapes_kernels(parity):
     assert indep.kernel(("X",)).value(1, cyl(parity.space, Z=1)) == F(1, 2)
 
 
-@given(causal_spaces(), st.data())
-@settings(max_examples=15)
-def test_intervened_spaces_satisfy_axioms(space, data):
+def draw_intervention(space, data):
+    """A nonempty coordinate subset U and a random measure Q on it."""
     names = list(space.space.names)
     u = tuple(sorted(data.draw(
         st.sets(st.sampled_from(names), min_size=1))))
@@ -169,6 +237,21 @@ def test_intervened_spaces_satisfy_axioms(space, data):
                     .filter(lambda ws: any(ws)))
     q = ck.FiniteMeasure(
         u_space, tuple(F(w, sum(raw)) for w in raw))
+    return u, q
+
+
+@given(causal_spaces(), st.data())
+@settings(max_examples=15)
+def test_intervention_matches_its_definition(space, data):
+    u, q = draw_intervention(space, data)
+    done = ck.intervene(space, u, q)
+    assert_intervention_matches_definition(space, done, u, q, pinning_rows(q))
+
+
+@given(causal_spaces(), st.data())
+@settings(max_examples=15)
+def test_intervened_spaces_satisfy_axioms(space, data):
+    u, q = draw_intervention(space, data)
     done = ck.intervene(space, u, q)
     report = ck.validate_causal_space(done)
     assert report.passed, report.render()
@@ -189,7 +272,10 @@ def test_xor_effect_is_active(xor):
 def test_parity_effect_is_dormant(parity):
     effect = ck.classify_effect(parity, ("X",), cyl(parity.space, Y=1))
     assert effect.tag == ck.EffectClass.DORMANT
-    assert effect.witness is not None
+    assert effect.witness.message == (
+        "K_{X,Z} at (0, 0) gives 0 on the event but dropping ['X'] gives 1/2")
+    assert effect.witness.subset == ("X", "Z")
+    assert effect.witness.outcome == (0, 0)
 
 
 def test_no_effect_across_product_factors(xor):

@@ -387,7 +387,8 @@ def test_independence_failure_names_the_offending_atom(capsys, corpus_dir):
     assert code == 1
     report = json.loads(out)
     assert not report["passed"]
-    assert "on the intersection" in report["witness"]["message"]
+    assert report["witness"]["message"] == (
+        "at (): K gives 3/8 on the intersection but 1/2 * 1/2 on the factors")
 
 
 def test_independence_note_counts_atoms_not_names(capsys, tmp_path):

@@ -166,6 +166,11 @@ def test_event_cylinder():
     ev = ck.Event.cylinder(space, {"Y": 1})
     assert sorted(ev.indices()) == [space.index((0, 1)), space.index((1, 1))]
     assert ck.Event.cylinder(space, {"Y": 2}).size == 0
+    assert ck.Event.cylinder(space, {"X": 1, "Y": 0}) == (
+        ck.Event.cylinder(space, {"X": 1}) & ck.Event.cylinder(space, {"Y": 0}))
+    assert ck.Event.cylinder(space, {}) == ck.Event.full(space)
+    with pytest.raises(ck.SpaceError):
+        ck.Event.cylinder(space, {"Z": 0})
     with pytest.raises(ck.SpaceError):
         ck.Event.from_indices(space, [4])
     with pytest.raises(ck.SpaceError):
