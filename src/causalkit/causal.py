@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -100,13 +101,6 @@ class FiniteCausalSpace:
             raise SpaceError(f"kernel for {sorted(key)} has wrong domain or codomain")
         return k
 
-    def kernel_value(self, subset: Iterable[str], outcome_index: int, event: Event) -> Fraction:
-        """K_S(omega, A) for a full outcome: project to the atom, then look up."""
-        key = frozenset(subset)
-        k = self.kernel(key)
-        row = self.space.project_index(outcome_index, k.domain.names)
-        return k.value(row, event)
-
     def subsets(self) -> Iterator[tuple[str, ...]]:
         return subsets_of(self.space.names)
 
@@ -155,7 +149,7 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
         for a, atom in enumerate(fibers):
             row = k.rows[a]
             for i, w in enumerate(row.weights):
-                if w != 0 and not atom.contains(i):
+                if w and not atom.contains(i):
                     return CheckReport(
                         check="causal-space-axioms",
                         passed=False,
@@ -297,52 +291,97 @@ class EffectClass:
         return {"tag": self.tag, "witness": self.witness.to_dict() if self.witness else None}
 
 
-def _first_interventional_violation(c: FiniteCausalSpace, U: frozenset,
-                                    event: Event) -> Optional[Witness]:
-    """First (S, omega) with K_S(omega, A) != K_{S \\ U}(omega, A).
+def _part_sums(row: FiniteMeasure, index: list[int] | tuple[int, ...],
+               n_parts: int) -> list[Fraction]:
+    """Masses of a row on the parts ``0 .. n_parts - 1`` that ``index`` assigns
+    each outcome to, in one pass that skips zero weights."""
+    out = [ZERO] * n_parts
+    for i, w in enumerate(row.weights):
+        if w:
+            out[index[i]] += w
+    return out
 
-    Scans subsets by increasing cardinality then name order; inside a
-    subset, atoms by index.  Equality for every pair means H_U has no
-    causal effect on the event.
+
+def _lowest_found(found: list) -> Optional[tuple[int, tuple]]:
+    """The lowest index with a witness, and that witness."""
+    return next(((j, f) for j, f in enumerate(found) if f is not None), None)
+
+
+def _classify(c: FiniteCausalSpace, U: frozenset, events: list[Event]) -> EffectClass:
+    """Effect of H_U on each of some disjoint events, with the witness of the
+    lowest event that has one.
+
+    Every row of P, K_U, K_S and K_{S \\ U} is summed onto the events once
+    (outcomes outside them go to one extra part, never compared).  Each event
+    keeps its first witness in the scan order: K_U rows by index for an
+    active effect, then subsets by increasing cardinality and name order and
+    the atoms of each subset by index.  A scan stops early only once the
+    first event has a witness, since no later one can come before it.
     """
+    k_u = c.kernel(U)
+    n_ev = len(events)
+    index = [n_ev] * c.space.n_outcomes
+    for j, event in enumerate(events):
+        if event.space != c.space:
+            raise SpaceError("event on a different space")
+        for i in event.indices():
+            index[i] = j
+    sums: dict[frozenset, list[list[Fraction]]] = {}
+
+    def row_sums(subset: frozenset, k: StochKernel) -> list[list[Fraction]]:
+        got = sums.get(subset)
+        if got is None:
+            got = sums[subset] = [_part_sums(r, index, n_ev + 1) for r in k.rows]
+        return got
+
+    base = _part_sums(c.P, index, n_ev + 1)
+    found: list = [None] * n_ev
+    for a, vals in enumerate(row_sums(U, k_u)):
+        for j in range(n_ev):
+            if found[j] is None and vals[j] != base[j]:
+                found[j] = (a, vals[j])
+        if found[0] is not None:
+            break
+    hit = _lowest_found(found)
+    if hit is not None:
+        j, (a, val) = hit
+        return EffectClass(EffectClass.ACTIVE, Witness(
+            message=(f"K_{{{','.join(sorted(U))}}} at {k_u.domain.outcome(a)} gives {val} "
+                     f"on the event but the base measure gives {base[j]}"),
+            subset=tuple(sorted(U)),
+            outcome=k_u.domain.outcome(a),
+            event=tuple(events[j].indices()),
+        ))
+
     for subset in subsets_of(c.space.names):
         s = frozenset(subset)
         reduced = s - U
         if reduced == s:
             continue
         k_s = c.kernel(s)
-        k_r = c.kernel(reduced)
+        lhs_rows = row_sums(s, k_s)
+        rhs_rows = row_sums(reduced, c.kernel(reduced))
         to_reduced = c.space.projector(reduced).index
         for a, mask in enumerate(c.space.projector(s).masks):
-            lhs = k_s.value(a, event)
-            rhs = k_r.value(to_reduced[next(iter_bits(mask))], event)
-            if lhs != rhs:
-                omega = k_s.domain.outcome(a)
-                return Witness(
-                    message=(f"K_{{{','.join(subset)}}} at {omega} gives {lhs} on the event "
-                             f"but dropping {sorted(U)} gives {rhs}"),
-                    subset=subset,
-                    outcome=omega,
-                    event=tuple(sorted(event.indices())),
-                )
-    return None
-
-
-def _first_active_witness(c: FiniteCausalSpace, U: frozenset,
-                          event: Event) -> Optional[Witness]:
-    k_u = c.kernel(U)
-    base = c.P.mass(event)
-    for a in range(k_u.domain.n_outcomes):
-        val = k_u.value(a, event)
-        if val != base:
-            return Witness(
-                message=(f"K_{{{','.join(sorted(U))}}} at {k_u.domain.outcome(a)} gives {val} "
-                         f"on the event but the base measure gives {base}"),
-                subset=tuple(sorted(U)),
-                outcome=k_u.domain.outcome(a),
-                event=tuple(sorted(event.indices())),
-            )
-    return None
+            lhs, rhs = lhs_rows[a], rhs_rows[to_reduced[next(iter_bits(mask))]]
+            for j in range(n_ev):
+                if found[j] is None and lhs[j] != rhs[j]:
+                    found[j] = (subset, k_s.domain.outcome(a), lhs[j], rhs[j])
+            if found[0] is not None:
+                break
+        if found[0] is not None:
+            break
+    hit = _lowest_found(found)
+    if hit is None:
+        return EffectClass(EffectClass.NO_EFFECT)
+    j, (subset, omega, lhs, rhs) = hit
+    return EffectClass(EffectClass.DORMANT, Witness(
+        message=(f"K_{{{','.join(subset)}}} at {omega} gives {lhs} on the event "
+                 f"but dropping {sorted(U)} gives {rhs}"),
+        subset=subset,
+        outcome=omega,
+        event=tuple(events[j].indices()),
+    ))
 
 
 def classify_effect(c: FiniteCausalSpace, on: Iterable[str], event: Event) -> EffectClass:
@@ -350,16 +389,11 @@ def classify_effect(c: FiniteCausalSpace, on: Iterable[str], event: Event) -> Ef
 
     Active: some omega has K_U(omega, A) != P(A).  No effect: every subset S
     satisfies K_S(omega, A) = K_{S \\ U}(omega, A) for every omega, with no
-    exemption for null outcomes.  Dormant: neither.
+    exemption for null outcomes.  Dormant: neither.  The witness is the
+    first K_U row, or else the first (S, omega) by increasing cardinality,
+    then name order, then atom index, that breaks the identity.
     """
-    U = frozenset(on)
-    active = _first_active_witness(c, U, event)
-    if active is not None:
-        return EffectClass(EffectClass.ACTIVE, active)
-    violation = _first_interventional_violation(c, U, event)
-    if violation is None:
-        return EffectClass(EffectClass.NO_EFFECT)
-    return EffectClass(EffectClass.DORMANT, violation)
+    return _classify(c, frozenset(on), [event])
 
 
 def classify_effect_on(c: FiniteCausalSpace, on: Iterable[str],
@@ -367,19 +401,16 @@ def classify_effect_on(c: FiniteCausalSpace, on: Iterable[str],
     """Classify the effect of H_U on the sub-sigma-algebra H_V.
 
     Both defining quantifiers are additive in the event, so checking the
-    atoms of H_V settles every union of atoms as well.
+    atoms of H_V settles every union of atoms as well.  One sweep sums every
+    row of P, K_U, K_S and K_{S \\ U} onto the V-atoms and compares the
+    vectors of atom masses.  The witness is the one an atom-by-atom scan
+    finds: the lowest V-atom with an active witness (its first K_U row),
+    else the lowest V-atom with a dormant witness (its first (S, omega) in
+    ``classify_effect``'s order).  The subset scan stops as soon as V-atom 0
+    has a witness.
     """
-    U = frozenset(on)
     target_atoms = atoms(c.space, target)
-    for atom in target_atoms:
-        w = _first_active_witness(c, U, atom)
-        if w is not None:
-            return EffectClass(EffectClass.ACTIVE, w)
-    for atom in target_atoms:
-        w = _first_interventional_violation(c, U, atom)
-        if w is not None:
-            return EffectClass(EffectClass.DORMANT, w)
-    return EffectClass(EffectClass.NO_EFFECT)
+    return _classify(c, frozenset(on), target_atoms)
 
 
 def is_source(c: FiniteCausalSpace, on: Iterable[str],
@@ -391,19 +422,30 @@ def is_source(c: FiniteCausalSpace, on: Iterable[str],
     unconstrained by the definition of conditional probability; they are
     exempted and listed in the report.  With V the full coordinate set this
     is the global-source check.
+
+    One pass of P fills the table of (U-atom, V-atom) cell masses, and the
+    K_U row of each U-atom of positive mass is summed onto the V-atoms once.  U-atoms are
+    scanned by index and V-atoms by index within each; the first mismatch
+    is the witness, with the null atoms exempted before it as details.
     """
     U = tuple(sorted(frozenset(on)))
     k_u = c.kernel(U)
-    u_atoms = atoms(c.space, U)
+    v_proj = c.space.projector(target)
+    to_u, to_v = c.space.projector(U).index, v_proj.index
+    nv = len(v_proj.masks)
+    cells = [[ZERO] * nv for _ in range(k_u.domain.n_outcomes)]
+    for i, w in enumerate(c.P.weights):
+        if w:
+            cells[to_u[i]][to_v[i]] += w
     exempt = []
-    for a, u_atom in enumerate(u_atoms):
-        z = c.P.mass(u_atom)
+    for a, joint in enumerate(cells):
+        z = sum(joint, ZERO)
         if z == 0:
             exempt.append(f"null atom {k_u.domain.outcome(a)} of H_{{{','.join(U)}}} exempted")
             continue
-        for v_atom in atoms(c.space, target):
-            lhs = k_u.value(a, v_atom)
-            rhs = c.P.mass(v_atom & u_atom) / z
+        row = _part_sums(k_u.rows[a], to_v, nv)
+        for j, (lhs, cell) in enumerate(zip(row, joint)):
+            rhs = cell / z
             if lhs != rhs:
                 return CheckReport(
                     check="local-source",
@@ -413,7 +455,7 @@ def is_source(c: FiniteCausalSpace, on: Iterable[str],
                                  f"but conditioning gives {rhs}"),
                         subset=U,
                         outcome=k_u.domain.outcome(a),
-                        event=tuple(sorted(v_atom.indices())),
+                        event=tuple(iter_bits(v_proj.masks[j])),
                     ),
                     details=tuple(exempt),
                 )
@@ -445,6 +487,15 @@ def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
 MAX_ENUM_ATOMS = 16
 
 
+def _subset_sums(values: list[int]) -> list[int]:
+    """``out[mask]`` is the sum of ``values`` over the set bits of ``mask``."""
+    out = [0] * (1 << len(values))
+    for mask in range(1, len(out)):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] + values[low.bit_length() - 1]
+    return out
+
+
 def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
                             first: Iterable[str], second: Iterable[str],
                             max_enum_atoms: int = MAX_ENUM_ATOMS, samples: int = 64,
@@ -456,34 +507,52 @@ def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
     most ``max_enum_atoms`` every pair of atom unions is enumerated; beyond
     that, all atom pairs plus ``samples`` seeded random union pairs are
     checked.
+
+    Each K_U row is tabulated once on the (A-atom, B-atom) cells, as
+    integers over the row's common denominator D, so that
+    K(A & B) = K(A) K(B) reads D * cells(A & B) == rows(A) * cols(B).  The
+    union masses come from subset sums over the cells; pairs are taken in
+    the order ``(A, B)`` with B varying fastest, and the sampled pairs are
+    drawn from ``Random(seed)`` before any row is read.
     """
-    atoms_a = atoms(c.space, first)
-    atoms_b = atoms(c.space, second)
-    na, nb = len(atoms_a), len(atoms_b)
-
-    def union(atom_list, mask):
-        ev = Event.empty(c.space)
-        for i in iter_bits(mask):
-            ev = ev | atom_list[i]
-        return ev
-
-    if na + nb <= max_enum_atoms:
-        pairs = (
-            (union(atoms_a, ma), union(atoms_b, mb))
-            for ma in range(1 << na)
-            for mb in range(1 << nb)
-        )
-    else:
+    pa = c.space.projector(first)
+    pb = c.space.projector(second)
+    na, nb = len(pa.masks), len(pb.masks)
+    pairs = None  # every union pair, by subset sums
+    if na + nb > max_enum_atoms:
         rng = Random(seed)
-        fixed = [(a, b) for a in atoms_a for b in atoms_b]
-        sampled = [
-            (union(atoms_a, rng.randrange(1, 1 << na)),
-             union(atoms_b, rng.randrange(1, 1 << nb)))
-            for _ in range(samples)
-        ]
-        pairs = iter(fixed + sampled)
-
-    return all(causally_independent(c, on, a, b) for a, b in pairs)
+        pairs = [(1 << a, 1 << b) for a in range(na) for b in range(nb)]
+        pairs += [(rng.randrange(1, 1 << na), rng.randrange(1, 1 << nb))
+                  for _ in range(samples)]
+    to_a, to_b = pa.index, pb.index
+    for row in c.kernel(frozenset(on)).rows:
+        denom = lcm(*(w.denominator for w in row.weights if w))
+        cells = [[0] * nb for _ in range(na)]
+        for i, w in enumerate(row.weights):
+            if w:
+                cells[to_a[i]][to_b[i]] += w.numerator * (denom // w.denominator)
+        row_mass = [sum(r) for r in cells]
+        col_mass = [sum(col) for col in zip(*cells)]
+        if pairs is not None:
+            for ma, mb in pairs:
+                bits_a, bits_b = list(iter_bits(ma)), list(iter_bits(mb))
+                both = sum(cells[a][b] for a in bits_a for b in bits_b)
+                if (both * denom != sum(row_mass[a] for a in bits_a)
+                        * sum(col_mass[b] for b in bits_b)):
+                    return False
+            continue
+        rows_a, cols_b = _subset_sums(row_mass), _subset_sums(col_mass)
+        # by_a[ma][b]: mass of the union of A-atoms in ma on B-atom b
+        by_a = [[0] * nb]
+        for ma in range(1, 1 << na):
+            low = ma & -ma
+            by_a.append([x + y for x, y in zip(by_a[ma ^ low],
+                                               cells[low.bit_length() - 1])])
+        for ma, ra in enumerate(rows_a):
+            for both, cb in zip(_subset_sums(by_a[ma]), cols_b):
+                if both * denom != ra * cb:
+                    return False
+    return True
 
 
 def product(c1: FiniteCausalSpace, c2: FiniteCausalSpace) -> FiniteCausalSpace:

@@ -118,14 +118,14 @@ class FiniteSCM:
         return self.mechanisms[var][idx]
 
 
-def _mutilated_law(scm: FiniteSCM, pinned: Mapping[str, int]) -> FiniteMeasure:
+def _mutilated_law(scm: FiniteSCM, space: CoordinateSpace, order: tuple[str, ...],
+                   pinned: Mapping[str, int]) -> FiniteMeasure:
     """Law of the system with some variables pinned and the rest re-run.
 
+    ``space`` and ``order`` are the model's space and topological order.
     Noise is enumerated only for the free variables; pinned variables keep
     their assigned value regardless of their own equation.
     """
-    space = scm.space()
-    order = scm.topo_order()
     free = [v for v in order if v not in pinned]
     weights = [ZERO] * space.n_outcomes
     noise_ranges = [range(len(scm.noises[v])) for v in free]
@@ -152,14 +152,15 @@ def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
     empty subset reproduces the observational law exactly.
     """
     space = scm.space()
-    base = _mutilated_law(scm, {})
+    order = scm.topo_order()
+    base = _mutilated_law(scm, space, order, {})
 
     def make(subset: frozenset) -> StochKernel:
         sub = space.restrict(subset)
         rows = []
         for a in range(sub.n_outcomes):
             pinned = dict(zip(sub.names, sub.outcome(a)))
-            rows.append(_mutilated_law(scm, pinned))
+            rows.append(_mutilated_law(scm, space, order, pinned))
         return StochKernel(sub, space, tuple(rows))
 
     return FiniteCausalSpace.lazy(space, base, make)

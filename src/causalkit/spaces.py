@@ -318,6 +318,8 @@ class FiniteMeasure:
         for w in self.weights:
             if not isinstance(w, Fraction):
                 raise SpaceError("weights must be Fractions")
+            if not w:  # in range, and adds nothing to the total
+                continue
             if w < 0 or w > 1:
                 raise SpaceError(f"weight {w} outside [0, 1]")
             total += w

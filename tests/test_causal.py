@@ -7,13 +7,14 @@ as exact rationals.
 
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import examples
-from conftest import causal_spaces
+from conftest import causal_spaces, events
 
 F = Fraction
 
@@ -392,6 +393,203 @@ def test_independence_sampling_path_matches_enumeration(fork):
     sampled = ck.causally_independent_on(
         fork, ("X",), ("Y1",), ("Y2",), max_enum_atoms=0, samples=64, seed=7)
     assert enum == sampled is True
+
+
+# ---------------------------------------------------------------------------
+# the atom sweeps against atom-by-atom scans on StochKernel.value
+
+
+def scan_effect(c, on, targets):
+    """classify_effect(_on) as one scan of every subset per event."""
+    U = frozenset(on)
+    k_u = c.kernel(U)
+    for event in targets:
+        base = c.P.mass(event)
+        for a in range(k_u.domain.n_outcomes):
+            val = k_u.value(a, event)
+            if val != base:
+                return ck.EffectClass(ck.EffectClass.ACTIVE, ck.Witness(
+                    message=(f"K_{{{','.join(sorted(U))}}} at {k_u.domain.outcome(a)} "
+                             f"gives {val} on the event but the base measure gives {base}"),
+                    subset=tuple(sorted(U)),
+                    outcome=k_u.domain.outcome(a),
+                    event=tuple(sorted(event.indices()))))
+    for event in targets:
+        for subset in ck.subsets_of(c.space.names):
+            s = frozenset(subset)
+            if not s & U:
+                continue
+            k_s, k_r = c.kernel(s), c.kernel(s - U)
+            for a in range(k_s.domain.n_outcomes):
+                omega = k_s.domain.outcome(a)
+                values = dict(zip(k_s.domain.names, omega))
+                r = k_r.domain.index(tuple(values[n] for n in k_r.domain.names))
+                lhs, rhs = k_s.value(a, event), k_r.value(r, event)
+                if lhs != rhs:
+                    return ck.EffectClass(ck.EffectClass.DORMANT, ck.Witness(
+                        message=(f"K_{{{','.join(subset)}}} at {omega} gives {lhs} on the "
+                                 f"event but dropping {sorted(U)} gives {rhs}"),
+                        subset=subset,
+                        outcome=omega,
+                        event=tuple(sorted(event.indices()))))
+    return ck.EffectClass(ck.EffectClass.NO_EFFECT)
+
+
+def scan_source(c, on, target):
+    """is_source as a scan of every (U-atom, V-atom) pair."""
+    U = tuple(sorted(frozenset(on)))
+    k_u = c.kernel(U)
+    exempt = []
+    for a, u_atom in enumerate(ck.atoms(c.space, U)):
+        z = c.P.mass(u_atom)
+        if z == 0:
+            exempt.append(f"null atom {k_u.domain.outcome(a)} of H_{{{','.join(U)}}} exempted")
+            continue
+        for v_atom in ck.atoms(c.space, target):
+            lhs = k_u.value(a, v_atom)
+            rhs = c.P.mass(v_atom & u_atom) / z
+            if lhs != rhs:
+                return ck.CheckReport(
+                    check="local-source", passed=False,
+                    witness=ck.Witness(
+                        message=(f"K_{{{','.join(U)}}} at {k_u.domain.outcome(a)} gives "
+                                 f"{lhs} but conditioning gives {rhs}"),
+                        subset=U,
+                        outcome=k_u.domain.outcome(a),
+                        event=tuple(sorted(v_atom.indices()))),
+                    details=tuple(exempt))
+    return ck.CheckReport(check="local-source", passed=True, details=tuple(exempt))
+
+
+def scan_independent(c, on, first, second, max_enum_atoms=16, samples=64, seed=0):
+    """causally_independent_on as a scan of every union pair and row."""
+    atoms_a, atoms_b = ck.atoms(c.space, first), ck.atoms(c.space, second)
+    na, nb = len(atoms_a), len(atoms_b)
+
+    def union(family, mask):
+        return ck.Event(c.space, sum(e.mask for i, e in enumerate(family)
+                                     if (mask >> i) & 1))
+
+    if na + nb <= max_enum_atoms:
+        pairs = [(ma, mb) for ma in range(1 << na) for mb in range(1 << nb)]
+    else:
+        rng = Random(seed)
+        pairs = [(1 << a, 1 << b) for a in range(na) for b in range(nb)]
+        pairs += [(rng.randrange(1, 1 << na), rng.randrange(1, 1 << nb))
+                  for _ in range(samples)]
+    k_u = c.kernel(frozenset(on))
+    for ma, mb in pairs:
+        a, b = union(atoms_a, ma), union(atoms_b, mb)
+        for row in range(k_u.domain.n_outcomes):
+            if k_u.value(row, a & b) != k_u.value(row, a) * k_u.value(row, b):
+                return False
+    return True
+
+
+def assert_sweeps_match_scans(c, on, target, other, seed):
+    assert ck.classify_effect_on(c, on, target).to_dict() == \
+        scan_effect(c, on, ck.atoms(c.space, target)).to_dict()
+    assert ck.is_source(c, on, target).to_dict() == scan_source(c, on, target).to_dict()
+    if other is None:
+        return
+    # a bound of 8 atoms keeps the scan's enumeration small; 0 forces sampling
+    for bound in (8, 0):
+        kw = dict(max_enum_atoms=bound, samples=8, seed=seed)
+        assert ck.causally_independent_on(c, on, target, other, **kw) == \
+            scan_independent(c, on, target, other, **kw)
+
+
+@given(causal_spaces(), st.data())
+def test_atom_sweeps_match_per_atom_scans(space, data):
+    subsets = list(ck.subsets_of(space.space.names))
+    on, target, other = (data.draw(st.sampled_from(subsets)) for _ in range(3))
+    assert_sweeps_match_scans(space, on, target, other, seed=data.draw(st.integers(0, 99)))
+    event = data.draw(events(space.space))
+    assert ck.classify_effect(space, on, event).to_dict() == \
+        scan_effect(space, on, [event]).to_dict()
+    if space.space.n_outcomes > 12:
+        return  # beyond the oracle's exhaustive bound
+    n_atoms = {s: len(ck.atoms(space.space, s)) for s in (on, target, other)}
+    assert ck.full_event_check("effect-classification", space, on, target).passed
+    if n_atoms[on] + n_atoms[target] <= 16:
+        assert ck.full_event_check("sources", space, on, target).passed
+    if n_atoms[target] + n_atoms[other] <= 16:
+        assert ck.full_event_check("causal-independence", space, on, target, other).passed
+
+
+@pytest.mark.parametrize("make", [
+    examples.xor_scm, examples.parity_scm, examples.fork_scm, examples.collider_scm,
+    examples.mediator_confounder_scm, examples.composition_scm,
+    examples.faithfulness_full_scm,
+])
+def test_atom_sweeps_match_per_atom_scans_on_examples(make):
+    c = ck.compile_scm(make())
+    subsets = list(ck.subsets_of(c.space.names))
+    for on in subsets:
+        for target in subsets:
+            # the independence scan is slow; two names each keep it short
+            other = None
+            if len(on) <= 2 and len(target) <= 2:
+                other = (c.space.names[len(on) % len(c.space.names)],)
+            assert_sweeps_match_scans(c, on, target, other, seed=len(target))
+
+
+def tampered_pinning_space(space, moves):
+    """Uniform pinning space with some kernel mass moved between outcomes.
+
+    ``moves`` maps a subset to (row, from-values, to-values) triples.
+    """
+    full = ck.independent_pinning_space(ck.FiniteMeasure.uniform(space)).materialize()
+    table = {s: full.kernel(s) for s in full.subsets()}
+    for subset, triples in moves.items():
+        k = table[subset]
+        rows = list(k.rows)
+        for row, src, dst in triples:
+            w = list(rows[row].weights)
+            w[space.index(dst)] += w[space.index(src)]
+            w[space.index(src)] = F(0)
+            rows[row] = ck.FiniteMeasure(space, tuple(w))
+        table[subset] = ck.StochKernel(k.domain, space, tuple(rows))
+    return ck.FiniteCausalSpace.tabulated(space, full.P, table)
+
+
+def test_effect_witness_is_the_lowest_atom_not_the_first_subset():
+    space = ck.CoordinateSpace.make([("X", 2), ("Y", 3), ("Z", 2)])
+    c = tampered_pinning_space(space, {
+        # K_{X,Y} at (1, 1) moves mass from Y=1 to Y=2: atoms 1 and 2 break first
+        ("X", "Y"): [(4, (1, 1, 0), (1, 2, 0))],
+        # K_{X,Z} at (0, 0) moves mass from Y=0 to Y=1: atom 0 breaks a subset later
+        ("X", "Z"): [(0, (0, 0, 0), (0, 1, 0))],
+    })
+    effect = ck.classify_effect_on(c, ("X",), ("Y",))
+    assert effect.to_dict() == scan_effect(c, ("X",), ck.atoms(space, ("Y",))).to_dict()
+    assert effect.tag == ck.EffectClass.DORMANT
+    assert effect.witness.message == (
+        "K_{X,Z} at (0, 0) gives 0 on the event but dropping ['X'] gives 1/3")
+    assert effect.witness.event == tuple(ck.atoms(space, ("Y",))[0].indices())
+
+
+def test_active_witness_is_the_first_row_of_the_lowest_atom():
+    space = ck.CoordinateSpace.make([("X", 2), ("Y", 3)])
+    # both rows of K_X move mass from Y=1 to Y=2 and leave Y=0 alone
+    c = tampered_pinning_space(space, {
+        ("X",): [(0, (0, 1), (0, 2)), (1, (1, 1), (1, 2))]})
+    effect = ck.classify_effect_on(c, ("X",), ("Y",))
+    assert effect.to_dict() == scan_effect(c, ("X",), ck.atoms(space, ("Y",))).to_dict()
+    assert effect.witness.message == (
+        "K_{X} at (0,) gives 0 on the event but the base measure gives 1/3")
+    assert effect.witness.event == (1, 4)
+
+
+def test_source_witness_is_the_first_failing_target_atom():
+    # P(Y=0 | X=0) = P(Y=0), so the first mismatch at X=0 is on Y=1
+    space = ck.CoordinateSpace.make([("X", 2), ("Y", 3)])
+    p = ck.FiniteMeasure(space, (F(1, 6), F(1, 6), F(1, 6), F(1, 6), F(1, 12), F(1, 4)))
+    c = ck.independent_pinning_space(p)
+    report = ck.is_source(c, ("X",), ("Y",))
+    assert report.to_dict() == scan_source(c, ("X",), ("Y",)).to_dict()
+    assert report.witness.message == "K_{X} at (0,) gives 1/4 but conditioning gives 1/3"
+    assert report.witness.event == (1, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,28 @@ def test_measure_must_sum_to_one_exactly():
         ck.FiniteMeasure(space, (F(3, 2), F(-1, 2), F(0), F(0)))
 
 
+@pytest.mark.parametrize("weights, sub, message", [
+    ((F(0), F(-1, 2), F(0), F(3, 2)), False, "weight -1/2 outside [0, 1]"),
+    ((F(1, 2), 0, F(1, 2), F(0)), False, "weights must be Fractions"),
+    ((F(0), F(-1), 0, F(0)), False, "weight -1 outside [0, 1]"),
+    ((F(0), F(0), F(3, 2), F(-1, 2)), False, "weight 3/2 outside [0, 1]"),
+    ((F(1, 2), F(0), F(1, 4), F(0)), False, "weights sum to 3/4, expected 1"),
+    ((F(0), F(0), F(0), F(0)), False, "weights sum to 0, expected 1"),
+    ((F(1, 2), F(0), F(3, 4), F(0)), True, "weights sum to 5/4 > 1"),
+])
+def test_measure_rejections_name_the_first_fault(weights, sub, message):
+    # zero weights are skipped after their type check; nothing else moves
+    with pytest.raises(ck.SpaceError) as err:
+        ck.FiniteMeasure(two_bits(), weights, sub)
+    assert str(err.value) == message
+
+
+def test_measure_accepts_zeros_and_subprobabilities():
+    space = two_bits()
+    assert ck.FiniteMeasure(space, (F(0), F(1), F(0), F(0))).weights[1] == 1
+    assert ck.FiniteMeasure(space, (F(0),) * 4, True).mass(ck.Event.full(space)) == 0
+
+
 @given(measures())
 def test_measure_mass_is_additive_and_total(m):
     full = ck.Event.full(m.space)
