@@ -123,7 +123,9 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
     Axiom (i): the empty-subset kernel equals the base measure.
     Axiom (ii): each row of K_S is supported inside its own H_S-atom
     (equivalently K_S(omega_S, atom(omega_S)) = 1), which is the atom form
-    of K_S(omega, A & B) = 1_A(omega) K_S(omega, B) for A in H_S.
+    of K_S(omega, A & B) = 1_A(omega) K_S(omega, B) for A in H_S.  It is
+    one test of each row's support bitmask against its atom's; the witness
+    is the lowest outcome outside the atom.
     """
     empty = c.kernel(())
     base_row = empty.rows[0]
@@ -145,22 +147,24 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
         if not subset:
             continue
         k = c.kernel(subset)
-        fibers = atoms(c.space, subset)
-        for a, atom in enumerate(fibers):
+        for a, atom in enumerate(c.space.projector(subset).masks):
             row = k.rows[a]
-            for i, w in enumerate(row.weights):
-                if w and not atom.contains(i):
-                    return CheckReport(
-                        check="causal-space-axioms",
-                        passed=False,
-                        witness=Witness(
-                            message=(f"K_{{{','.join(subset)}}} at atom {k.domain.outcome(a)} "
-                                     f"puts mass {w} on outcome {c.space.outcome(i)} outside the atom"),
-                            subset=subset,
-                            outcome=k.domain.outcome(a),
-                            event=(i,),
-                        ),
-                    )
+            outside = row.support_mask & ~atom
+            if outside:
+                # the lowest outcome is the one an index-order scan meets first
+                i = (outside & -outside).bit_length() - 1
+                return CheckReport(
+                    check="causal-space-axioms",
+                    passed=False,
+                    witness=Witness(
+                        message=(f"K_{{{','.join(subset)}}} at atom {k.domain.outcome(a)} "
+                                 f"puts mass {row.weights[i]} on outcome {c.space.outcome(i)} "
+                                 "outside the atom"),
+                        subset=subset,
+                        outcome=k.domain.outcome(a),
+                        event=(i,),
+                    ),
+                )
     return CheckReport(check="causal-space-axioms", passed=True)
 
 
@@ -294,11 +298,11 @@ class EffectClass:
 def _part_sums(row: FiniteMeasure, index: list[int] | tuple[int, ...],
                n_parts: int) -> list[Fraction]:
     """Masses of a row on the parts ``0 .. n_parts - 1`` that ``index`` assigns
-    each outcome to, in one pass that skips zero weights."""
+    each outcome to, in one pass over the row's support."""
     out = [ZERO] * n_parts
-    for i, w in enumerate(row.weights):
-        if w:
-            out[index[i]] += w
+    weights = row.weights
+    for i in iter_bits(row.support_mask):
+        out[index[i]] += weights[i]
     return out
 
 

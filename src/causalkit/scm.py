@@ -2,10 +2,12 @@
 
 Each variable has a finite domain, a private noise with exact rational
 weights, and a mechanism given as a dense lookup table over (parent values,
-noise value).  Compilation enumerates noise configurations exhaustively:
-the base measure pushes the noise product law through the equations, and
-the kernel for a subset S is the law of the mutilated system with S pinned
-to the atom's values and all other equations re-run on fresh noise.
+noise value).  Compilation tabulates each variable's conditional table
+P(x_v | x_pa(v)) once, pushing its noise through its mechanism.  The base
+measure and the kernel for a subset S then follow by truncated
+factorization: K_S at an atom is the law of the mutilated system with S
+pinned to the atom's values, the product of the conditional tables of the
+variables outside S.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iproduct
 from typing import Iterable, Mapping
 
 from .causal import FiniteCausalSpace
@@ -118,50 +119,77 @@ class FiniteSCM:
         return self.mechanisms[var][idx]
 
 
-def _mutilated_law(scm: FiniteSCM, space: CoordinateSpace, order: tuple[str, ...],
-                   pinned: Mapping[str, int]) -> FiniteMeasure:
+def _conditional_tables(scm: FiniteSCM, space: CoordinateSpace,
+                        order: tuple[str, ...]) -> tuple[tuple, ...]:
+    """Tabulate P(x_v | x_pa(v)) of every variable once, in topological order.
+
+    Each table is ``(v, stride, to_parents, rows)``: v's stride in ``space``,
+    the index ``space.projector(pa(v)).index`` that reads the parent values
+    off any outcome index whose parent digits are set, and for each parent
+    atom the ``(x_v, probability)`` pairs.  Noise values that give the same
+    x_v are merged and zero weights are dropped.
+    """
+    tables = []
+    for v in order:
+        parents = scm.parents[v]
+        proj = space.projector(parents)
+        noise, mechanism, k = scm.noises[v], scm.mechanisms[v], len(scm.noises[v])
+        rows = []
+        for values in proj.sub.outcomes():
+            # the mechanism is indexed in the order of parents[v], the
+            # projector in space order
+            of = dict(zip(proj.sub.names, values))
+            r = 0
+            for p in parents:
+                r = r * scm.cards[p] + of[p]
+            merged: dict[int, Fraction] = {}
+            for nv, w in enumerate(noise):
+                if w:
+                    x = mechanism[r * k + nv]
+                    merged[x] = merged.get(x, ZERO) + w
+            rows.append(tuple(sorted(merged.items())))
+        tables.append((v, space.strides[space.position(v)], proj.index, tuple(rows)))
+    return tuple(tables)
+
+
+def _mutilated_law(space: CoordinateSpace, free: Iterable[tuple],
+                   base: int) -> FiniteMeasure:
     """Law of the system with some variables pinned and the rest re-run.
 
-    ``space`` and ``order`` are the model's space and topological order.
-    Noise is enumerated only for the free variables; pinned variables keep
-    their assigned value regardless of their own equation.
+    ``base`` is the outcome index that holds the pinned values and is zero on
+    every other coordinate; ``free`` are the conditional tables of the other
+    variables, in topological order.  By truncated factorization (Pearl,
+    *Causality*, 2nd ed., section 3.2) the law is the product of the free
+    variables' conditional probabilities.  The assignments of positive
+    probability are grown one free variable at a time, each carrying its
+    prefix product and its outcome index so far, which is all the next
+    variable's table lookup needs.
     """
-    free = [v for v in order if v not in pinned]
-    weights = [ZERO] * space.n_outcomes
-    noise_ranges = [range(len(scm.noises[v])) for v in free]
-    for combo in iproduct(*noise_ranges):
-        prob = ONE
-        for v, nv in zip(free, combo):
-            prob *= scm.noises[v][nv]
-        if prob == 0:
-            continue
-        vals = dict(pinned)
-        noise_of = dict(zip(free, combo))
-        for v in order:
-            if v in pinned:
-                continue
-            vals[v] = scm.mechanism_value(v, vals, noise_of[v])
-        weights[space.index_from_values(vals)] += prob
-    return FiniteMeasure(space, tuple(weights))
+    states = [(base, ONE)]
+    for _, stride, to_parents, table in free:
+        states = [(i + x * stride, p * w)
+                  for i, p in states for x, w in table[to_parents[i]]]
+    return FiniteMeasure._sparse(space, dict(states))
 
 
 def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
     """Causal space of a structural model, with kernels generated lazily.
 
     K_S at an atom is the law of the mutilated system with S pinned; the
-    empty subset reproduces the observational law exactly.
+    empty subset reproduces the observational law exactly.  The conditional
+    tables are built once per model and shared by every kernel.
     """
     space = scm.space()
-    order = scm.topo_order()
-    base = _mutilated_law(scm, space, order, {})
+    tables = _conditional_tables(scm, space, scm.topo_order())
+    base = _mutilated_law(space, tables, 0)
 
     def make(subset: frozenset) -> StochKernel:
-        sub = space.restrict(subset)
-        rows = []
-        for a in range(sub.n_outcomes):
-            pinned = dict(zip(sub.names, sub.outcome(a)))
-            rows.append(_mutilated_law(scm, space, order, pinned))
-        return StochKernel(sub, space, tuple(rows))
+        pin = space.projector(subset)
+        free = [t for t in tables if t[0] not in subset]
+        # the lowest outcome of an atom holds its pinned values, zero elsewhere
+        rows = tuple(_mutilated_law(space, free, (mask & -mask).bit_length() - 1)
+                     for mask in pin.masks)
+        return StochKernel(pin.sub, space, rows)
 
     return FiniteCausalSpace.lazy(space, base, make)
 

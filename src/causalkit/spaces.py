@@ -4,9 +4,10 @@ A ``CoordinateSpace`` is an ordered list of named finite coordinates.  An
 outcome is a tuple of coordinate values and is addressed by its mixed-radix
 index (first coordinate most significant, so ``itertools.product`` order
 agrees with index order).  Events are bitsets over outcome indices, measures
-are dense tables of ``Fraction`` weights, and kernels are row tables indexed
-by the atoms of a coordinate subset.  All arithmetic is exact; equality of
-measures means equality of every weight.
+are dense tables of ``Fraction`` weights that also keep the bitset of their
+support, and kernels are row tables indexed by the atoms of a coordinate
+subset.  All arithmetic is exact; equality of measures means equality of
+every weight.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import OutcomeCapError, SpaceError
@@ -66,6 +68,19 @@ class CoordinateSpace:
     @classmethod
     def make(cls, pairs: Iterable[tuple[str, int]], max_outcomes: int | None = None) -> "CoordinateSpace":
         return cls(tuple(Coordinate(n, k) for n, k in pairs), max_outcomes)
+
+    @classmethod
+    def _sub(cls, parent: "CoordinateSpace", positions: Iterable[int]) -> "CoordinateSpace":
+        """Sub-space of a checked space on some of its coordinate positions.
+
+        Distinct names, positive cardinalities and the outcome cap all hold
+        for any sub-space of a space that passed ``__post_init__``, so none
+        is checked again and the cap's env var is not read.
+        """
+        space = object.__new__(cls)
+        object.__setattr__(space, "coords", tuple(parent.coords[i] for i in positions))
+        object.__setattr__(space, "max_outcomes", parent.max_outcomes)
+        return space
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -170,16 +185,18 @@ class Projector:
     @classmethod
     def build(cls, space: CoordinateSpace, subset: Iterable[str]) -> "Projector":
         pos = space.positions(subset)
-        sub = CoordinateSpace(tuple(space.coords[i] for i in pos), space.max_outcomes)
-        digits = [(space.strides[p], space.cards[p], s) for p, s in zip(pos, sub.strides)]
-        index = tuple(
-            sum((i // stride) % card * s for stride, card, s in digits)
-            for i in range(space.n_outcomes)
-        )
+        sub = CoordinateSpace._sub(space, pos)
+        step = dict(zip(pos, sub.strides))
+        # outcomes in index order, one coordinate at a time, the first most
+        # significant; a coordinate off the subset moves no sub-index
+        index = [0]
+        for p, card in enumerate(space.cards):
+            moves = [v * step.get(p, 0) for v in range(card)]
+            index = [a + m for a in index for m in moves]
         masks = [0] * sub.n_outcomes
         for i, a in enumerate(index):
             masks[a] |= 1 << i
-        return cls(sub, index, tuple(masks))
+        return cls(sub, tuple(index), tuple(masks))
 
 
 def product_space(a: CoordinateSpace, b: CoordinateSpace) -> CoordinateSpace:
@@ -303,6 +320,33 @@ def is_measurable(event: Event, subset: Iterable[str]) -> bool:
     return True
 
 
+def _check_weights(weights: Iterable, subprobability: bool) -> None:
+    """Check a measure's weights: each a ``Fraction`` in [0, 1], in order,
+    then their sum, which must be 1 (at most 1 for a subprobability).
+
+    The sum is exact, over the common denominator of the nonzero weights.
+    """
+    nums, dens = [], []
+    for w in weights:
+        if not isinstance(w, Fraction):
+            raise SpaceError("weights must be Fractions")
+        num = w.numerator
+        if not num:  # in range, and adds nothing to the total
+            continue
+        den = w.denominator
+        if num < 0 or num > den:
+            raise SpaceError(f"weight {w} outside [0, 1]")
+        nums.append(num)
+        dens.append(den)
+    den = lcm(*dens)
+    num = sum(n * (den // d) for n, d in zip(nums, dens))
+    if subprobability:
+        if num > den:
+            raise SpaceError(f"weights sum to {Fraction(num, den)} > 1")
+    elif num != den:
+        raise SpaceError(f"weights sum to {Fraction(num, den)}, expected 1")
+
+
 @dataclass(frozen=True)
 class FiniteMeasure:
     """Dense table of exact rational weights over a coordinate space."""
@@ -314,24 +358,38 @@ class FiniteMeasure:
     def __post_init__(self):
         if len(self.weights) != self.space.n_outcomes:
             raise SpaceError("weight table length mismatch")
-        total = ZERO
-        for w in self.weights:
-            if not isinstance(w, Fraction):
-                raise SpaceError("weights must be Fractions")
-            if not w:  # in range, and adds nothing to the total
-                continue
-            if w < 0 or w > 1:
-                raise SpaceError(f"weight {w} outside [0, 1]")
-            total += w
-        if self.subprobability:
-            if total > 1:
-                raise SpaceError(f"weights sum to {total} > 1")
-        elif total != 1:
-            raise SpaceError(f"weights sum to {total}, expected 1")
+        _check_weights(self.weights, self.subprobability)
 
     @classmethod
     def from_weights(cls, space: CoordinateSpace, weights: Iterable, **kw) -> "FiniteMeasure":
         return cls(space, tuple(Fraction(w) for w in weights), **kw)
+
+    @classmethod
+    def _sparse(cls, space: CoordinateSpace, entries: Mapping[int, Fraction],
+                subprobability: bool = False) -> "FiniteMeasure":
+        """Measure from ``{outcome index: weight}``, zero elsewhere.
+
+        Every given weight is checked and summed as ``__post_init__`` would;
+        only the zeros placed around them are not scanned again.  The
+        support bitmask is recorded as it is built.
+        """
+        _check_weights(entries.values(), subprobability)
+        n = space.n_outcomes
+        weights = [ZERO] * n
+        mask = 0
+        for i, w in entries.items():
+            if not 0 <= i < n:
+                raise SpaceError(f"outcome index {i} out of range")
+            if w:
+                weights[i] = w
+                mask |= 1 << i
+        # the dataclass __init__ would run __post_init__ over every zero again
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "space", space)
+        object.__setattr__(measure, "weights", tuple(weights))
+        object.__setattr__(measure, "subprobability", subprobability)
+        measure.__dict__["support_mask"] = mask
+        return measure
 
     @classmethod
     def dirac(cls, space: CoordinateSpace, index: int) -> "FiniteMeasure":
@@ -352,8 +410,17 @@ class FiniteMeasure:
             total += self.weights[i]
         return total
 
+    @cached_property
+    def support_mask(self) -> int:
+        """Bitset of the outcomes of nonzero weight."""
+        mask = 0
+        for i, w in enumerate(self.weights):
+            if w:
+                mask |= 1 << i
+        return mask
+
     def support(self) -> Event:
-        return Event.from_indices(self.space, (i for i, w in enumerate(self.weights) if w > 0))
+        return Event(self.space, self.support_mask)
 
     def tensor(self, other: "FiniteMeasure") -> "FiniteMeasure":
         """Product measure on the product space."""
@@ -383,12 +450,12 @@ class FiniteMeasure:
 def project(measure: FiniteMeasure, subset: Iterable[str]) -> FiniteMeasure:
     """Marginal of a measure on a coordinate subset."""
     proj = measure.space.projector(subset)
-    sub = proj.sub
-    w = [ZERO] * sub.n_outcomes
-    for i, wi in enumerate(measure.weights):
-        if wi != 0:
-            w[proj.index[i]] += wi
-    return FiniteMeasure(sub, tuple(w), subprobability=measure.subprobability)
+    index, weights = proj.index, measure.weights
+    out: dict[int, Fraction] = {}
+    for i in iter_bits(measure.support_mask):
+        a = index[i]
+        out[a] = out.get(a, ZERO) + weights[i]
+    return FiniteMeasure._sparse(proj.sub, out, subprobability=measure.subprobability)
 
 
 @dataclass(frozen=True)

@@ -47,25 +47,44 @@ def test_axiom_i_violation_detected(xor):
     assert report.witness.subset == ()
 
 
-def test_axiom_ii_violation_detected(xor):
+def tamper_x_row_0(xor, moves):
+    """xor with mass moved from the X=0 fiber of K_X onto X=1 outcomes,
+    ``moves`` giving the (outcome index, mass) pairs in the order moved."""
     full = xor.materialize()
     table = {frozenset(s): full.kernel(s) for s in full.subsets()}
     sp = full.space
     k = table[frozenset({"X"})]
     rows = list(k.rows)
-    # move mass from the X=0 fiber onto an X=1 outcome
     w = list(rows[0].weights)
     src = next(i for i, v in enumerate(w) if v > 0)
-    out = sp.index((1, 0))
-    w[src] -= F(1, 8)
-    w[out] += F(1, 8)
+    for out, mass in moves:
+        w[src] -= mass
+        w[out] += mass
     rows[0] = ck.FiniteMeasure(sp, tuple(w))
     table[frozenset({"X"})] = ck.StochKernel(k.domain, sp, tuple(rows))
-    bad = ck.FiniteCausalSpace(sp, full.P, kernels=table)
+    return ck.FiniteCausalSpace(sp, full.P, kernels=table)
+
+
+def test_axiom_ii_violation_detected(xor):
+    report = ck.validate_causal_space(tamper_x_row_0(xor, [(xor.space.index((1, 0)), F(1, 8))]))
+    assert not report.passed
+    assert report.witness.message == (
+        "K_{X} at atom (0,) puts mass 1/8 on outcome (1, 0) outside the atom")
+    assert report.witness.subset == ("X",)
+    assert report.witness.outcome == (0,)
+    assert report.witness.event == (2,)
+
+
+def test_axiom_ii_witness_is_the_lowest_outside_outcome(xor):
+    # the higher outcome is moved first and carries more mass
+    sp = xor.space
+    bad = tamper_x_row_0(xor, [(sp.index((1, 1)), F(1, 8)), (sp.index((1, 0)), F(1, 16))])
     report = ck.validate_causal_space(bad)
     assert not report.passed
-    assert "outside the atom" in report.witness.message
-    assert report.witness.subset == ("X",)
+    assert report.witness.message == (
+        "K_{X} at atom (0,) puts mass 1/16 on outcome (1, 0) outside the atom")
+    assert report.witness.outcome == (0,)
+    assert report.witness.event == (2,)
 
 
 def test_missing_kernel_raises(xor):

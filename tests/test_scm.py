@@ -101,6 +101,72 @@ def test_compiled_kernels_match_enumeration_oracle(scm):
             assert k.rows[a].weights == law_oracle(scm, pinned)
 
 
+@st.composite
+def finite_scms(draw):
+    """Random acyclic models of at most 81 outcomes.
+
+    Parents come in any order and may skip generations; noise has one to
+    three values, some of weight zero; variables may have cardinality 1;
+    the space lists the variables in an order unrelated to the graph's.
+    """
+    names = [f"V{i}" for i in range(draw(st.integers(1, 4)))]
+    cards = {v: draw(st.integers(1, 3)) for v in names}
+    parents, noises, mechanisms = {}, {}, {}
+    for i, v in enumerate(names):
+        parents[v] = tuple(draw(st.lists(st.sampled_from(names[:i]), unique=True))
+                           if i else ())
+        raw = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any))
+        noises[v] = tuple(F(w, sum(raw)) for w in raw)
+        size = len(raw)
+        for p in parents[v]:
+            size *= cards[p]
+        mechanisms[v] = tuple(draw(st.lists(st.integers(0, cards[v] - 1),
+                                            min_size=size, max_size=size)))
+    return ck.FiniteSCM.build(
+        variables=[(v, cards[v]) for v in draw(st.permutations(names))],
+        parents=parents, noises=noises, mechanisms=mechanisms)
+
+
+@given(finite_scms())
+@settings(max_examples=30)
+def test_compiled_kernels_match_enumeration_oracle_on_random_models(scm):
+    c = ck.compile_scm(scm)
+    assert c.P.weights == law_oracle(scm, {})
+    for subset in ck.subsets_of(c.space.names):
+        k = c.kernel(subset)
+        for a in range(k.domain.n_outcomes):
+            pinned = dict(zip(k.domain.names, k.domain.outcome(a)))
+            assert k.rows[a].weights == law_oracle(scm, pinned)
+
+
+def test_float_noise_weights_are_rejected_at_compilation():
+    # the weights sum to 1, so the model itself is accepted
+    scm = ck.FiniteSCM(
+        variables=(ck.Coordinate("A", 2), ck.Coordinate("B", 2)),
+        parents={"A": (), "B": ("A",)},
+        noises={"A": (F(1, 2), F(1, 2)), "B": (0.25, 0.75)},
+        mechanisms={"A": (0, 1), "B": (0, 1, 1, 0)},
+    )
+    with pytest.raises(ck.SpaceError, match=r"^weights must be Fractions$"):
+        ck.compile_scm(scm)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(), st.data())
+@settings(max_examples=30)
+def test_compiled_and_marginal_rows_pass_the_full_validator(seed, shifted, data):
+    from random import Random
+
+    from causalkit.oracle import _random_scm
+
+    scm = _random_scm(Random(seed), "V", shifted=shifted)
+    keep = data.draw(st.sets(st.sampled_from(scm.names), min_size=1))
+    for c in (ck.compile_scm(scm), ck.marginal_space(scm, keep)):
+        rows = [c.P] + [r for s in ck.subsets_of(c.space.names) for r in c.kernel(s).rows]
+        for row in rows:
+            assert row == ck.FiniteMeasure(c.space, row.weights)
+            assert row.support_mask == sum(1 << i for i, w in enumerate(row.weights) if w)
+
+
 @pytest.mark.parametrize("scm", all_example_scms(),
                          ids=lambda s: ",".join(s.names))
 def test_compiled_examples_satisfy_axioms(scm):

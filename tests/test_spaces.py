@@ -189,7 +189,7 @@ def test_measure_must_sum_to_one_exactly():
         ck.FiniteMeasure(space, (F(3, 2), F(-1, 2), F(0), F(0)))
 
 
-@pytest.mark.parametrize("weights, sub, message", [
+MEASURE_REJECTIONS = [
     ((F(0), F(-1, 2), F(0), F(3, 2)), False, "weight -1/2 outside [0, 1]"),
     ((F(1, 2), 0, F(1, 2), F(0)), False, "weights must be Fractions"),
     ((F(0), F(-1), 0, F(0)), False, "weight -1 outside [0, 1]"),
@@ -197,12 +197,32 @@ def test_measure_must_sum_to_one_exactly():
     ((F(1, 2), F(0), F(1, 4), F(0)), False, "weights sum to 3/4, expected 1"),
     ((F(0), F(0), F(0), F(0)), False, "weights sum to 0, expected 1"),
     ((F(1, 2), F(0), F(3, 4), F(0)), True, "weights sum to 5/4 > 1"),
-])
+]
+
+
+@pytest.mark.parametrize("weights, sub, message", MEASURE_REJECTIONS)
 def test_measure_rejections_name_the_first_fault(weights, sub, message):
     # zero weights are skipped after their type check; nothing else moves
     with pytest.raises(ck.SpaceError) as err:
         ck.FiniteMeasure(two_bits(), weights, sub)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("weights, sub, message", MEASURE_REJECTIONS)
+def test_sparse_measure_rejections_match_the_dense_ones(weights, sub, message):
+    # the package's sparse rows check every weight they are given alike
+    with pytest.raises(ck.SpaceError) as err:
+        ck.FiniteMeasure._sparse(two_bits(), dict(enumerate(weights)), sub)
+    assert str(err.value) == message
+
+
+def test_sparse_measure_places_its_entries_and_records_the_support():
+    space = two_bits()
+    m = ck.FiniteMeasure._sparse(space, {3: F(1, 4), 1: F(0), 0: F(3, 4)})
+    assert m == ck.FiniteMeasure(space, (F(3, 4), F(0), F(0), F(1, 4)))
+    assert m.support_mask == 0b1001 == ck.FiniteMeasure(space, m.weights).support_mask
+    with pytest.raises(ck.SpaceError, match=r"^outcome index 4 out of range$"):
+        ck.FiniteMeasure._sparse(space, {4: F(1)})
 
 
 def test_measure_accepts_zeros_and_subprobabilities():
