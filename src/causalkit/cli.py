@@ -401,17 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the parser ``main`` uses, built on its first call rather than at import
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv=None) -> int:
-    # parsing leaves the parser as it was and no command mutates its
-    # arguments, so one parser serves every call in a process
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CausalKitError as exc:

@@ -378,8 +378,6 @@ class FiniteMeasure:
         weights = [ZERO] * n
         mask = 0
         for i, w in entries.items():
-            if not 0 <= i < n:
-                raise SpaceError(f"outcome index {i} out of range")
             if w:
                 weights[i] = w
                 mask |= 1 << i

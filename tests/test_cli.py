@@ -1,11 +1,7 @@
 """Command-line interface: golden outputs, exit codes, file round trips."""
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -357,25 +353,6 @@ def test_classify_rejects_unknown_coordinates(capsys, corpus_dir):
                        "--on", "Q", "--event", '{"Y": 1}')
     assert code == 2
     assert "unknown coordinates" in err
-
-
-def test_commands_in_one_process_print_what_they_print_alone(capsys, corpus_dir):
-    # main reuses one parser; the second command leaves --on at its default,
-    # and runs twice so that a default changed by the first run would show
-    path = str(corpus_dir / "xor.json")
-    with_on = ["classify", path, "--on", "X", "--target", "Y"]
-    without_on = ["classify", path, "--target", "Y"]
-    env = dict(os.environ, PYTHONPATH=str(Path(ck.__file__).parents[1]))
-    alone = {}
-    for argv in (with_on, without_on):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from causalkit import cli; sys.exit(cli.main(sys.argv[1:]))",
-             *argv], env=env, capture_output=True, text=True, timeout=120)
-        alone[tuple(argv)] = (proc.returncode, proc.stdout)
-    assert alone[tuple(with_on)] != alone[tuple(without_on)]
-    for argv in (with_on, without_on, without_on):
-        assert run(capsys, *argv)[:2] == alone[tuple(argv)]
 
 
 def test_source_verdicts(capsys, corpus_dir):
