@@ -12,8 +12,13 @@ the two digests.  The digest covers, in this order:
   either axiom tampered), over every pair (U, V) of coordinate subsets:
   ``classify_effect_on``, ``is_source``, and ``classify_effect`` on each
   atom of V and on the complement of its first atom; and for every U,
-  ``causally_independent_on`` of each pair of single coordinates
-  (enumerated, and sampled with a zero enumeration bound).
+  ``causally_independent_on`` of each pair of single coordinates and of
+  each ordered pair of disjoint coordinate families with three or more
+  names between them;
+- ``causally_independent_on`` on products of two random models of three
+  3-valued variables each (``PRODUCT_SEEDS``), for every U of at most one
+  name and every ordered pair of disjoint families with 17-30 atoms
+  between them.
 
 Run from the repository root:
 
@@ -27,14 +32,17 @@ import io
 import json
 from contextlib import redirect_stdout
 from pathlib import Path
+from random import Random
 
 import causalkit as ck
 from causalkit import cli, examples
+from causalkit.oracle import _random_scm
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "causalkit" / "corpus"
 SPACE_SEEDS = range(60)
 LEMMA_SEEDS = range(3)
 LEMMA_TRIALS = 5
+PRODUCT_SEEDS = range(2)
 
 
 def report_text(report) -> str:
@@ -72,6 +80,15 @@ def spaces():
             yield f"random_space({seed}, {perturb})", ck.random_space(seed, perturb=perturb)
 
 
+def disjoint_pairs(names):
+    """Ordered pairs of disjoint nonempty families of ``names``."""
+    subsets = [s for s in ck.subsets_of(names) if s]
+    for a in subsets:
+        for b in subsets:
+            if not set(a) & set(b):
+                yield a, b
+
+
 def space_section():
     for label, c in spaces():
         names = c.space.names
@@ -91,14 +108,32 @@ def space_section():
             for i, a in enumerate(names):
                 for b in names[i:]:
                     out.append(str(ck.causally_independent_on(c, U, (a,), (b,))))
-                    out.append(str(ck.causally_independent_on(
-                        c, U, (a,), (b,), max_enum_atoms=0, samples=8, seed=len(out))))
+            for a, b in disjoint_pairs(names):
+                if len(a) + len(b) >= 3:
+                    out.append(f"{a} {b} {ck.causally_independent_on(c, U, a, b)}")
+            yield "\n".join(out) + "\n"
+
+
+def product_section():
+    for seed in PRODUCT_SEEDS:
+        rng = Random(seed)
+        c = ck.product(ck.compile_scm(_random_scm(rng, "A", cards=[3, 3, 3])),
+                       ck.compile_scm(_random_scm(rng, "B", cards=[3, 3, 3])))
+        names = c.space.names
+        for U in ck.subsets_of(names):
+            if len(U) > 1:
+                continue
+            out = [f"product({seed}) U={U} independence"]
+            for a, b in disjoint_pairs(names):
+                if 17 <= 3 ** len(a) + 3 ** len(b) <= 30:
+                    out.append(f"{a} {b} {ck.causally_independent_on(c, U, a, b)}")
             yield "\n".join(out) + "\n"
 
 
 def main() -> int:
     digest = hashlib.sha256()
-    for section in (lemma_section(), corpus_section(), space_section()):
+    for section in (lemma_section(), corpus_section(), space_section(),
+                    product_section()):
         for text in section:
             digest.update(text.encode("utf-8"))
     print(digest.hexdigest())

@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InvalidMechanismError, MissingKernelError, SpaceError
@@ -487,47 +486,20 @@ def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
     return _first_dependent_row(c, on, a, b) is None
 
 
-# atom count of the two families up to which every union pair is enumerated
-MAX_ENUM_ATOMS = 16
-
-
-def _subset_sums(values: list[int]) -> list[int]:
-    """``out[mask]`` is the sum of ``values`` over the set bits of ``mask``."""
-    out = [0] * (1 << len(values))
-    for mask in range(1, len(out)):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] + values[low.bit_length() - 1]
-    return out
-
-
 def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
-                            first: Iterable[str], second: Iterable[str],
-                            max_enum_atoms: int = MAX_ENUM_ATOMS, samples: int = 64,
-                            seed: int = 0) -> bool:
+                            first: Iterable[str], second: Iterable[str]) -> bool:
     """Causal independence of two sub-sigma-algebras on H_U.
 
-    The product identity is not additive in either argument, so atom pairs
-    alone do not witness it for unions.  When the two atom counts total at
-    most ``max_enum_atoms`` every pair of atom unions is enumerated; beyond
-    that, all atom pairs plus ``samples`` seeded random union pairs are
-    checked.
-
-    Each K_U row is tabulated once on the (A-atom, B-atom) cells, as
-    integers over the row's common denominator D, so that
-    K(A & B) = K(A) K(B) reads D * cells(A & B) == rows(A) * cols(B).  The
-    union masses come from subset sums over the cells; pairs are taken in
-    the order ``(A, B)`` with B varying fastest, and the sampled pairs are
-    drawn from ``Random(seed)`` before any row is read.
+    K(A & B) and K(A) K(B) are both additive in A and in B over disjoint
+    unions, so the product identity holds on every pair of atom unions as
+    soon as it holds on every (A-atom, B-atom) pair.  Only those cells are
+    checked: each K_U row is tabulated once on them, as integers over the
+    row's common denominator D, and a cell passes when
+    D * cell == row_mass[a] * col_mass[b].
     """
     pa = c.space.projector(first)
     pb = c.space.projector(second)
     na, nb = len(pa.masks), len(pb.masks)
-    pairs = None  # every union pair, by subset sums
-    if na + nb > max_enum_atoms:
-        rng = Random(seed)
-        pairs = [(1 << a, 1 << b) for a in range(na) for b in range(nb)]
-        pairs += [(rng.randrange(1, 1 << na), rng.randrange(1, 1 << nb))
-                  for _ in range(samples)]
     to_a, to_b = pa.index, pb.index
     for row in c.kernel(frozenset(on)).rows:
         denom = lcm(*(w.denominator for w in row.weights if w))
@@ -535,27 +507,11 @@ def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
         for i, w in enumerate(row.weights):
             if w:
                 cells[to_a[i]][to_b[i]] += w.numerator * (denom // w.denominator)
-        row_mass = [sum(r) for r in cells]
         col_mass = [sum(col) for col in zip(*cells)]
-        if pairs is not None:
-            for ma, mb in pairs:
-                bits_a, bits_b = list(iter_bits(ma)), list(iter_bits(mb))
-                both = sum(cells[a][b] for a in bits_a for b in bits_b)
-                if (both * denom != sum(row_mass[a] for a in bits_a)
-                        * sum(col_mass[b] for b in bits_b)):
-                    return False
-            continue
-        rows_a, cols_b = _subset_sums(row_mass), _subset_sums(col_mass)
-        # by_a[ma][b]: mass of the union of A-atoms in ma on B-atom b
-        by_a = [[0] * nb]
-        for ma in range(1, 1 << na):
-            low = ma & -ma
-            by_a.append([x + y for x, y in zip(by_a[ma ^ low],
-                                               cells[low.bit_length() - 1])])
-        for ma, ra in enumerate(rows_a):
-            for both, cb in zip(_subset_sums(by_a[ma]), cols_b):
-                if both * denom != ra * cb:
-                    return False
+        for cell_row in cells:
+            ra = sum(cell_row)
+            if any(cell * denom != ra * cb for cell, cb in zip(cell_row, col_mass)):
+                return False
     return True
 
 

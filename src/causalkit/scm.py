@@ -61,6 +61,8 @@ class FiniteSCM:
                 if p not in cards:
                     raise SpaceError(f"unknown parent {p!r} of {v!r}")
             weights = self.noises[v]
+            if not all(isinstance(w, Fraction) for w in weights):
+                raise SpaceError(f"noise weights of {v!r} must be Fractions")
             if sum(weights, ZERO) != ONE or any(w < 0 for w in weights):
                 raise SpaceError(f"noise weights of {v!r} are not a probability vector")
             size = len(weights)

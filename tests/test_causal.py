@@ -5,15 +5,15 @@ mechanisms (they are small enough to enumerate directly) and are asserted
 as exact rationals.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
-from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
-from causalkit import examples
+from causalkit import cli, examples
 from conftest import causal_spaces, events
 
 F = Fraction
@@ -407,11 +407,68 @@ def test_subsystem_independence_on_subsets(fork, xor):
     assert ck.causally_independent_on(fork, ("X",), ("Y2",), ("Y1",))
 
 
-def test_independence_sampling_path_matches_enumeration(fork):
-    enum = ck.causally_independent_on(fork, ("X",), ("Y1",), ("Y2",))
-    sampled = ck.causally_independent_on(
-        fork, ("X",), ("Y1",), ("Y2",), max_enum_atoms=0, samples=64, seed=7)
-    assert enum == sampled is True
+def interior_coupling_scm():
+    """X and Y uniform on 9 values each, coupled only at X in {4, 5}.
+
+    Y = N mod 9 for N uniform on 18 values, except that X=4 sends N=15 to
+    Y=5 and X=5 sends N=14 to Y=6.  Every row and column of P on the
+    (X-atom, Y-atom) cells keeps mass 1/9, and only the cells (4, 5),
+    (4, 6), (5, 5) and (5, 6) leave the product P(X) P(Y).  A probability
+    row cannot fail on a single cell: the defects D * cell - row * col sum
+    to zero along each row and column, so this 2x2 block is the smallest
+    failure there is.
+    """
+    def y_of(x, n):
+        if (x, n) == (4, 15):
+            return 5
+        if (x, n) == (5, 14):
+            return 6
+        return n % 9
+    return ck.FiniteSCM.build(
+        [("X", 9), ("Y", 9)], {"X": (), "Y": ("X",)},
+        {"X": (F(1, 9),) * 9, "Y": (F(1, 18),) * 18},
+        {"X": tuple(range(9)), "Y": tuple(y_of(x, n) for x in range(9) for n in range(18))})
+
+
+def test_independence_fails_on_one_interior_block_above_16_atoms(capsys, tmp_path):
+    scm = interior_coupling_scm()
+    c = ck.compile_scm(scm)
+    # 9 + 9 = 18 atoms; the marginals are uniform, the coupling is interior
+    assert [c.P.mass(a) for a in ck.atoms(c.space, ("X",))] == [F(1, 9)] * 9
+    assert [c.P.mass(a) for a in ck.atoms(c.space, ("Y",))] == [F(1, 9)] * 9
+    assert not ck.causally_independent_on(c, (), ("X",), ("Y",))
+    assert not ck.causally_independent_on(c, (), ("Y",), ("X",))
+    # pinning X leaves nothing to couple
+    assert ck.causally_independent_on(c, ("X",), ("X",), ("Y",))
+    path = tmp_path / "coupled.json"
+    ck.dump(scm, path)
+    code = cli.main(["independence", str(path), "--first", "X", "--second", "Y", "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["details"] == [
+        "all union pairs of the two atom families checked"]
+    assert cli.main(["independence", str(path), "--on", "X",
+                     "--first", "X", "--second", "Y"]) == 0
+
+
+def test_independence_fails_on_one_interior_cell_of_a_subprobability_row():
+    # K_X at X=4 keeps mass 1/2, all on (4, 8): the cell (4, 8) has row and
+    # column mass 1/2 and gives 1/2 != 1/4, and every other cell holds.  On
+    # probability rows the last B-atom's cells follow from the others; here
+    # they do not, so a check that skipped them would pass.
+    space = ck.CoordinateSpace.make([("X", 9), ("Y", 9)])
+    full = ck.independent_pinning_space(ck.FiniteMeasure.uniform(space)).materialize()
+    assert ck.causally_independent_on(full, ("X",), ("X",), ("Y",))
+    table = {frozenset(s): full.kernel(s) for s in full.subsets()}
+    k_x = table[frozenset({"X"})]
+    half = [F(0)] * space.n_outcomes
+    half[space.index((4, 8))] = F(1, 2)
+    rows = list(k_x.rows)
+    rows[4] = ck.FiniteMeasure(space, tuple(half), subprobability=True)
+    table[frozenset({"X"})] = ck.StochKernel(k_x.domain, space, tuple(rows))
+    c = ck.FiniteCausalSpace.tabulated(space, full.P, table)
+    assert not ck.causally_independent_on(c, ("X",), ("X",), ("Y",))
+    assert not ck.causally_independent_on(c, ("X",), ("Y",), ("X",))
+    assert ck.causally_independent_on(c, (), ("X",), ("Y",))
 
 
 # ---------------------------------------------------------------------------
@@ -480,49 +537,44 @@ def scan_source(c, on, target):
     return ck.CheckReport(check="local-source", passed=True, details=tuple(exempt))
 
 
-def scan_independent(c, on, first, second, max_enum_atoms=16, samples=64, seed=0):
+def scan_independent(c, on, first, second):
     """causally_independent_on as a scan of every union pair and row."""
     atoms_a, atoms_b = ck.atoms(c.space, first), ck.atoms(c.space, second)
-    na, nb = len(atoms_a), len(atoms_b)
 
     def union(family, mask):
         return ck.Event(c.space, sum(e.mask for i, e in enumerate(family)
                                      if (mask >> i) & 1))
 
-    if na + nb <= max_enum_atoms:
-        pairs = [(ma, mb) for ma in range(1 << na) for mb in range(1 << nb)]
-    else:
-        rng = Random(seed)
-        pairs = [(1 << a, 1 << b) for a in range(na) for b in range(nb)]
-        pairs += [(rng.randrange(1, 1 << na), rng.randrange(1, 1 << nb))
-                  for _ in range(samples)]
     k_u = c.kernel(frozenset(on))
-    for ma, mb in pairs:
-        a, b = union(atoms_a, ma), union(atoms_b, mb)
-        for row in range(k_u.domain.n_outcomes):
-            if k_u.value(row, a & b) != k_u.value(row, a) * k_u.value(row, b):
-                return False
+    for ma in range(1 << len(atoms_a)):
+        for mb in range(1 << len(atoms_b)):
+            a, b = union(atoms_a, ma), union(atoms_b, mb)
+            for row in range(k_u.domain.n_outcomes):
+                if k_u.value(row, a & b) != k_u.value(row, a) * k_u.value(row, b):
+                    return False
     return True
 
 
-def assert_sweeps_match_scans(c, on, target, other, seed):
+# combined atom count up to which the union-pair scan stays fast
+SCAN_ATOMS = 10
+
+
+def assert_sweeps_match_scans(c, on, target, other):
     assert ck.classify_effect_on(c, on, target).to_dict() == \
         scan_effect(c, on, ck.atoms(c.space, target)).to_dict()
     assert ck.is_source(c, on, target).to_dict() == scan_source(c, on, target).to_dict()
     if other is None:
         return
-    # a bound of 8 atoms keeps the scan's enumeration small; 0 forces sampling
-    for bound in (8, 0):
-        kw = dict(max_enum_atoms=bound, samples=8, seed=seed)
-        assert ck.causally_independent_on(c, on, target, other, **kw) == \
-            scan_independent(c, on, target, other, **kw)
+    if len(ck.atoms(c.space, target)) + len(ck.atoms(c.space, other)) <= SCAN_ATOMS:
+        assert ck.causally_independent_on(c, on, target, other) == \
+            scan_independent(c, on, target, other)
 
 
 @given(causal_spaces(), st.data())
 def test_atom_sweeps_match_per_atom_scans(space, data):
     subsets = list(ck.subsets_of(space.space.names))
     on, target, other = (data.draw(st.sampled_from(subsets)) for _ in range(3))
-    assert_sweeps_match_scans(space, on, target, other, seed=data.draw(st.integers(0, 99)))
+    assert_sweeps_match_scans(space, on, target, other)
     event = data.draw(events(space.space))
     assert ck.classify_effect(space, on, event).to_dict() == \
         scan_effect(space, on, [event]).to_dict()
@@ -550,7 +602,7 @@ def test_atom_sweeps_match_per_atom_scans_on_examples(make):
             other = None
             if len(on) <= 2 and len(target) <= 2:
                 other = (c.space.names[len(on) % len(c.space.names)],)
-            assert_sweeps_match_scans(c, on, target, other, seed=len(target))
+            assert_sweeps_match_scans(c, on, target, other)
 
 
 def tampered_pinning_space(space, moves):

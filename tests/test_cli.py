@@ -391,9 +391,9 @@ def test_independence_failure_names_the_offending_atom(capsys, corpus_dir):
         "at (): K gives 3/8 on the intersection but 1/2 * 1/2 on the factors")
 
 
-def test_independence_note_counts_atoms_not_names(capsys, tmp_path):
-    # two 3-valued chains A0 -> A1 and B0 -> B1: two names per family, but
-    # 9 + 9 = 18 atoms, more than are enumerated exhaustively
+def test_independence_note_holds_above_16_atoms(capsys, tmp_path):
+    # two 3-valued chains A0 -> A1 and B0 -> B1: 9 + 9 = 18 atoms, and the
+    # atom pairs still settle every union pair
     pairs = [("A0", 3), ("A1", 3), ("B0", 3), ("B1", 3)]
     third, half = (F(1, 3),) * 3, (F(1, 2),) * 2
     step = tuple((p + n) % 3 for p in range(3) for n in range(2))
@@ -407,7 +407,7 @@ def test_independence_note_counts_atoms_not_names(capsys, tmp_path):
                        "--first", "A0,A1", "--second", "B0,B1", "--json")
     assert code == 0
     assert json.loads(out)["details"] == [
-        "atom pairs plus seeded random union pairs checked"]
+        "all union pairs of the two atom families checked"]
 
 
 def test_independence_rejects_mixed_argument_forms(capsys, corpus_dir):

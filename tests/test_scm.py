@@ -139,16 +139,15 @@ def test_compiled_kernels_match_enumeration_oracle_on_random_models(scm):
             assert k.rows[a].weights == law_oracle(scm, pinned)
 
 
-def test_float_noise_weights_are_rejected_at_compilation():
-    # the weights sum to 1, so the model itself is accepted
-    scm = ck.FiniteSCM(
-        variables=(ck.Coordinate("A", 2), ck.Coordinate("B", 2)),
-        parents={"A": (), "B": ("A",)},
-        noises={"A": (F(1, 2), F(1, 2)), "B": (0.25, 0.75)},
-        mechanisms={"A": (0, 1), "B": (0, 1, 1, 0)},
-    )
-    with pytest.raises(ck.SpaceError, match=r"^weights must be Fractions$"):
-        ck.compile_scm(scm)
+def test_float_noise_weights_are_rejected_at_construction():
+    # the weights sum to 1.0 == Fraction(1), so only the type check catches them
+    with pytest.raises(ck.SpaceError, match=r"^noise weights of 'B' must be Fractions$"):
+        ck.FiniteSCM(
+            variables=(ck.Coordinate("A", 2), ck.Coordinate("B", 2)),
+            parents={"A": (), "B": ("A",)},
+            noises={"A": (F(1, 2), F(1, 2)), "B": (0.25, 0.75)},
+            mechanisms={"A": (0, 1), "B": (0, 1, 1, 0)},
+        )
 
 
 @given(st.integers(0, 10 ** 6), st.booleans(), st.data())
