@@ -18,7 +18,17 @@ the two digests.  The digest covers, in this order:
 - ``causally_independent_on`` on products of two random models of three
   3-valued variables each (``PRODUCT_SEEDS``), for every U of at most one
   name and every ordered pair of disjoint families with 17-30 atoms
-  between them.
+  between them;
+- the rows section: the weights and support bitmask of every row of the
+  base measure and of every kernel that ``intervene`` (for every U of
+  ``random_space`` seeds 0-39), ``independent_pinning_space``, ``product``
+  and ``rename`` (``PRODUCT_SPACE_SEEDS``), ``inclusion_into_product``,
+  ``kernel_compose`` and ``compose``, ``pushforward_space`` and
+  ``pushforward_intervention`` (``_random_abstraction`` seeds 0-39, every
+  intervened target subset), ``marginal_space`` and ``inclusion_transform``
+  (the example models, every kept subset) build, with the
+  ``validate_causal_space`` and ``check_all`` reports of what they build
+  and the text of any error they raise.
 
 Run from the repository root:
 
@@ -36,13 +46,19 @@ from random import Random
 
 import causalkit as ck
 from causalkit import cli, examples
-from causalkit.oracle import _random_scm
+from causalkit.oracle import _random_abstraction, _random_scm, _random_weights
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "causalkit" / "corpus"
 SPACE_SEEDS = range(60)
 LEMMA_SEEDS = range(3)
 LEMMA_TRIALS = 5
 PRODUCT_SEEDS = range(2)
+ROW_SEEDS = range(40)
+PRODUCT_SPACE_SEEDS = range(20)
+MAX_PRODUCT_OUTCOMES = 72
+EXAMPLE_SCMS = ("xor_scm", "parity_scm", "fork_scm", "collider_scm",
+                "mediator_confounder_scm", "composition_scm",
+                "faithfulness_full_scm")
 
 
 def report_text(report) -> str:
@@ -69,9 +85,7 @@ def corpus_section():
 
 
 def spaces():
-    for name in ("xor_scm", "parity_scm", "fork_scm", "collider_scm",
-                 "mediator_confounder_scm", "composition_scm",
-                 "faithfulness_full_scm"):
+    for name in EXAMPLE_SCMS:
         yield name, ck.compile_scm(getattr(examples, name)())
     yield "faithfulness_independent_space", examples.faithfulness_independent_space()
     for seed in SPACE_SEEDS:
@@ -130,10 +144,105 @@ def product_section():
             yield "\n".join(out) + "\n"
 
 
+def row_text(row) -> str:
+    return f"{row.support_mask:x} " + " ".join(map(str, row.weights)) + "\n"
+
+
+def kernel_text(k) -> str:
+    return "".join(row_text(r) for r in k.rows)
+
+
+def space_rows(label: str, c) -> str:
+    """Every row of a causal space, then its axiom report."""
+    out = [f"{label}\n", row_text(c.P)]
+    for s in c.subsets():
+        out.append(f"K{s}\n" + kernel_text(c.kernel(s)))
+    out.append(report_text(ck.validate_causal_space(c)))
+    return "".join(out)
+
+
+def guarded(label: str, build) -> str:
+    """``build()``'s text, or the error it raises."""
+    try:
+        return build()
+    except ck.CausalKitError as exc:
+        return f"{label} {type(exc).__name__}: {exc}\n"
+
+
+def identity(c) -> ck.Transformation:
+    names = c.space.names
+    return ck.Transformation(c, c, ck.IndexMap(names, names, {n: n for n in names}),
+                             outcome_map=tuple(range(c.space.n_outcomes)))
+
+
+def rows_section():
+    for seed in ROW_SEEDS:
+        c = ck.random_space(seed)
+        names = c.space.names
+        yield space_rows(f"pinning({seed})", ck.independent_pinning_space(c.P))
+        for U in ck.subsets_of(names):
+            q = ck.project(c.P, U)
+            yield space_rows(f"intervene({seed}) U={U}", ck.intervene(c, U, q))
+            yield f"compose({seed}) U={U}\n" + kernel_text(
+                ck.kernel_compose(c.kernel(U), c.kernel(names)))
+        yield space_rows(f"intervene({seed}) on all by itself",
+                         ck.intervene(c, names, c.P, c))
+
+    for seed in PRODUCT_SPACE_SEEDS:
+        a = ck.random_space(seed)
+        b = ck.rename(ck.random_space(seed + 1), {n: "W" + n for n in a.space.names})
+        if a.space.n_outcomes * b.space.n_outcomes > MAX_PRODUCT_OUTCOMES:
+            continue
+        both = ck.product(a, b)
+        yield space_rows(f"rename({seed + 1})", b)
+        yield space_rows(f"product({seed})", both)
+        incl = ck.inclusion_into_product(a, b)
+        yield (f"inclusion_into_product({seed})\n" + kernel_text(incl.kernel)
+               + report_text(ck.check_all(incl)))
+        composite, report = ck.compose(incl, identity(both))
+        yield f"compose({seed})\n" + kernel_text(composite.kernel) + report_text(report)
+
+    for seed in ROW_SEEDS:
+        rng = Random(seed)
+        inst = _random_abstraction(rng)
+        t = inst.t
+        pushed = ck.pushforward_space(inst.source, t.outcome_map, t.rho, inst.target.space)
+        yield space_rows(f"pushforward({seed})", pushed.space) + report_text(pushed.report)
+        for u2 in ck.subsets_of(inst.target.space.names):
+            if not u2:
+                continue
+            u1_space = inst.source.space.restrict(t.rho.preimage(u2))
+            q1 = ck.FiniteMeasure(u1_space, _random_weights(rng, u1_space.n_outcomes))
+            label = f"pushforward_intervention({seed}) U={u2}"
+
+            def build():
+                done = ck.pushforward_intervention(
+                    inst.source, t.outcome_map, t.rho, inst.target.space, u2, q1)
+                return (space_rows(label, done.source_intervened)
+                        + space_rows(label, done.target_intervened)
+                        + report_text(done.report))
+
+            yield guarded(label, build)
+
+    for name in EXAMPLE_SCMS:
+        scm = getattr(examples, name)()
+        for keep in ck.subsets_of(scm.names):
+            if not keep:
+                continue
+            yield space_rows(f"marginal_space({name}, {keep})", ck.marginal_space(scm, keep))
+
+            def build():
+                t = ck.inclusion_transform(scm, keep)
+                return (f"inclusion_transform({name}, {keep})\n" + kernel_text(t.kernel)
+                        + report_text(ck.check_all(t)))
+
+            yield guarded(f"inclusion_transform({name}, {keep})", build)
+
+
 def main() -> int:
     digest = hashlib.sha256()
     for section in (lemma_section(), corpus_section(), space_section(),
-                    product_section()):
+                    product_section(), rows_section()):
         for text in section:
             digest.update(text.encode("utf-8"))
     print(digest.hexdigest())

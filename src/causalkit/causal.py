@@ -30,6 +30,8 @@ from .spaces import (
     Event,
     FiniteMeasure,
     StochKernel,
+    _mixture,
+    _part_sums,
     atoms,
     iter_bits,
     kernel_product,
@@ -181,13 +183,10 @@ def independent_pinning_space(P: FiniteMeasure) -> FiniteCausalSpace:
         rest = frozenset(space.names) - subset
         to_rest = space.projector(rest).index
         rest_weights = project(P, rest).weights
-        rows = []
-        for mask in pin.masks:
-            w = [ZERO] * space.n_outcomes
-            for i in iter_bits(mask):
-                w[i] = rest_weights[to_rest[i]]
-            rows.append(FiniteMeasure(space, tuple(w)))
-        return StochKernel(pin.sub, space, tuple(rows))
+        rows = tuple(FiniteMeasure._sparse(space, {i: rest_weights[to_rest[i]]
+                                                   for i in iter_bits(mask)})
+                     for mask in pin.masks)
+        return StochKernel(pin.sub, space, rows)
 
     return FiniteCausalSpace.lazy(space, P, make)
 
@@ -222,18 +221,7 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
         raise InvalidMechanismError(
             f"mechanism violates the kernel axioms: {mech_report.witness.message}")
 
-    k_u = c.kernel(U)
-    n = c.space.n_outcomes
-    new_w = [ZERO] * n
-    for u in range(u_space.n_outcomes):
-        q = measure.weights[u]
-        if q == 0:
-            continue
-        row = k_u.rows[u].weights
-        for i in range(n):
-            if row[i] != 0:
-                new_w[i] += q * row[i]
-    new_p = FiniteMeasure(c.space, tuple(new_w))
+    new_p = FiniteMeasure._sparse(c.space, _mixture(zip(measure.weights, c.kernel(U).rows)))
 
     # the lowest outcome of an atom of H_S is zero off S, so adding the
     # lowest outcomes of atoms on disjoint blocks joins their values
@@ -252,16 +240,9 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
             rep = next(iter_bits(mask))
             l_row = l_kernel.rows[to_inter[rep]]
             base = next(iter_bits(free.masks[free.index[rep]]))
-            w = [ZERO] * n
-            for u, u_rep in enumerate(u_reps):
-                lw = l_row.weights[u]
-                if lw == 0:
-                    continue
-                big_row = k_big.rows[to_big[base + u_rep]].weights
-                for i in range(n):
-                    if big_row[i] != 0:
-                        w[i] += lw * big_row[i]
-            rows.append(FiniteMeasure(c.space, tuple(w)))
+            rows.append(FiniteMeasure._sparse(c.space, _mixture(
+                (lw, k_big.rows[to_big[base + u_rep]])
+                for lw, u_rep in zip(l_row.weights, u_reps) if lw)))
         return StochKernel(pin.sub, c.space, tuple(rows))
 
     return FiniteCausalSpace.lazy(c.space, new_p, make)
@@ -292,17 +273,6 @@ class EffectClass:
 
     def to_dict(self) -> dict:
         return {"tag": self.tag, "witness": self.witness.to_dict() if self.witness else None}
-
-
-def _part_sums(row: FiniteMeasure, index: list[int] | tuple[int, ...],
-               n_parts: int) -> list[Fraction]:
-    """Masses of a row on the parts ``0 .. n_parts - 1`` that ``index`` assigns
-    each outcome to, in one pass over the row's support."""
-    out = [ZERO] * n_parts
-    weights = row.weights
-    for i in iter_bits(row.support_mask):
-        out[index[i]] += weights[i]
-    return out
 
 
 def _lowest_found(found: list) -> Optional[tuple[int, tuple]]:
@@ -540,12 +510,14 @@ def rename(c: FiniteCausalSpace, mapping: Mapping[str, str]) -> FiniteCausalSpac
     """Rename coordinates everywhere (space, measure, kernel family)."""
     space = rename_space(c.space, mapping)
     inverse = {mapping.get(n, n): n for n in c.space.names}
-    p = FiniteMeasure(space, c.P.weights, c.P.subprobability)
+
+    def moved(m: FiniteMeasure) -> FiniteMeasure:
+        weights = m.weights
+        return FiniteMeasure._sparse(space, {i: weights[i] for i in iter_bits(m.support_mask)})
 
     def make(subset: frozenset) -> StochKernel:
         old = c.kernel(frozenset(inverse[n] for n in subset))
         dom = rename_space(old.domain, mapping)
-        rows = tuple(FiniteMeasure(space, r.weights, r.subprobability) for r in old.rows)
-        return StochKernel(dom, space, rows)
+        return StochKernel(dom, space, tuple(moved(r) for r in old.rows))
 
-    return FiniteCausalSpace.lazy(space, p, make)
+    return FiniteCausalSpace.lazy(space, moved(c.P), make)

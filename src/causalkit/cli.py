@@ -35,7 +35,14 @@ from .gaussian import DEFAULT_TOL, LinearGaussianSCM, observational_law
 from .oracle import LEMMA_IDS, lemma_suite
 from .report import CheckReport, Witness, combine
 from .scm import FiniteSCM, compile_scm
-from .serialize import GaussianTransform, _coord_list, _require, parse_event_spec
+from .serialize import (
+    GaussianTransform,
+    _coord_list,
+    _outcome_table,
+    _require,
+    _rho_from_doc,
+    parse_event_spec,
+)
 from .spaces import CoordinateSpace, Event, FiniteMeasure
 from .transform import IndexMap, Transformation, check_all, compose, pushforward_space
 
@@ -252,25 +259,10 @@ def cmd_abstract(args) -> int:
     doc = _inline_json(text, args.map)
     _require(doc, ("target", "table"), "abstraction map")
     target_space = CoordinateSpace.make(_coord_list(doc["target"], "abstraction map"))
-    table_doc = doc["table"]
-    n1 = space.space.n_outcomes
-    if not isinstance(table_doc, list) or len(table_doc) != n1:
-        raise SpecError(f"abstraction map: table needs {n1} entries")
-    outcome_map = []
-    for i, entry in enumerate(table_doc):
-        if (not isinstance(entry, list) or len(entry) != len(target_space.names)
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in entry)):
-            raise SpecError(f"abstraction map: entry {i} must list one value per "
-                            "target coordinate")
-        for pos, (v, card) in enumerate(zip(entry, target_space.cards)):
-            if not 0 <= v < card:
-                raise SpecError(f"abstraction map: entry {i} value {v} out of "
-                                f"range for {target_space.names[pos]!r}")
-        outcome_map.append(target_space.index(tuple(entry)))
-    rho_doc = _inline_json(args.rho, "--rho")
-    if not isinstance(rho_doc, dict):
-        raise SpecError("--rho: expected an object mapping names to names")
-    rho = IndexMap(space.space.names, target_space.names, rho_doc)
+    outcome_map = _outcome_table(doc["table"], space.space.n_outcomes, target_space,
+                                 "abstraction map: table")
+    rho = IndexMap(space.space.names, target_space.names,
+                   _rho_from_doc(_inline_json(args.rho, "--rho"), "--rho"))
     pushed = pushforward_space(space, outcome_map, rho, target_space)
     _write(args, pushed.transformation)
     return _emit(args, pushed.report)

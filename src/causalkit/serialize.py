@@ -350,12 +350,29 @@ def _gaussian_to_doc(scm: LinearGaussianSCM) -> dict:
 
 # ---------------------------------------------------------- transformation
 
-def _rho_from_doc(doc: Any) -> dict[str, str]:
+def _rho_from_doc(doc: Any, what: str) -> dict[str, str]:
     if (not isinstance(doc, Mapping)
             or any(not isinstance(k, str) or not isinstance(v, str)
                    for k, v in doc.items())):
-        raise SpecError("transformation: 'rho' must map coordinate names to names")
+        raise SpecError(f"{what} must map coordinate names to names")
     return dict(doc)
+
+
+def _outcome_table(doc: Any, n: int, target: CoordinateSpace, what: str) -> tuple[int, ...]:
+    """Target outcome indices of a table listing, for each of ``n`` source
+    outcomes, one value per target coordinate."""
+    if not isinstance(doc, list) or len(doc) != n:
+        raise SpecError(f"{what} needs {n} entries")
+    table = []
+    for i, entry in enumerate(doc):
+        if (not isinstance(entry, list) or len(entry) != len(target.names)
+                or any(not isinstance(x, int) or isinstance(x, bool) for x in entry)):
+            raise SpecError(f"{what} entry {i} must list one value per target coordinate")
+        for v, card, name in zip(entry, target.cards, target.names):
+            if not 0 <= v < card:
+                raise SpecError(f"{what} entry {i} value {v} out of range for {name!r}")
+        table.append(target.index(tuple(entry)))
+    return tuple(table)
 
 
 def _transformation_from_doc(doc: Mapping) -> Union[Transformation, GaussianTransform]:
@@ -364,7 +381,7 @@ def _transformation_from_doc(doc: Mapping) -> Union[Transformation, GaussianTran
     for part, name in ((src_doc, "source"), (tgt_doc, "target")):
         if not isinstance(part, Mapping) or "kind" not in part:
             raise SpecError(f"transformation: '{name}' must be a document with a kind")
-    rho = _rho_from_doc(doc["rho"])
+    rho = _rho_from_doc(doc["rho"], "transformation: 'rho'")
     body = doc["map"]
     if not isinstance(body, Mapping) or "type" not in body:
         raise SpecError("transformation: 'map' must be an object with a 'type'")
@@ -404,27 +421,9 @@ def _transformation_from_doc(doc: Mapping) -> Union[Transformation, GaussianTran
 
     if body["type"] == "deterministic":
         _require(body, ("type", "table"), "transformation map")
-        table_doc = body["table"]
-        n1 = source.space.n_outcomes
-        if not isinstance(table_doc, list) or len(table_doc) != n1:
-            raise SpecError(f"transformation: deterministic table needs {n1} entries")
-        outcome_map = []
-        for i, entry in enumerate(table_doc):
-            if (not isinstance(entry, list)
-                    or len(entry) != len(target.space.names)
-                    or any(not isinstance(x, int) or isinstance(x, bool) for x in entry)):
-                raise SpecError(
-                    f"transformation: table entry {i} must list one value per "
-                    "target coordinate")
-            values = tuple(entry)
-            for pos, (v, card) in enumerate(zip(values, target.space.cards)):
-                if not 0 <= v < card:
-                    raise SpecError(
-                        f"transformation: table entry {i} value {v} out of range "
-                        f"for {target.space.names[pos]!r}")
-            outcome_map.append(target.space.index(values))
-        return Transformation(source, target, rho_map,
-                              outcome_map=tuple(outcome_map))
+        outcome_map = _outcome_table(body["table"], source.space.n_outcomes, target.space,
+                                     "transformation: deterministic table")
+        return Transformation(source, target, rho_map, outcome_map=outcome_map)
     if body["type"] == "kernel":
         _require(body, ("type", "rows"), "transformation map")
         rows_doc = body["rows"]

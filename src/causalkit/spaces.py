@@ -8,6 +8,12 @@ are dense tables of ``Fraction`` weights that also keep the bitset of their
 support, and kernels are row tables indexed by the atoms of a coordinate
 subset.  All arithmetic is exact; equality of measures means equality of
 every weight.
+
+Every row the algebra derives (products, marginals, conditionals, mixtures
+of kernel rows, pushforwards) has one constructor, ``FiniteMeasure._sparse``,
+fed by two row primitives: ``_part_sums`` sums a measure onto the parts of
+an outcome map, and ``_mixture`` mixes measures by weights.  Both walk only
+supports.
 """
 
 from __future__ import annotations
@@ -320,9 +326,9 @@ def is_measurable(event: Event, subset: Iterable[str]) -> bool:
     return True
 
 
-def _check_weights(weights: Iterable, subprobability: bool) -> None:
+def _check_weights(weights: Iterable) -> None:
     """Check a measure's weights: each a ``Fraction`` in [0, 1], in order,
-    then their sum, which must be 1 (at most 1 for a subprobability).
+    then their sum, which must be 1.
 
     The sum is exact, over the common denominator of the nonzero weights.
     """
@@ -340,10 +346,7 @@ def _check_weights(weights: Iterable, subprobability: bool) -> None:
         dens.append(den)
     den = lcm(*dens)
     num = sum(n * (den // d) for n, d in zip(nums, dens))
-    if subprobability:
-        if num > den:
-            raise SpaceError(f"weights sum to {Fraction(num, den)} > 1")
-    elif num != den:
+    if num != den:
         raise SpaceError(f"weights sum to {Fraction(num, den)}, expected 1")
 
 
@@ -353,27 +356,25 @@ class FiniteMeasure:
 
     space: CoordinateSpace
     weights: tuple[Fraction, ...]
-    subprobability: bool = False
 
     def __post_init__(self):
         if len(self.weights) != self.space.n_outcomes:
             raise SpaceError("weight table length mismatch")
-        _check_weights(self.weights, self.subprobability)
+        _check_weights(self.weights)
 
     @classmethod
-    def from_weights(cls, space: CoordinateSpace, weights: Iterable, **kw) -> "FiniteMeasure":
-        return cls(space, tuple(Fraction(w) for w in weights), **kw)
+    def from_weights(cls, space: CoordinateSpace, weights: Iterable) -> "FiniteMeasure":
+        return cls(space, tuple(Fraction(w) for w in weights))
 
     @classmethod
-    def _sparse(cls, space: CoordinateSpace, entries: Mapping[int, Fraction],
-                subprobability: bool = False) -> "FiniteMeasure":
+    def _sparse(cls, space: CoordinateSpace, entries: Mapping[int, Fraction]) -> "FiniteMeasure":
         """Measure from ``{outcome index: weight}``, zero elsewhere.
 
         Every given weight is checked and summed as ``__post_init__`` would;
         only the zeros placed around them are not scanned again.  The
         support bitmask is recorded as it is built.
         """
-        _check_weights(entries.values(), subprobability)
+        _check_weights(entries.values())
         n = space.n_outcomes
         weights = [ZERO] * n
         mask = 0
@@ -385,15 +386,12 @@ class FiniteMeasure:
         measure = object.__new__(cls)
         object.__setattr__(measure, "space", space)
         object.__setattr__(measure, "weights", tuple(weights))
-        object.__setattr__(measure, "subprobability", subprobability)
         measure.__dict__["support_mask"] = mask
         return measure
 
     @classmethod
     def dirac(cls, space: CoordinateSpace, index: int) -> "FiniteMeasure":
-        w = [ZERO] * space.n_outcomes
-        w[index] = ONE
-        return cls(space, tuple(w))
+        return cls._sparse(space, {index: ONE})
 
     @classmethod
     def uniform(cls, space: CoordinateSpace) -> "FiniteMeasure":
@@ -422,38 +420,56 @@ class FiniteMeasure:
 
     def tensor(self, other: "FiniteMeasure") -> "FiniteMeasure":
         """Product measure on the product space."""
-        prod = product_space(self.space, other.space)
-        nb = other.space.n_outcomes
-        w = [ZERO] * prod.n_outcomes
-        for i, wi in enumerate(self.weights):
-            if wi == 0:
-                continue
-            for j, wj in enumerate(other.weights):
-                if wj != 0:
-                    w[i * nb + j] = wi * wj
-        return FiniteMeasure(prod, tuple(w))
+        return _tensor(product_space(self.space, other.space), self, other)
 
     def condition(self, event: Event) -> "FiniteMeasure":
         """Conditional measure given an event of positive mass."""
         z = self.mass(event)
         if z == 0:
             raise SpaceError("conditioning on a null event")
-        w = [
-            (self.weights[i] / z if event.contains(i) else ZERO)
-            for i in range(self.space.n_outcomes)
-        ]
-        return FiniteMeasure(self.space, tuple(w))
+        weights = self.weights
+        return FiniteMeasure._sparse(
+            self.space, {i: weights[i] / z for i in iter_bits(event.mask & self.support_mask)})
+
+
+def _part_sums(measure: FiniteMeasure, index: list[int] | tuple[int, ...],
+               n: int) -> list[Fraction]:
+    """Masses of a measure on the parts ``0 .. n - 1`` that ``index`` assigns
+    each outcome to, in one pass over the measure's support."""
+    out = [ZERO] * n
+    weights = measure.weights
+    for i in iter_bits(measure.support_mask):
+        out[index[i]] += weights[i]
+    return out
+
+
+def _mixture(terms: Iterable[tuple[Fraction, FiniteMeasure]]) -> dict[int, Fraction]:
+    """``{outcome: weight}`` of the mixture sum_k w_k m_k of ``(w_k, m_k)``
+    terms on one space, walking only the supports and skipping w_k = 0."""
+    out: dict[int, Fraction] = {}
+    for w, m in terms:
+        if w:
+            weights = m.weights
+            for i in iter_bits(m.support_mask):
+                out[i] = out.get(i, ZERO) + w * weights[i]
+    return out
+
+
+def _tensor(space: CoordinateSpace, a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
+    """Product measure of ``a`` and ``b`` on ``space``, their product space,
+    built over both supports."""
+    nb = b.space.n_outcomes
+    wa, wb = a.weights, b.weights
+    right = [(j, wb[j]) for j in iter_bits(b.support_mask)]
+    return FiniteMeasure._sparse(space, {i * nb + j: wa[i] * w
+                                         for i in iter_bits(a.support_mask) for j, w in right})
 
 
 def project(measure: FiniteMeasure, subset: Iterable[str]) -> FiniteMeasure:
     """Marginal of a measure on a coordinate subset."""
     proj = measure.space.projector(subset)
-    index, weights = proj.index, measure.weights
-    out: dict[int, Fraction] = {}
-    for i in iter_bits(measure.support_mask):
-        a = index[i]
-        out[a] = out.get(a, ZERO) + weights[i]
-    return FiniteMeasure._sparse(proj.sub, out, subprobability=measure.subprobability)
+    sums = _part_sums(measure, proj.index, proj.sub.n_outcomes)
+    return FiniteMeasure._sparse(proj.sub, dict(enumerate(sums)))
 
 
 @dataclass(frozen=True)
@@ -515,28 +531,13 @@ def kernel_compose(first: StochKernel, second: StochKernel) -> StochKernel:
     """
     if first.codomain != second.domain:
         raise SpaceError("kernel domains do not chain")
-    n_out = second.codomain.n_outcomes
-    rows = []
-    for row in first.rows:
-        w = [ZERO] * n_out
-        for i, wi in enumerate(row.weights):
-            if wi == 0:
-                continue
-            mid = second.rows[i].weights
-            for j in range(n_out):
-                if mid[j] != 0:
-                    w[j] += wi * mid[j]
-        rows.append(FiniteMeasure(second.codomain, tuple(w)))
-    return StochKernel(first.domain, second.codomain, tuple(rows))
+    rows = tuple(FiniteMeasure._sparse(second.codomain, _mixture(zip(row.weights, second.rows)))
+                 for row in first.rows)
+    return StochKernel(first.domain, second.codomain, rows)
 
 
 def kernel_product(a: StochKernel, b: StochKernel) -> StochKernel:
     """Tensor two kernels: rows are outer products, domains concatenate."""
-    dom = product_space(a.domain, b.domain)
     cod = product_space(a.codomain, b.codomain)
-    nb = b.domain.n_outcomes
-    rows = []
-    for i in range(dom.n_outcomes):
-        ia, ib = divmod(i, nb)
-        rows.append(a.rows[ia].tensor(b.rows[ib]))
-    return StochKernel(dom, cod, tuple(rows))
+    rows = tuple(_tensor(cod, ra, rb) for ra in a.rows for rb in b.rows)
+    return StochKernel(product_space(a.domain, b.domain), cod, rows)

@@ -21,10 +21,11 @@ oracle module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .causal import (
     FiniteCausalSpace,
+    KernelSource,
     independent_pinning_space,
     intervene,
     product,
@@ -39,11 +40,13 @@ from .errors import (
 )
 from .report import CheckReport, Witness, combine
 from .spaces import (
-    ONE,
     ZERO,
     CoordinateSpace,
     FiniteMeasure,
     StochKernel,
+    _mixture,
+    _part_sums,
+    _tensor,
     atoms,
     iter_bits,
     kernel_compose,
@@ -126,36 +129,6 @@ class Transformation:
             self.source.space, self.target.space, self.outcome_map)
 
 
-def _nonzero(weights) -> list:
-    """Sparse (index, weight) entries of a weight table."""
-    return [(j, w) for j, w in enumerate(weights) if w]
-
-
-def _kappa_rows(t: Transformation) -> list:
-    """Sparse rows of kappa; a deterministic map needs no lifted kernel."""
-    if t.outcome_map is not None:
-        return [[(j, ONE)] for j in t.outcome_map]
-    return [_nonzero(row.weights) for row in t.kernel.rows]
-
-
-def _pushed(weights, table, n: int) -> tuple:
-    """Image of a weight table under the outcome table ``table`` onto n outcomes."""
-    out = [ZERO] * n
-    for i, w in enumerate(weights):
-        if w:
-            out[table[i]] += w
-    return tuple(out)
-
-
-def _summed(entries, cell_of) -> dict:
-    """Masses of sparse entries summed onto cells: ``cell_of[j]`` is j's cell."""
-    out = {}
-    for j, w in entries:
-        c = cell_of[j]
-        out[c] = out.get(c, ZERO) + w
-    return out
-
-
 def check_admissible(t: Transformation) -> CheckReport:
     """kappa(., A) must be constant on rho^-1(S)-atoms for A an atom of H_S.
 
@@ -163,18 +136,19 @@ def check_admissible(t: Transformation) -> CheckReport:
     subsets of the image of rho, taken inclusively.
     """
     src = t.source.space
-    kappa_rows = _kappa_rows(t)
+    kappa = t.lifted_kernel().rows
     for subset in subsets_of(t.rho.image()):
         pre = t.rho.preimage(subset)
         fibers = src.projector(pre).masks
         s_proj = t.target.space.projector(subset)
-        kappa_on_s = [_summed(entries, s_proj.index) for entries in kappa_rows]
+        n_s = len(s_proj.masks)
+        kappa_on_s = [_part_sums(row, s_proj.index, n_s) for row in kappa]
         for a, a_mask in enumerate(s_proj.masks):
             for fiber in fibers:
                 first = None
                 first_val = None
                 for i in iter_bits(fiber):
-                    val = kappa_on_s[i].get(a, ZERO)
+                    val = kappa_on_s[i][a]
                     if first is None:
                         first, first_val = i, val
                     elif val != first_val:
@@ -197,21 +171,17 @@ def check_admissible(t: Transformation) -> CheckReport:
 
 def check_distributional(t: Transformation) -> CheckReport:
     """Integrating kappa against the source measure must give the target measure."""
-    n2 = t.target.space.n_outcomes
-    pushed = [ZERO] * n2
-    for wi, entries in zip(t.source.P.weights, _kappa_rows(t)):
-        if wi:
-            for j, w in entries:
-                pushed[j] += wi * w
-    for j in range(n2):
-        if pushed[j] != t.target.P.weights[j]:
+    pushed = _mixture(zip(t.source.P.weights, t.lifted_kernel().rows))
+    for j, want in enumerate(t.target.P.weights):
+        got = pushed.get(j, ZERO)
+        if got != want:
             return CheckReport(
                 check="distributional",
                 passed=False,
                 witness=Witness(
-                    message=(f"pushforward gives {pushed[j]} on outcome "
+                    message=(f"pushforward gives {got} on outcome "
                              f"{t.target.space.outcome(j)} but the target measure "
-                             f"gives {t.target.P.weights[j]}"),
+                             f"gives {want}"),
                     outcome=t.target.space.outcome(j),
                     event=(j,),
                 ),
@@ -239,26 +209,32 @@ def check_interventional(t: Transformation) -> CheckReport:
     image = tgt.projector(t.rho.image())
     n_image = len(image.masks)
 
+    def parts(row: FiniteMeasure, index, n: int) -> list:
+        """The nonzero (part, mass) pairs of a row summed onto parts."""
+        return [(a, v) for a, v in enumerate(_part_sums(row, index, n)) if v]
+
     def integrate(entries, table) -> list:
         out = [ZERO] * n_image
         for k, w in entries:
-            for a, v in table[k].items():
+            for a, v in table[k]:
                 out[a] += w * v
         return out
 
-    kappa_rows = _kappa_rows(t)
-    kappa_atoms = [_summed(entries, image.index) for entries in kappa_rows]
+    kappa = t.lifted_kernel().rows
+    kappa_atoms = [parts(row, image.index, n_image) for row in kappa]
     for subset in subsets_of(t.rho.image()):
         pre = t.rho.preimage(subset)
         k1 = t.source.kernel(pre)
         k2 = t.target.kernel(subset)
-        source_route = [integrate(_nonzero(row.weights), kappa_atoms) for row in k1.rows]
-        k2_atoms = [_summed(_nonzero(row.weights), image.index) for row in k2.rows]
+        source_route = [integrate([(k, row.weights[k]) for k in iter_bits(row.support_mask)],
+                                  kappa_atoms) for row in k1.rows]
+        k2_atoms = [parts(row, image.index, n_image) for row in k2.rows]
         pre_of = src.projector(pre).index
-        s_of = tgt.projector(subset).index
+        s_proj = tgt.projector(subset)
+        n_s = len(s_proj.masks)
         for i in range(src.n_outcomes):
             left_atoms = source_route[pre_of[i]]
-            right_atoms = integrate(_summed(kappa_rows[i], s_of).items(), k2_atoms)
+            right_atoms = integrate(parts(kappa[i], s_proj.index, n_s), k2_atoms)
             for a, (left, right) in enumerate(zip(left_atoms, right_atoms)):
                 if left != right:
                     return CheckReport(
@@ -344,10 +320,8 @@ def compose(first: Transformation, second: Transformation) -> tuple[Transformati
 def inclusion_into_product(c1: FiniteCausalSpace, c2: FiniteCausalSpace) -> Transformation:
     """Embed a factor into a product: kappa(omega, .) = delta_omega (x) P2."""
     target = product(c1, c2)
-    rows = tuple(
-        FiniteMeasure.dirac(c1.space, i).tensor(c2.P)
-        for i in range(c1.space.n_outcomes)
-    )
+    rows = tuple(_tensor(target.space, FiniteMeasure.dirac(c1.space, i), c2.P)
+                 for i in range(c1.space.n_outcomes))
     kernel = StochKernel(c1.space, target.space, rows)
     rho = IndexMap(
         source=c1.space.names,
@@ -383,6 +357,42 @@ def _check_pushforward_admissible(source: FiniteCausalSpace, outcome_map: tuple[
                         f"although they agree on {sorted(pre)}")
 
 
+def _push_kernels(kernel: KernelSource, table: tuple[int, ...], rho: IndexMap,
+                  source_space: CoordinateSpace, target_space: CoordinateSpace,
+                  fault: Callable[[tuple, frozenset, int, int], Exception]
+                  ) -> dict[frozenset, StochKernel]:
+    """Kernels K^2_S copied through the outcome table f, for every subset S
+    of the target coordinates.
+
+    Each row of K^1_{rho^-1(S)} is pushed through f.  The cells of
+    f^-1(H^2_S) group source outcomes by the S-projection of their image;
+    the row of an S-atom is the pushed row of any outcome in its cell,
+    validated when the cell is first met, and must not depend on the
+    representative.  ``fault(S, rho^-1(S), first, second)`` makes the error
+    raised for the first two outcomes of one cell whose pushed rows differ.
+    """
+    n2 = target_space.n_outcomes
+    kernels: dict[frozenset, StochKernel] = {}
+    for subset in subsets_of(target_space.names):
+        pre = rho.preimage(subset)
+        pushed = [_part_sums(r, table, n2) for r in kernel(pre).rows]
+        row_of = source_space.projector(pre).index
+        cells = target_space.projector(subset)
+        rows: list[Optional[FiniteMeasure]] = [None] * len(cells.masks)
+        first: list[Optional[tuple]] = [None] * len(cells.masks)  # (outcome, pushed row)
+        for i, j in enumerate(table):
+            cell = cells.index[j]
+            row = pushed[row_of[i]]
+            if first[cell] is None:
+                first[cell] = (i, row)
+                rows[cell] = FiniteMeasure._sparse(target_space, dict(enumerate(row)))
+            elif first[cell][1] != row:
+                raise fault(subset, pre, first[cell][0], i)
+        # f surjective onto the target, so every S-atom has a nonempty cell
+        kernels[frozenset(subset)] = StochKernel(cells.sub, target_space, tuple(rows))
+    return kernels
+
+
 def pushforward_space(source: FiniteCausalSpace, outcome_map: Iterable[int],
                       rho: IndexMap, target_space: CoordinateSpace) -> Pushforward:
     """Unique causal space making a surjective deterministic pair a transformation.
@@ -406,35 +416,16 @@ def pushforward_space(source: FiniteCausalSpace, outcome_map: Iterable[int],
         raise NotSurjectiveError(f"no source outcome maps to {target_space.outcome(miss)}")
     _check_pushforward_admissible(source, table, rho, target_space)
 
-    kernels: dict[frozenset, StochKernel] = {}
-    for subset in subsets_of(target_space.names):
-        pre = rho.preimage(subset)
-        k1 = source.kernel(pre)
-        sub2 = target_space.restrict(subset)
-        cell_of = target_space.projector(subset).index
-        row_of = source.space.projector(pre).index
-        pushed_atom_row = [_pushed(r.weights, table, n2) for r in k1.rows]
-        # cells of f^-1(H^2_S): source outcomes grouped by the S-projection
-        # of their image; the pushed kernel row must not depend on the
-        # representative chosen inside a cell
-        rows: list[Optional[FiniteMeasure]] = [None] * sub2.n_outcomes
-        rep_of: list[Optional[int]] = [None] * sub2.n_outcomes
-        for i in range(n1):
-            cell = cell_of[table[i]]
-            pushed = pushed_atom_row[row_of[i]]
-            if rows[cell] is None:
-                rows[cell] = FiniteMeasure(target_space, pushed)
-                rep_of[cell] = i
-            elif rows[cell].weights != pushed:
-                raise WellDefinednessError(
-                    f"K_{{{','.join(sorted(pre))}}}(., f^-1(.)) differs between "
-                    f"{source.space.outcome(rep_of[cell])} and {source.space.outcome(i)} "
-                    f"although f agrees on {sorted(subset)}",
-                    witness=(source.space.outcome(rep_of[cell]), source.space.outcome(i)))
-        # f surjective onto the target, so every S-atom has a nonempty cell
-        kernels[frozenset(subset)] = StochKernel(sub2, target_space, tuple(rows))
+    def fault(subset, pre, first, second) -> WellDefinednessError:
+        a, b = source.space.outcome(first), source.space.outcome(second)
+        return WellDefinednessError(
+            f"K_{{{','.join(sorted(pre))}}}(., f^-1(.)) differs between {a} and {b} "
+            f"although f agrees on {sorted(subset)}",
+            witness=(a, b))
 
-    pushed_p = FiniteMeasure(target_space, _pushed(source.P.weights, table, n2))
+    kernels = _push_kernels(source.kernel, table, rho, source.space, target_space, fault)
+    pushed_p = FiniteMeasure._sparse(
+        target_space, dict(enumerate(_part_sums(source.P, table, n2))))
     result = FiniteCausalSpace(target_space, pushed_p, kernels=kernels)
     t = Transformation(source=source, target=result, rho=rho, outcome_map=table)
     report = combine("pushforward", [validate_causal_space(result), check_all(t)])
@@ -475,7 +466,6 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
 
     # f restricted to the intervened block: admissibility makes the image
     # of omega_{U1} under f's U2-component independent of the rest
-    n_u1 = u1_space.n_outcomes
     to_u2 = target_space.projector(u2).index
     f_block = tuple(to_u2[table[next(iter_bits(mask))]]
                     for mask in source.space.projector(u1).masks)
@@ -486,29 +476,16 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
     # push the mechanism through f, checking along the way that its kernels
     # are measurable with respect to f (cells of equal image must push to
     # the same row)
-    pushed_q = FiniteMeasure(u2_space, _pushed(measure.weights, f_block, nq))
-    l2_kernels: dict[frozenset, StochKernel] = {}
-    for subset in subsets_of(u2):
-        pre_sub = rho.preimage(subset)
-        l_kernel = mechanism.kernel(pre_sub)
-        pushed_atom_row = [_pushed(r.weights, f_block, nq) for r in l_kernel.rows]
-        sub2 = u2_space.restrict(subset)
-        cell_of = u2_space.projector(subset).index
-        row_of = u1_space.projector(pre_sub).index
-        rows: list[Optional[FiniteMeasure]] = [None] * sub2.n_outcomes
-        rep_of: list[Optional[int]] = [None] * sub2.n_outcomes
-        for a in range(n_u1):
-            cell = cell_of[f_block[a]]
-            row = pushed_atom_row[row_of[a]]
-            if rows[cell] is None:
-                rows[cell] = FiniteMeasure(u2_space, row)
-                rep_of[cell] = a
-            elif rows[cell].weights != row:
-                raise WellDefinednessError(
-                    f"mechanism kernel L_{{{','.join(sorted(pre_sub))}}} is not "
-                    f"measurable with respect to f",
-                    witness=(u1_space.outcome(rep_of[cell]), u1_space.outcome(a)))
-        l2_kernels[frozenset(subset)] = StochKernel(sub2, u2_space, tuple(rows))
+    pushed_q = FiniteMeasure._sparse(
+        u2_space, dict(enumerate(_part_sums(measure, f_block, nq))))
+
+    def fault(subset, pre, first, second) -> WellDefinednessError:
+        return WellDefinednessError(
+            f"mechanism kernel L_{{{','.join(sorted(pre))}}} is not "
+            f"measurable with respect to f",
+            witness=(u1_space.outcome(first), u1_space.outcome(second)))
+
+    l2_kernels = _push_kernels(mechanism.kernel, f_block, rho, u1_space, u2_space, fault)
     pushed_mechanism = FiniteCausalSpace(u2_space, pushed_q, kernels=l2_kernels)
 
     tgt_done = intervene(pushed.space, u2, pushed_q, pushed_mechanism)
@@ -553,6 +530,7 @@ def rigidity_check(first: Transformation, second: Transformation) -> CheckReport
             ),
         )
     image = t_space.projector(first.rho.image())
+    n_image = len(image.masks)
     exempt = []
     for subset in subsets_of(t_space.names):
         k_a = first.target.kernel(subset)
@@ -563,11 +541,9 @@ def rigidity_check(first: Transformation, second: Transformation) -> CheckReport
                 exempt.append(
                     f"null atom {k_a.domain.outcome(row)} of H_{{{','.join(subset)}}} exempted")
                 continue
-            on_a = _summed(_nonzero(k_a.rows[row].weights), image.index)
-            on_b = _summed(_nonzero(k_b.rows[row].weights), image.index)
-            for a, a_mask in enumerate(image.masks):
-                va = on_a.get(a, ZERO)
-                vb = on_b.get(a, ZERO)
+            on_a = _part_sums(k_a.rows[row], image.index, n_image)
+            on_b = _part_sums(k_b.rows[row], image.index, n_image)
+            for va, vb, a_mask in zip(on_a, on_b, image.masks):
                 if va != vb:
                     return CheckReport(
                         check="rigidity",

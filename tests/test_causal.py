@@ -450,27 +450,6 @@ def test_independence_fails_on_one_interior_block_above_16_atoms(capsys, tmp_pat
                      "--first", "X", "--second", "Y"]) == 0
 
 
-def test_independence_fails_on_one_interior_cell_of_a_subprobability_row():
-    # K_X at X=4 keeps mass 1/2, all on (4, 8): the cell (4, 8) has row and
-    # column mass 1/2 and gives 1/2 != 1/4, and every other cell holds.  On
-    # probability rows the last B-atom's cells follow from the others; here
-    # they do not, so a check that skipped them would pass.
-    space = ck.CoordinateSpace.make([("X", 9), ("Y", 9)])
-    full = ck.independent_pinning_space(ck.FiniteMeasure.uniform(space)).materialize()
-    assert ck.causally_independent_on(full, ("X",), ("X",), ("Y",))
-    table = {frozenset(s): full.kernel(s) for s in full.subsets()}
-    k_x = table[frozenset({"X"})]
-    half = [F(0)] * space.n_outcomes
-    half[space.index((4, 8))] = F(1, 2)
-    rows = list(k_x.rows)
-    rows[4] = ck.FiniteMeasure(space, tuple(half), subprobability=True)
-    table[frozenset({"X"})] = ck.StochKernel(k_x.domain, space, tuple(rows))
-    c = ck.FiniteCausalSpace.tabulated(space, full.P, table)
-    assert not ck.causally_independent_on(c, ("X",), ("X",), ("Y",))
-    assert not ck.causally_independent_on(c, ("X",), ("Y",), ("X",))
-    assert ck.causally_independent_on(c, (), ("X",), ("Y",))
-
-
 # ---------------------------------------------------------------------------
 # the atom sweeps against atom-by-atom scans on StochKernel.value
 

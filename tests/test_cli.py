@@ -276,12 +276,14 @@ def test_abstract_rejects_bad_map_files(capsys, tmp_path, corpus_dir):
         "target": [{"name": "S", "cardinality": 2}],
         "table": [[0]] * 8,
     }), encoding="utf-8")
-    code, _, err = run(
-        capsys, "abstract", str(corpus_dir / "parity.json"),
-        "--map", str(map_path), "--rho", '["X"]',
-        "--out", str(tmp_path / "t.json"))
-    assert code == 2
-    assert "--rho" in err
+    for rho in ('["X"]', '{"X": ["S"], "Y": "S", "Z": "S"}'):
+        code, _, err = run(
+            capsys, "abstract", str(corpus_dir / "parity.json"),
+            "--map", str(map_path), "--rho", rho,
+            "--out", str(tmp_path / "t.json"))
+        assert code == 2
+        assert "--rho" in err
+        assert "Traceback" not in err
 
 
 def test_compose_reproduces_the_shipped_counterexample(

@@ -155,15 +155,32 @@ def test_float_noise_weights_are_rejected_at_construction():
 def test_compiled_and_marginal_rows_pass_the_full_validator(seed, shifted, data):
     from random import Random
 
-    from causalkit.oracle import _random_scm
+    from causalkit.oracle import _random_abstraction, _random_scm
 
     scm = _random_scm(Random(seed), "V", shifted=shifted)
     keep = data.draw(st.sets(st.sampled_from(scm.names), min_size=1))
-    for c in (ck.compile_scm(scm), ck.marginal_space(scm, keep)):
-        rows = [c.P] + [r for s in ck.subsets_of(c.space.names) for r in c.kernel(s).rows]
-        for row in rows:
-            assert row == ck.FiniteMeasure(c.space, row.weights)
-            assert row.support_mask == sum(1 << i for i, w in enumerate(row.weights) if w)
+    on = data.draw(st.sets(st.sampled_from(scm.names)))
+    full, marginal = ck.compile_scm(scm), ck.marginal_space(scm, keep)
+    renamed = ck.rename(marginal, {n: "W" + n for n in keep})
+    inst = _random_abstraction(Random(seed))
+    u2 = data.draw(st.sets(st.sampled_from(inst.target.space.names), min_size=1))
+    u1_space = inst.source.space.restrict(inst.t.rho.preimage(u2))
+    done = ck.pushforward_intervention(
+        inst.source, inst.t.outcome_map, inst.t.rho, inst.target.space, u2,
+        ck.FiniteMeasure.uniform(u1_space))
+    spaces = (full, marginal, renamed,
+              ck.product(ck.marginal_space(scm, [min(keep)]), renamed),
+              ck.intervene(full, on, ck.project(full.P, on)),
+              ck.independent_pinning_space(full.P),
+              inst.target, done.source_intervened, done.target_intervened)
+    rows = [c.P for c in spaces]
+    rows += [r for c in spaces for s in ck.subsets_of(c.space.names) for r in c.kernel(s).rows]
+    rows += ck.kernel_compose(full.kernel(on), full.kernel(scm.names)).rows
+    rows += ck.inclusion_into_product(marginal, renamed).kernel.rows
+    rows += [full.P.condition(a) for a in ck.atoms(full.space, keep) if full.P.mass(a)]
+    for row in rows:
+        assert row == ck.FiniteMeasure(row.space, row.weights)
+        assert row.support_mask == sum(1 << i for i, w in enumerate(row.weights) if w)
 
 
 @pytest.mark.parametrize("scm", all_example_scms(),

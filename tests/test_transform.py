@@ -332,6 +332,20 @@ def test_pushforward_well_definedness_violation():
         ck.pushforward_space(full, outcome_map, rho, target_space)
     assert err.value.witness is not None
 
+    # Y reads Z only when X = 1: the cell X' = 0 is well defined and the
+    # first violation sits in the cell X' = 1
+    scm = ck.FiniteSCM.build(
+        variables=[("X", 2), ("Z", 2), ("Y", 2)],
+        parents={"X": (), "Z": ("X",), "Y": ("X", "Z")},
+        noises={"X": (F(1, 2), F(1, 2)), "Z": (F(1),),
+                "Y": (F(3, 4), F(1, 4))},
+        mechanisms={"X": (0, 1), "Z": (0, 1), "Y": (0, 1, 0, 1, 0, 1, 1, 0)},
+    )
+    full = ck.compile_scm(scm)
+    with pytest.raises(ck.WellDefinednessError) as err:
+        ck.pushforward_space(full, outcome_map, rho, target_space)
+    assert err.value.witness == ((1, 0, 0), (1, 1, 0))
+
 
 def test_pushforward_intervention_on_nothing(xor):
     target_space = ck.CoordinateSpace.make([("X", 2)])
