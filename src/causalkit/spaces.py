@@ -11,9 +11,9 @@ every weight.
 
 Every row the algebra derives (products, marginals, conditionals, mixtures
 of kernel rows, pushforwards) has one constructor, ``FiniteMeasure._sparse``,
-fed by two row primitives: ``_part_sums`` sums a measure onto the parts of
-an outcome map, and ``_mixture`` mixes measures by weights.  Both walk only
-supports.
+fed by private row primitives: ``_part_sums`` sums a measure onto the parts
+of an outcome map, ``_mixture`` mixes measures by weights and ``_tensor``
+forms a product.  Each walks only supports.
 """
 
 from __future__ import annotations
@@ -391,6 +391,8 @@ class FiniteMeasure:
 
     @classmethod
     def dirac(cls, space: CoordinateSpace, index: int) -> "FiniteMeasure":
+        if not 0 <= index < space.n_outcomes:
+            raise SpaceError(f"outcome index {index} out of range")
         return cls._sparse(space, {index: ONE})
 
     @classmethod

@@ -190,12 +190,14 @@ def test_measure_must_sum_to_one_exactly():
 
 
 MEASURE_REJECTIONS = [
-    ((F(0), F(-1, 2), F(0), F(3, 2)), "weight -1/2 outside [0, 1]"),
-    ((F(1, 2), 0, F(1, 2), F(0)), "weights must be Fractions"),
-    ((F(0), F(-1), 0, F(0)), "weight -1 outside [0, 1]"),
-    ((F(0), F(0), F(3, 2), F(-1, 2)), "weight 3/2 outside [0, 1]"),
-    ((F(1, 2), F(0), F(1, 4), F(0)), "weights sum to 3/4, expected 1"),
-    ((F(0), F(0), F(0), F(0)), "weights sum to 0, expected 1"),
+    pytest.param((F(0), F(-1, 2), F(0), F(3, 2)), "weight -1/2 outside [0, 1]",
+                 id="negative"),
+    pytest.param((F(1, 2), 0, F(1, 2), F(0)), "weights must be Fractions", id="int"),
+    pytest.param((F(0), F(-1), 0, F(0)), "weight -1 outside [0, 1]", id="negative-before-int"),
+    pytest.param((F(0), F(0), F(3, 2), F(-1, 2)), "weight 3/2 outside [0, 1]", id="above-one"),
+    pytest.param((F(1, 2), F(0), F(1, 4), F(0)), "weights sum to 3/4, expected 1",
+                 id="short-sum"),
+    pytest.param((F(0), F(0), F(0), F(0)), "weights sum to 0, expected 1", id="all-zero"),
 ]
 
 
@@ -374,6 +376,9 @@ def test_kernel_rows_validated():
 def test_kernel_constructors():
     s = two_bits()
     m = ck.FiniteMeasure.dirac(s, 3)
+    for index in (-1, 4):
+        with pytest.raises(ck.SpaceError, match="out of range"):
+            ck.FiniteMeasure.dirac(s, index)
     const = ck.StochKernel.constant(s.restrict(("X",)), m)
     assert all(r.weights[3] == 1 for r in const.rows)
     det = ck.StochKernel.deterministic(s, s, tuple((i + 1) % 4 for i in range(4)))

@@ -381,6 +381,23 @@ def test_pushforward_intervention_measure_space_checked(parity):
             parity, t.outcome_map, t.rho, t.target.space, ("Y",), wrong)
 
 
+def test_pushforward_intervention_rejects_a_mechanism_not_measurable_in_f(parity):
+    # the mechanism's K_{X,Z} draws Y = X, so (0, 1) and (1, 0), which f
+    # merges into S = 1, push to different rows
+    t = parity_merge_transform(parity)
+    mechanism = ck.compile_scm(ck.FiniteSCM.build(
+        variables=[("X", 2), ("Z", 2), ("Y", 2)],
+        parents={"X": (), "Z": (), "Y": ("X",)},
+        noises={"X": (F(1, 2), F(1, 2)), "Z": (F(1, 2), F(1, 2)), "Y": (F(1),)},
+        mechanisms={"X": (0, 1), "Z": (0, 1), "Y": (0, 1)},
+    ))
+    with pytest.raises(ck.WellDefinednessError,
+                       match=r"^mechanism kernel L_\{X,Z\} is not measurable") as err:
+        ck.pushforward_intervention(parity, t.outcome_map, t.rho, t.target.space,
+                                    ("S", "Y"), mechanism.P, mechanism)
+    assert err.value.witness == ((0, 1, 0), (1, 0, 0))
+
+
 def test_pushforward_intervention_on_merged_coordinate(parity):
     t = parity_merge_transform(parity)
     target_space = t.target.space
