@@ -15,6 +15,14 @@ the two digests.  The digest covers, in this order:
   ``causally_independent_on`` of each pair of single coordinates and of
   each ordered pair of disjoint coordinate families with three or more
   names between them;
+- ``causally_independent`` on every pair of events (each unordered pair
+  once, an event also with itself), for the same spaces and every U: the
+  cylinder of each coordinate value, the full and the empty event, and
+  four random events per space;
+- the ``--json`` and plain output, and the exit code, of ``independence``
+  in its event form on each shipped finite model, for every U and every
+  unordered pair of event specs: each coordinate at value 1, the empty
+  spec, and the first coordinate at value 0 or 1;
 - ``causally_independent_on`` on products of two random models of three
   3-valued variables each (``PRODUCT_SEEDS``), for every U of at most one
   name and every ordered pair of disjoint families with 17-30 atoms
@@ -126,6 +134,39 @@ def space_section():
                 if len(a) + len(b) >= 3:
                     out.append(f"{a} {b} {ck.causally_independent_on(c, U, a, b)}")
             yield "\n".join(out) + "\n"
+
+
+def event_section():
+    for number, (label, c) in enumerate(spaces()):
+        space = c.space
+        rng = Random(number)
+        events = [ck.Event.cylinder(space, {n: v})
+                  for n, card in zip(space.names, space.cards) for v in range(card)]
+        events += [ck.Event.full(space), ck.Event.empty(space)]
+        events += [ck.Event(space, rng.getrandbits(space.n_outcomes)) for _ in range(4)]
+        for U in ck.subsets_of(space.names):
+            verdicts = "".join("1" if ck.causally_independent(c, U, a, b) else "0"
+                               for i, a in enumerate(events) for b in events[i:])
+            yield f"{label} U={U} event independence {verdicts}\n"
+
+
+def cli_event_section():
+    for path in sorted(CORPUS.glob("*.json")):
+        if path.name.endswith(".report.json") or json.loads(
+                path.read_text(encoding="utf-8"))["kind"] not in ("finite-scm", "finite-space"):
+            continue
+        space = cli._load_space(str(path)).space
+        specs = [{n: 1} for n in space.names] + [{}, {space.names[0]: [0, 1]}]
+        for U in ck.subsets_of(space.names):
+            for i, first in enumerate(specs):
+                for second in specs[i:]:
+                    args = ["independence", str(path), "--on", *U, "--first",
+                            json.dumps(first), "--second", json.dumps(second)]
+                    for extra in (["--json"], []):
+                        buffer = io.StringIO()
+                        with redirect_stdout(buffer):
+                            code = cli.main(args + extra)
+                        yield f"{args[2:]} {extra} exit={code}\n{buffer.getvalue()}"
 
 
 def product_section():
@@ -242,7 +283,8 @@ def rows_section():
 def main() -> int:
     digest = hashlib.sha256()
     for section in (lemma_section(), corpus_section(), space_section(),
-                    product_section(), rows_section()):
+                    event_section(), cli_event_section(), product_section(),
+                    rows_section()):
         for text in section:
             digest.update(text.encode("utf-8"))
     print(digest.hexdigest())

@@ -65,9 +65,17 @@ class FiniteCausalSpace:
             raise SpaceError("base measure on wrong space")
         if (kernels is None) == (kernel_fn is None):
             raise SpaceError("exactly one of kernels / kernel_fn required")
+        if kernels is not None:
+            table = dict(kernels)
+
+            def kernel_fn(key: frozenset) -> StochKernel:
+                try:
+                    return table[key]
+                except KeyError:
+                    raise MissingKernelError(f"no kernel for subset {sorted(key)}") from None
+
         self.space = space
         self.P = P
-        self._table = dict(kernels) if kernels is not None else None
         self._fn = kernel_fn
         self._cache: dict[frozenset, StochKernel] = {}
 
@@ -83,23 +91,17 @@ class FiniteCausalSpace:
         return cls(space, P, kernel_fn=kernel_fn)
 
     def kernel(self, subset: Iterable[str]) -> StochKernel:
+        """K_S, built (or looked up) and checked on the first call, then cached."""
         key = frozenset(subset)
-        unknown = key - set(self.space.names)
-        if unknown:
-            raise SpaceError(f"unknown coordinates {sorted(unknown)}")
-        if self._table is not None:
-            try:
-                k = self._table[key]
-            except KeyError:
-                raise MissingKernelError(f"no kernel for subset {sorted(key)}") from None
-        else:
-            if key in self._cache:
-                return self._cache[key]
+        k = self._cache.get(key)
+        if k is None:
+            unknown = key - set(self.space.names)
+            if unknown:
+                raise SpaceError(f"unknown coordinates {sorted(unknown)}")
             k = self._fn(key)
+            if k.domain != self.space.restrict(key) or k.codomain != self.space:
+                raise SpaceError(f"kernel for {sorted(key)} has wrong domain or codomain")
             self._cache[key] = k
-        expected = self.space.restrict(key)
-        if k.domain != expected or k.codomain != self.space:
-            raise SpaceError(f"kernel for {sorted(key)} has wrong domain or codomain")
         return k
 
     def subsets(self) -> Iterator[tuple[str, ...]]:
@@ -439,39 +441,15 @@ def is_global_source(c: FiniteCausalSpace, on: Iterable[str]) -> CheckReport:
     return is_source(c, on, c.space.names)
 
 
-def _first_dependent_row(c: FiniteCausalSpace, on: Iterable[str],
-                         a: Event, b: Event) -> Optional[int]:
-    """First row of K_U where K_U(., A & B) != K_U(., A) K_U(., B), if any."""
-    k_u = c.kernel(frozenset(on))
-    both = a & b
-    for row in range(k_u.domain.n_outcomes):
-        if k_u.value(row, both) != k_u.value(row, a) * k_u.value(row, b):
-            return row
-    return None
+def _first_failing_row(k_u: StochKernel, to_a, na: int, to_b, nb: int) -> Optional[int]:
+    """First row of K_U that breaks the product identity on a pair of
+    partitions of the outcomes, given as outcome -> part tables, if any.
 
-
-def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
-                         a: Event, b: Event) -> bool:
-    """Whether K_U(omega, A & B) = K_U(omega, A) K_U(omega, B) for every omega."""
-    return _first_dependent_row(c, on, a, b) is None
-
-
-def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
-                            first: Iterable[str], second: Iterable[str]) -> bool:
-    """Causal independence of two sub-sigma-algebras on H_U.
-
-    K(A & B) and K(A) K(B) are both additive in A and in B over disjoint
-    unions, so the product identity holds on every pair of atom unions as
-    soon as it holds on every (A-atom, B-atom) pair.  Only those cells are
-    checked: each K_U row is tabulated once on them, as integers over the
-    row's common denominator D, and a cell passes when
+    Each row is tabulated once on the (A-part, B-part) cells, as integers
+    over the row's common denominator D, and a cell passes when
     D * cell == row_mass[a] * col_mass[b].
     """
-    pa = c.space.projector(first)
-    pb = c.space.projector(second)
-    na, nb = len(pa.masks), len(pb.masks)
-    to_a, to_b = pa.index, pb.index
-    for row in c.kernel(frozenset(on)).rows:
+    for r, row in enumerate(k_u.rows):
         denom = lcm(*(w.denominator for w in row.weights if w))
         cells = [[0] * nb for _ in range(na)]
         for i, w in enumerate(row.weights):
@@ -481,8 +459,46 @@ def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
         for cell_row in cells:
             ra = sum(cell_row)
             if any(cell * denom != ra * cb for cell, cb in zip(cell_row, col_mass)):
-                return False
-    return True
+                return r
+    return None
+
+
+def _first_failing_event_row(c: FiniteCausalSpace, on: Iterable[str],
+                             a: Event, b: Event) -> Optional[int]:
+    """``_first_failing_row`` on the partitions {A, A^c} and {B, B^c}.
+
+    Every row is a probability measure, so its identities on the four
+    cells all follow from K(A & B) = K(A) K(B).
+    """
+    k_u = c.kernel(frozenset(on))
+    if a.space != b.space:
+        raise SpaceError("events live on different spaces")
+    if a.space != c.space:
+        raise SpaceError("event on a different space")
+    n = c.space.n_outcomes
+    to_a, to_b = ([1 - (e.mask >> i & 1) for i in range(n)] for e in (a, b))
+    return _first_failing_row(k_u, to_a, 2, to_b, 2)
+
+
+def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
+                         a: Event, b: Event) -> bool:
+    """Whether K_U(omega, A & B) = K_U(omega, A) K_U(omega, B) for every omega."""
+    return _first_failing_event_row(c, on, a, b) is None
+
+
+def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
+                            first: Iterable[str], second: Iterable[str]) -> bool:
+    """Causal independence of two sub-sigma-algebras on H_U.
+
+    K(A & B) and K(A) K(B) are both additive in A and in B over disjoint
+    unions, so the product identity holds on every pair of atom unions as
+    soon as it holds on every (A-atom, B-atom) pair.  Only those cells are
+    checked.
+    """
+    pa = c.space.projector(first)
+    pb = c.space.projector(second)
+    k_u = c.kernel(frozenset(on))
+    return _first_failing_row(k_u, pa.index, len(pa.masks), pb.index, len(pb.masks)) is None
 
 
 def product(c1: FiniteCausalSpace, c2: FiniteCausalSpace) -> FiniteCausalSpace:

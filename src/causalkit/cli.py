@@ -21,7 +21,7 @@ import numpy as np
 from . import serialize
 from .causal import (
     FiniteCausalSpace,
-    _first_dependent_row,
+    _first_failing_event_row,
     causally_independent_on,
     classify_effect,
     classify_effect_on,
@@ -223,7 +223,7 @@ def cmd_independence(args) -> int:
                         "coordinate subsets")
     witness: Optional[Witness] = None
     if isinstance(first, Event):
-        row = _first_dependent_row(space, on, first, second)
+        row = _first_failing_event_row(space, on, first, second)
         ok = row is None
         if not ok:
             k_u = space.kernel(frozenset(on))

@@ -136,13 +136,13 @@ def _oracle_axioms(c: FiniteCausalSpace) -> tuple[bool, str]:
 def _oracle_distributional(t: Transformation) -> tuple[bool, str]:
     """Pushforward identity on every target event."""
     _guard(t.target.space)
-    lifted = t.lifted_kernel()
+    kappa = t.kernel.rows
     n2 = t.target.space.n_outcomes
     pushed = [ZERO] * n2
     for i in range(t.source.space.n_outcomes):
         wi = t.source.P.weights[i]
         for j in range(n2):
-            pushed[j] += wi * lifted.rows[i].weights[j]
+            pushed[j] += wi * kappa[i].weights[j]
     a, b = _scaled([pushed, t.target.P.weights])
     if _subset_sums(a) != _subset_sums(b):
         return False, "pushed measure differs from the target on some event"
@@ -153,7 +153,7 @@ def _oracle_interventional(t: Transformation) -> tuple[bool, str]:
     """Both intervention routes on every event of the image sigma-algebra."""
     _guard(t.source.space)
     _guard(t.target.space)
-    lifted = t.lifted_kernel()
+    kappa = t.kernel.rows
     n1, n2 = t.source.space.n_outcomes, t.target.space.n_outcomes
     image_atoms = atoms(t.target.space, t.rho.image())
     for subset in subsets_of(t.rho.image()):
@@ -167,10 +167,10 @@ def _oracle_interventional(t: Transformation) -> tuple[bool, str]:
                 w = row1.weights[ip]
                 if w != 0:
                     for j in range(n2):
-                        lhs[j] += w * lifted.rows[ip].weights[j]
+                        lhs[j] += w * kappa[ip].weights[j]
             rhs = [ZERO] * n2
             for j in range(n2):
-                w = lifted.rows[i].weights[j]
+                w = kappa[i].weights[j]
                 if w != 0:
                     row2 = k2.rows[t.target.space.project_index(j, k2.domain.names)]
                     for jp in range(n2):
@@ -372,8 +372,7 @@ def _draw_cards(rng: Random, remaining: int) -> list[int]:
 
 
 def _random_scm(rng: Random, prefix: str, cards: Optional[list[int]] = None,
-                n_vars: Optional[int] = None, max_card: int = 3,
-                shifted: bool = False) -> FiniteSCM:
+                n_vars: Optional[int] = None, shifted: bool = False) -> FiniteSCM:
     """Random acyclic model; ``shifted`` keeps every atom reachable.
 
     Shifted mechanisms compute (g(parents) + noise) mod card with the noise
@@ -382,7 +381,7 @@ def _random_scm(rng: Random, prefix: str, cards: Optional[list[int]] = None,
     """
     if cards is None:
         n = n_vars if n_vars is not None else rng.randint(1, 3)
-        cards = [rng.randint(2, max_card) for _ in range(n)]
+        cards = [rng.randint(2, 3) for _ in range(n)]
     names = [f"{prefix}{i}" for i in range(len(cards))]
     card_of = dict(zip(names, cards))
     parents = {}
@@ -490,6 +489,51 @@ def _edge_scm(rng: Random, prefix: str) -> FiniteSCM:
     )
 
 
+def _block_map(rng: Random, space: CoordinateSpace, blocks: Iterable[tuple[str, ...]],
+               prefix: str, keep_first: bool = False):
+    """Surjective (target space, outcome table, rho, target blocks) over
+    disjoint blocks of ``space``'s coordinates.
+
+    Each block, in order, is either collapsed by an arbitrary surjection onto
+    one coordinate ``{prefix}{block number}``, or kept coordinate by
+    coordinate under value bijections, each ``v`` renamed ``{v}m``.  A coin
+    picks the shape; ``keep_first`` keeps the first block whatever the coin
+    says.
+    """
+    coords: list[tuple[str, int]] = []
+    columns: list[list[int]] = []  # per target coordinate: its value at each outcome
+    rho_map: dict[str, str] = {}
+    target_blocks: list[tuple[str, ...]] = []
+    for bi, block in enumerate(blocks):
+        collapse = rng.random() < 0.5 and not (keep_first and bi == 0)
+        if collapse:
+            proj = space.projector(block)
+            size = proj.sub.n_outcomes
+            card = rng.randint(2, size)
+            # hit every value once, then fill freely: surjective by design
+            img = list(range(card)) + [rng.randrange(card) for _ in range(size - card)]
+            rng.shuffle(img)
+            name = f"{prefix}{bi}"
+            coords.append((name, card))
+            columns.append([img[a] for a in proj.index])
+            for v in block:
+                rho_map[v] = name
+            target_blocks.append((name,))
+        else:
+            for v in block:
+                card = space.cards[space.position(v)]
+                perm = list(range(card))
+                rng.shuffle(perm)
+                rho_map[v] = f"{v}m"
+                coords.append((rho_map[v], card))
+                columns.append([perm[x] for x in space.projector((v,)).index])
+            target_blocks.append(tuple(rho_map[v] for v in block))
+    target_space = CoordinateSpace.make(coords)
+    table = tuple(target_space.index(vals) for vals in zip(*columns))
+    rho = IndexMap(source=space.names, target=target_space.names, mapping=rho_map)
+    return target_space, table, rho, target_blocks
+
+
 def _random_abstraction(rng: Random, n_factors: Optional[int] = None,
                         shifted: bool = False,
                         edge_factor: bool = False) -> _AbstractionInstance:
@@ -525,58 +569,10 @@ def _random_abstraction(rng: Random, n_factors: Optional[int] = None,
     for f in factors[1:]:
         source = product(source, f)
 
-    table_parts = []  # per factor: (factor space, factor outcome -> image values)
-    target_coords: list[tuple[str, int]] = []
-    rho_map: dict[str, str] = {}
-    target_blocks: list[tuple[str, ...]] = []
-    factor_of: dict[str, int] = {}
-    for i, (scm, factor) in enumerate(zip(scms, factors)):
-        fsp = factor.space
-        collapse = rng.random() < 0.5 and not (edge_factor and i == 0)
-        if collapse:
-            card = rng.randint(2, fsp.n_outcomes)
-            # hit every value once, then fill freely: surjective by design
-            img = list(range(card)) + [rng.randrange(card)
-                                       for _ in range(fsp.n_outcomes - card)]
-            rng.shuffle(img)
-            name = f"G{i}"
-            target_coords.append((name, card))
-            for v in scm.names:
-                rho_map[v] = name
-            target_blocks.append((name,))
-            factor_of[name] = i
-            table_parts.append((fsp, lambda idx, img=img: (img[idx],)))
-        else:
-            block = []
-            bijections = []
-            for v in scm.names:
-                perm = list(range(scm.cards[v]))
-                rng.shuffle(perm)
-                bijections.append(perm)
-                name = f"{v}m"
-                target_coords.append((name, scm.cards[v]))
-                rho_map[v] = name
-                block.append(name)
-                factor_of[name] = i
-            target_blocks.append(tuple(block))
-            table_parts.append((fsp, lambda idx, fsp=fsp, bijections=bijections:
-                                tuple(b[x] for b, x in zip(bijections, fsp.outcome(idx)))))
-
-    target_space = CoordinateSpace.make(target_coords)
-    outcome_map = []
-    for idx in range(source.space.n_outcomes):
-        vals = source.space.outcome(idx)
-        pos = 0
-        image_vals = []
-        for fsp, part in table_parts:
-            k = len(fsp.names)
-            image_vals.extend(part(fsp.index(tuple(vals[pos:pos + k]))))
-            pos += k
-        outcome_map.append(target_space.index(tuple(image_vals)))
-
-    rho = IndexMap(source=source.space.names, target=target_space.names,
-                   mapping=rho_map)
-    pushed = pushforward_space(source, tuple(outcome_map), rho, target_space)
+    target_space, table, rho, target_blocks = _block_map(
+        rng, source.space, [scm.names for scm in scms], "G", keep_first=edge_factor)
+    factor_of = {name: i for i, block in enumerate(target_blocks) for name in block}
+    pushed = pushforward_space(source, table, rho, target_space)
     if not pushed.report.passed:
         raise AssertionError(
             f"constructive abstraction failed its own checks: "
@@ -605,45 +601,8 @@ def _random_abstraction_on(rng: Random, inst: _AbstractionInstance):
     expose, so second-level groups either collapse a whole block or relabel
     its coordinates, mirroring the first level.
     """
-    space2 = inst.target.space
-    cards = dict(zip(space2.names, space2.cards))
-    target_coords: list[tuple[str, int]] = []
-    rho_map: dict[str, str] = {}
-    parts = []  # (block names, block values -> image values)
-    for bi, block in enumerate(inst.target_blocks):
-        block_space = space2.restrict(block)
-        if rng.random() < 0.5:
-            size = block_space.n_outcomes
-            card = rng.randint(2, size)
-            img = list(range(card)) + [rng.randrange(card) for _ in range(size - card)]
-            rng.shuffle(img)
-            name = f"H{bi}"
-            target_coords.append((name, card))
-            for v in block:
-                rho_map[v] = name
-            parts.append((block, lambda vals, bs=block_space, img=img:
-                          (img[bs.index(vals)],)))
-        else:
-            bijections = {}
-            for v in block:
-                perm = list(range(cards[v]))
-                rng.shuffle(perm)
-                bijections[v] = perm
-                name = f"{v}m"
-                target_coords.append((name, cards[v]))
-                rho_map[v] = name
-            parts.append((block, lambda vals, block=block, bij=bijections:
-                          tuple(bij[v][x] for v, x in zip(block, vals))))
-    target_space = CoordinateSpace.make(target_coords)
-    outcome_map = []
-    for idx in range(space2.n_outcomes):
-        vals = dict(zip(space2.names, space2.outcome(idx)))
-        image_vals = []
-        for block, part in parts:
-            image_vals.extend(part(tuple(vals[v] for v in block)))
-        outcome_map.append(target_space.index(tuple(image_vals)))
-    rho = IndexMap(source=space2.names, target=target_space.names, mapping=rho_map)
-    return pushforward_space(inst.target, tuple(outcome_map), rho, target_space)
+    target_space, table, rho, _ = _block_map(rng, inst.target.space, inst.target_blocks, "H")
+    return pushforward_space(inst.target, table, rho, target_space)
 
 
 # ---------------------------------------------------------------------------

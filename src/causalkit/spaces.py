@@ -19,7 +19,7 @@ forms a product.  Each walks only supports.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -34,10 +34,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def outcome_cap(explicit: int | None = None) -> int:
-    """Resolve the outcome-count bound: explicit value, else env var, else default."""
-    if explicit is not None:
-        return explicit
+def outcome_cap() -> int:
+    """The outcome-count bound: the env var if set, else the default."""
     env = os.environ.get(MAX_OUTCOMES_ENV)
     if env is not None:
         return int(env)
@@ -55,7 +53,6 @@ class CoordinateSpace:
     """Ordered finite product space; outcomes are mixed-radix indexed."""
 
     coords: tuple[Coordinate, ...]
-    max_outcomes: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         names = [c.name for c in self.coords]
@@ -67,13 +64,13 @@ class CoordinateSpace:
         total = 1
         for c in self.coords:
             total *= c.cardinality
-        cap = outcome_cap(self.max_outcomes)
+        cap = outcome_cap()
         if total > cap:
             raise OutcomeCapError(f"{total} outcomes exceeds bound {cap}")
 
     @classmethod
-    def make(cls, pairs: Iterable[tuple[str, int]], max_outcomes: int | None = None) -> "CoordinateSpace":
-        return cls(tuple(Coordinate(n, k) for n, k in pairs), max_outcomes)
+    def make(cls, pairs: Iterable[tuple[str, int]]) -> "CoordinateSpace":
+        return cls(tuple(Coordinate(n, k) for n, k in pairs))
 
     @classmethod
     def _sub(cls, parent: "CoordinateSpace", positions: Iterable[int]) -> "CoordinateSpace":
@@ -85,7 +82,6 @@ class CoordinateSpace:
         """
         space = object.__new__(cls)
         object.__setattr__(space, "coords", tuple(parent.coords[i] for i in positions))
-        object.__setattr__(space, "max_outcomes", parent.max_outcomes)
         return space
 
     @cached_property
@@ -213,17 +209,14 @@ def product_space(a: CoordinateSpace, b: CoordinateSpace) -> CoordinateSpace:
     clash = set(a.names) & set(b.names)
     if clash:
         raise SpaceError(f"coordinate name collision: {sorted(clash)}")
-    cap = None
-    if a.max_outcomes is not None or b.max_outcomes is not None:
-        cap = max(outcome_cap(a.max_outcomes), outcome_cap(b.max_outcomes))
-    return CoordinateSpace(a.coords + b.coords, cap)
+    return CoordinateSpace(a.coords + b.coords)
 
 
 def rename_space(space: CoordinateSpace, mapping: Mapping[str, str]) -> CoordinateSpace:
     coords = tuple(
         Coordinate(mapping.get(c.name, c.name), c.cardinality) for c in space.coords
     )
-    return CoordinateSpace(coords, space.max_outcomes)
+    return CoordinateSpace(coords)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -12,10 +12,10 @@ properties are checked separately and never gate construction:
                     kappa equals integrating kappa against the target
                     kernel K_S, on the image sigma-algebra
 
-Deterministic maps are stored as outcome tables and lifted to Dirac kernels
-on demand.  Both consistency identities are measure-valued in the event
-argument, so checks run on atoms; exhaustive event sweeps live in the
-oracle module.
+Deterministic maps are given as outcome tables and lifted to Dirac kernels
+once, at construction.  Both consistency identities are measure-valued in
+the event argument, so checks run on atoms; exhaustive event sweeps live
+in the oracle module.
 """
 
 from __future__ import annotations
@@ -98,7 +98,12 @@ class IndexMap:
 
 @dataclass(frozen=True)
 class Transformation:
-    """Kernel (or deterministic outcome table) plus an index map."""
+    """Kernel plus an index map.
+
+    A deterministic map is given as an outcome table instead; it is lifted
+    to its Dirac kernel once, here, and ``outcome_map`` stays as the record
+    that the map is deterministic.
+    """
 
     source: FiniteCausalSpace
     target: FiniteCausalSpace
@@ -118,15 +123,11 @@ class Transformation:
             n1, n2 = self.source.space.n_outcomes, self.target.space.n_outcomes
             if len(self.outcome_map) != n1 or any(not 0 <= j < n2 for j in self.outcome_map):
                 raise SpaceError("outcome map does not match source and target spaces")
+            object.__setattr__(self, "kernel", StochKernel.deterministic(
+                self.source.space, self.target.space, self.outcome_map))
 
     def is_deterministic(self) -> bool:
         return self.outcome_map is not None
-
-    def lifted_kernel(self) -> StochKernel:
-        if self.kernel is not None:
-            return self.kernel
-        return StochKernel.deterministic(
-            self.source.space, self.target.space, self.outcome_map)
 
 
 def check_admissible(t: Transformation) -> CheckReport:
@@ -136,7 +137,7 @@ def check_admissible(t: Transformation) -> CheckReport:
     subsets of the image of rho, taken inclusively.
     """
     src = t.source.space
-    kappa = t.lifted_kernel().rows
+    kappa = t.kernel.rows
     for subset in subsets_of(t.rho.image()):
         pre = t.rho.preimage(subset)
         fibers = src.projector(pre).masks
@@ -171,7 +172,7 @@ def check_admissible(t: Transformation) -> CheckReport:
 
 def check_distributional(t: Transformation) -> CheckReport:
     """Integrating kappa against the source measure must give the target measure."""
-    pushed = _mixture(zip(t.source.P.weights, t.lifted_kernel().rows))
+    pushed = _mixture(zip(t.source.P.weights, t.kernel.rows))
     for j, want in enumerate(t.target.P.weights):
         got = pushed.get(j, ZERO)
         if got != want:
@@ -220,7 +221,7 @@ def check_interventional(t: Transformation) -> CheckReport:
                 out[a] += w * v
         return out
 
-    kappa = t.lifted_kernel().rows
+    kappa = t.kernel.rows
     kappa_atoms = [parts(row, image.index, n_image) for row in kappa]
     for subset in subsets_of(t.rho.image()):
         pre = t.rho.preimage(subset)
@@ -312,7 +313,7 @@ def compose(first: Transformation, second: Transformation) -> tuple[Transformati
         table = tuple(second.outcome_map[j] for j in first.outcome_map)
         composite = Transformation(first.source, second.target, rho, outcome_map=table)
     else:
-        k = kernel_compose(first.lifted_kernel(), second.lifted_kernel())
+        k = kernel_compose(first.kernel, second.kernel)
         composite = Transformation(first.source, second.target, rho, kernel=k)
     return composite, check_all(composite)
 
@@ -511,7 +512,7 @@ def rigidity_check(first: Transformation, second: Transformation) -> CheckReport
         raise SpaceError("transformations have different sources")
     if first.rho.mapping != second.rho.mapping:
         raise SpaceError("transformations have different index maps")
-    if first.lifted_kernel() != second.lifted_kernel():
+    if first.kernel != second.kernel:
         raise SpaceError("transformations have different kernels")
     t_space = first.target.space
     if t_space != second.target.space:

@@ -95,6 +95,17 @@ def test_missing_kernel_raises(xor):
         ck.FiniteCausalSpace(full.space, full.P, kernels=table).kernel(("X",))
 
 
+def test_kernel_with_wrong_domain_raises_on_every_call(xor):
+    wrong = xor.kernel(())
+    lazy = ck.FiniteCausalSpace.lazy(xor.space, xor.P, lambda key: wrong)
+    table = {frozenset(s): wrong for s in xor.subsets()}
+    tabulated = ck.FiniteCausalSpace.tabulated(xor.space, xor.P, table)
+    for c in (lazy, tabulated):
+        for _ in range(2):
+            with pytest.raises(ck.SpaceError, match="wrong domain or codomain"):
+                c.kernel(("X",))
+
+
 @given(causal_spaces())
 def test_random_spaces_satisfy_axioms(space):
     assert ck.validate_causal_space(space).passed
@@ -398,6 +409,20 @@ def test_dependent_events_detected(xor):
     b = cyl(xor.space, Y=1)
     # on H_\emptyset the kernel row is P and the two are correlated
     assert not ck.causally_independent(xor, (), a, b)
+
+
+def scan_independent_events(c, on, a, b):
+    """causally_independent as a per-row scan of K(A & B) == K(A) K(B)."""
+    k_u = c.kernel(frozenset(on))
+    return all(k_u.value(row, a & b) == k_u.value(row, a) * k_u.value(row, b)
+               for row in range(k_u.domain.n_outcomes))
+
+
+@given(causal_spaces(), st.data())
+def test_event_independence_matches_per_row_scan(space, data):
+    on = data.draw(st.sampled_from(list(ck.subsets_of(space.space.names))))
+    a, b = data.draw(events(space.space)), data.draw(events(space.space))
+    assert ck.causally_independent(space, on, a, b) == scan_independent_events(space, on, a, b)
 
 
 def test_subsystem_independence_on_subsets(fork, xor):

@@ -37,9 +37,6 @@ def test_zero_cardinality_rejected():
 def test_outcome_cap_default_and_override(monkeypatch):
     with pytest.raises(ck.OutcomeCapError):
         ck.CoordinateSpace.make([(f"V{i}", 4) for i in range(7)])  # 4^7 > 4096
-    big = ck.CoordinateSpace.make([(f"V{i}", 4) for i in range(7)],
-                                  max_outcomes=20_000)
-    assert big.n_outcomes == 4 ** 7
     monkeypatch.setenv("CAUSALKIT_MAX_OUTCOMES", "20000")
     assert ck.CoordinateSpace.make([(f"V{i}", 4) for i in range(7)]).n_outcomes == 4 ** 7
     monkeypatch.setenv("CAUSALKIT_MAX_OUTCOMES", "8")
