@@ -40,14 +40,21 @@ the two digests.  The digest covers, in this order:
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 scripts/report_digest.py
+    PYTHONPATH=src python3 scripts/report_digest.py [--check]
+
+``--check`` compares the digest with the one committed in
+``scripts/report_digest.expected`` and exits 1, printing both, when they
+differ.  A change that alters a report on purpose updates that file and
+says why.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 from random import Random
@@ -57,6 +64,7 @@ from causalkit import cli, examples
 from causalkit.oracle import _random_abstraction, _random_scm, _random_weights
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "causalkit" / "corpus"
+EXPECTED = Path(__file__).resolve().with_suffix(".expected")
 SPACE_SEEDS = range(60)
 LEMMA_SEEDS = range(3)
 LEMMA_TRIALS = 5
@@ -280,14 +288,24 @@ def rows_section():
             yield guarded(f"inclusion_transform({name}, {keep})", build)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digest the reports that must not change.")
+    parser.add_argument("--check", action="store_true",
+                        help=f"exit 1 unless the digest equals {EXPECTED.name}")
+    args = parser.parse_args(argv)
     digest = hashlib.sha256()
     for section in (lemma_section(), corpus_section(), space_section(),
                     event_section(), cli_event_section(), product_section(),
                     rows_section()):
         for text in section:
             digest.update(text.encode("utf-8"))
-    print(digest.hexdigest())
+    value = digest.hexdigest()
+    print(value)
+    if args.check:
+        expected = EXPECTED.read_text(encoding="utf-8").strip()
+        if value != expected:
+            print(f"digest mismatch: computed {value}, expected {expected}", file=sys.stderr)
+            return 1
     return 0
 
 

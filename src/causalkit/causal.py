@@ -23,7 +23,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InvalidMechanismError, MissingKernelError, SpaceError
-from .report import CheckReport, Witness, combine
+from .report import CheckReport, Witness
 from .spaces import (
     ZERO,
     CoordinateSpace,

@@ -49,6 +49,7 @@ from .spaces import (
 from .transform import (
     IndexMap,
     Transformation,
+    _pushforward,
     check_all,
     check_distributional,
     check_interventional,
@@ -594,15 +595,16 @@ def _random_abstraction(rng: Random, n_factors: Optional[int] = None,
                                 tuple(target_blocks), factor_of, ancestors)
 
 
-def _random_abstraction_on(rng: Random, inst: _AbstractionInstance):
+def _random_abstraction_on(rng: Random, inst: _AbstractionInstance) -> Transformation:
     """Second-level abstraction respecting the block structure of a target.
 
     Blocks of the first target are the only independent units its kernels
     expose, so second-level groups either collapse a whole block or relabel
-    its coordinates, mirroring the first level.
+    its coordinates, mirroring the first level.  The pushforward is built
+    unreported; the composition trial checks the composite.
     """
     target_space, table, rho, _ = _block_map(rng, inst.target.space, inst.target_blocks, "H")
-    return pushforward_space(inst.target, table, rho, target_space)
+    return _pushforward(inst.target, table, rho, target_space)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +655,7 @@ def _trial_product_effects(rng: Random) -> CheckReport:
 def _trial_composition(rng: Random) -> CheckReport:
     inst = _random_abstraction(rng)
     second = _random_abstraction_on(rng, inst)
-    _, report = compose(inst.t, second.transformation)
+    _, report = compose(inst.t, second)
     return _pass() if report.passed else _fail(report)
 
 

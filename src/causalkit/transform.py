@@ -203,8 +203,13 @@ def check_interventional(t: Transformation) -> CheckReport:
 
     Both routes are evaluated on image atoms.  The source route depends on
     omega only through its rho^-1(S)-atom, so it is integrated once per
-    kernel row against the table kappa(omega', A); the target route sums
-    kappa(omega, .) onto the S-atoms, where K^2_S is constant.
+    kernel row against the table kappa(omega', A); the target route depends
+    on omega only through kappa(omega, .) summed onto the S-atoms, where
+    K^2_S is constant.  So each distinct (rho^-1(S)-atom, kappa on S-atoms)
+    pair is compared once, at its first outcome in index order: a later
+    outcome with the same pair would compare the same two lists, and the
+    first failing outcome, hence the witness, is the one a per-outcome scan
+    finds.
     """
     src, tgt = t.source.space, t.target.space
     image = tgt.projector(t.rho.image())
@@ -233,9 +238,15 @@ def check_interventional(t: Transformation) -> CheckReport:
         pre_of = src.projector(pre).index
         s_proj = tgt.projector(subset)
         n_s = len(s_proj.masks)
+        seen = set()
         for i in range(src.n_outcomes):
+            on_s = parts(kappa[i], s_proj.index, n_s)
+            key = (pre_of[i], tuple(on_s))
+            if key in seen:
+                continue
+            seen.add(key)
             left_atoms = source_route[pre_of[i]]
-            right_atoms = integrate(parts(kappa[i], s_proj.index, n_s), k2_atoms)
+            right_atoms = integrate(on_s, k2_atoms)
             for a, (left, right) in enumerate(zip(left_atoms, right_atoms)):
                 if left != right:
                     return CheckReport(
@@ -394,17 +405,10 @@ def _push_kernels(kernel: KernelSource, table: tuple[int, ...], rho: IndexMap,
     return kernels
 
 
-def pushforward_space(source: FiniteCausalSpace, outcome_map: Iterable[int],
-                      rho: IndexMap, target_space: CoordinateSpace) -> Pushforward:
-    """Unique causal space making a surjective deterministic pair a transformation.
-
-    Requires rho and f surjective, (f, rho) admissible, and the kernel
-    measurability condition: K^1_{rho^-1(S)}(., f^-1(A)) constant on the
-    cells of f^-1(H^2_S), for every subset S of the target coordinates.
-    The target base measure is the pushforward of the source measure and
-    each target kernel row copies the source kernel through f from any
-    representative of the cell.
-    """
+def _pushforward(source: FiniteCausalSpace, outcome_map: Iterable[int],
+                 rho: IndexMap, target_space: CoordinateSpace) -> Transformation:
+    """The transformation (f, rho) onto the pushforward space, built but not
+    checked; every precondition of ``pushforward_space`` raises here."""
     table = tuple(outcome_map)
     if not rho.is_surjective():
         raise NotSurjectiveError(
@@ -428,9 +432,24 @@ def pushforward_space(source: FiniteCausalSpace, outcome_map: Iterable[int],
     pushed_p = FiniteMeasure._sparse(
         target_space, dict(enumerate(_part_sums(source.P, table, n2))))
     result = FiniteCausalSpace(target_space, pushed_p, kernels=kernels)
-    t = Transformation(source=source, target=result, rho=rho, outcome_map=table)
-    report = combine("pushforward", [validate_causal_space(result), check_all(t)])
-    return Pushforward(result, t, report)
+    return Transformation(source=source, target=result, rho=rho, outcome_map=table)
+
+
+def pushforward_space(source: FiniteCausalSpace, outcome_map: Iterable[int],
+                      rho: IndexMap, target_space: CoordinateSpace) -> Pushforward:
+    """Unique causal space making a surjective deterministic pair a transformation.
+
+    Requires rho and f surjective, (f, rho) admissible, and the kernel
+    measurability condition: K^1_{rho^-1(S)}(., f^-1(A)) constant on the
+    cells of f^-1(H^2_S), for every subset S of the target coordinates.
+    The target base measure is the pushforward of the source measure and
+    each target kernel row copies the source kernel through f from any
+    representative of the cell.  The report validates the constructed
+    space and checks the pair.
+    """
+    t = _pushforward(source, outcome_map, rho, target_space)
+    report = combine("pushforward", [validate_causal_space(t.target), check_all(t)])
+    return Pushforward(t.target, t, report)
 
 
 class PushforwardIntervention(NamedTuple):
@@ -447,14 +466,17 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
                              ) -> PushforwardIntervention:
     """Intervene on both sides of a perfect abstraction and re-check the pair.
 
-    The target space is constructed by pushforward, the source is intervened
-    on U1 = rho^-1(U2) with (Q1, L1), and the target on U2 with the pushed
+    The target space is constructed by pushforward, under the same
+    preconditions and errors as ``pushforward_space``, but not reported on:
+    the report covers the intervened pair, both spaces validated and the
+    transformation between them checked.  The source is intervened on
+    U1 = rho^-1(U2) with (Q1, L1), and the target on U2 with the pushed
     pair Q2 = f_* Q1 and L2 copied through f.  L1 must satisfy the same
     kernel measurability condition as the space kernels, restricted to the
     intervened coordinates; violations raise ``WellDefinednessError``.
     """
     table = tuple(outcome_map)
-    pushed = pushforward_space(source, table, rho, target_space)
+    pushed = _pushforward(source, table, rho, target_space).target
     u2 = frozenset(on_target)
     u1 = rho.preimage(u2)
     u1_space = source.space.restrict(u1)
@@ -489,7 +511,7 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
     l2_kernels = _push_kernels(mechanism.kernel, f_block, rho, u1_space, u2_space, fault)
     pushed_mechanism = FiniteCausalSpace(u2_space, pushed_q, kernels=l2_kernels)
 
-    tgt_done = intervene(pushed.space, u2, pushed_q, pushed_mechanism)
+    tgt_done = intervene(pushed, u2, pushed_q, pushed_mechanism)
     t = Transformation(source=src_done, target=tgt_done, rho=rho, outcome_map=table)
     report = combine("pushforward-intervention", [
         validate_causal_space(src_done),

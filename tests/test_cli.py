@@ -257,7 +257,18 @@ def test_abstract_writes_a_checked_transformation(capsys, tmp_path, corpus_dir):
         "--rho", '{"X": "S", "Z": "S", "Y": "Y"}',
         "--out", str(out_path), "--json")
     assert code == 0
-    assert json.loads(out)["passed"]
+    report = json.loads(out)
+    assert report["passed"]
+
+    def names(r):
+        return [r["check"], [names(sub) for sub in r["subreports"]]]
+
+    # the constructed space is validated and the pair checked, every sub-check kept
+    assert names(report) == [
+        "pushforward", [["causal-space-axioms", []],
+                        ["causal-transformation", [["admissible", []],
+                                                   ["distributional", []],
+                                                   ["interventional", []]]]]]
     t = ck.load(out_path)
     assert isinstance(t, ck.Transformation)
     assert ck.check_all(t).passed

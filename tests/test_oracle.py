@@ -1,10 +1,13 @@
 """Exhaustive oracles, random instance generation, and the lemma suites."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
 import causalkit as ck
 from causalkit import examples
+from causalkit.oracle import _random_abstraction, _random_abstraction_on
 from conftest import kernels
 
 
@@ -116,6 +119,18 @@ def test_perturbed_spaces_fail_validation(mode):
 def test_unknown_perturbation_rejected():
     with pytest.raises(ValueError):
         ck.random_space(0, perturb="axiom-iii")
+
+
+def test_second_level_abstractions_are_checked_transformations():
+    # _random_abstraction_on builds its pushforward without a report; the
+    # composition trial only checks the composite
+    for seed in range(40):
+        rng = Random(seed)
+        second = _random_abstraction_on(rng, _random_abstraction(rng))
+        axioms = ck.validate_causal_space(second.target)
+        assert axioms.passed, (seed, axioms.render())
+        report = ck.check_all(second)
+        assert report.passed, (seed, report.render())
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ witnesses; any change to those strings is a behaviour change.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import examples
+from causalkit.oracle import _random_abstraction
 
 F = Fraction
 
@@ -290,31 +292,32 @@ def test_pushforward_identity_is_fixed_point(xor):
     assert ck.causal_spaces_equal(pf.space, xor)
 
 
-def test_pushforward_requires_surjective_f(xor):
+def non_surjective_map(xor):
+    """f sends the two bits onto a 3-valued coordinate and misses the value 2."""
     target_space = ck.CoordinateSpace.make([("X", 3)])
     rho = ck.IndexMap(source=("X", "Y"), target=("X",),
                       mapping={"X": "X", "Y": "X"})
     outcome_map = tuple(o[0] for o in xor.space.outcomes())
-    with pytest.raises(ck.NotSurjectiveError):
-        ck.pushforward_space(xor, outcome_map, rho, target_space)
+    return xor, outcome_map, rho, target_space
 
 
-def test_pushforward_requires_admissible_map(parity):
-    # same inadmissible f as above: first output coordinate reads y
+def non_admissible_map(parity):
+    """f(x, z, y) = (x xor z xor y, y): the first output coordinate reads y."""
     target_space = ck.CoordinateSpace.make([("S", 2), ("Y", 2)])
     rho = ck.IndexMap(source=("X", "Z", "Y"), target=("S", "Y"),
                       mapping={"X": "S", "Z": "S", "Y": "Y"})
     outcome_map = tuple(
         target_space.index((o[0] ^ o[1] ^ o[2], o[2]))
         for o in parity.space.outcomes())
-    with pytest.raises(ck.NotAdmissibleError):
-        ck.pushforward_space(parity, outcome_map, rho, target_space)
+    return parity, outcome_map, rho, target_space
 
 
-def test_pushforward_well_definedness_violation():
-    # Z copies X; Y = Z xor noise.  f drops Z, rho sends X and Z to X'.
-    # K_{X,Z}((a, z), .) gives Y a z-dependent law, and both (a, 0) and
-    # (a, 1) sit in the same f-fiber, so no target kernel is well defined.
+def non_measurable_map():
+    """Z copies X; Y = Z xor noise.  f drops Z, rho sends X and Z to X'.
+
+    K_{X,Z}((a, z), .) gives Y a z-dependent law, and both (a, 0) and
+    (a, 1) sit in the same f-fiber, so no target kernel is well defined.
+    """
     scm = ck.FiniteSCM.build(
         variables=[("X", 2), ("Z", 2), ("Y", 2)],
         parents={"X": (), "Z": ("X",), "Y": ("Z",)},
@@ -328,6 +331,21 @@ def test_pushforward_well_definedness_violation():
                       mapping={"X": "Xp", "Z": "Xp", "Y": "Yp"})
     outcome_map = tuple(
         target_space.index((o[0], o[2])) for o in full.space.outcomes())
+    return full, outcome_map, rho, target_space
+
+
+def test_pushforward_requires_surjective_f(xor):
+    with pytest.raises(ck.NotSurjectiveError):
+        ck.pushforward_space(*non_surjective_map(xor))
+
+
+def test_pushforward_requires_admissible_map(parity):
+    with pytest.raises(ck.NotAdmissibleError):
+        ck.pushforward_space(*non_admissible_map(parity))
+
+
+def test_pushforward_well_definedness_violation():
+    full, outcome_map, rho, target_space = non_measurable_map()
     with pytest.raises(ck.WellDefinednessError) as err:
         ck.pushforward_space(full, outcome_map, rho, target_space)
     assert err.value.witness is not None
@@ -396,6 +414,19 @@ def test_pushforward_intervention_rejects_a_mechanism_not_measurable_in_f(parity
         ck.pushforward_intervention(parity, t.outcome_map, t.rho, t.target.space,
                                     ("S", "Y"), mechanism.P, mechanism)
     assert err.value.witness == ((0, 1, 0), (1, 0, 0))
+
+
+def test_pushforward_intervention_keeps_the_pushforward_guards(xor, parity):
+    # the pushforward is built unreported here, so its preconditions must
+    # still raise before any intervention
+    for error, (source, outcome_map, rho, target_space) in (
+            (ck.NotSurjectiveError, non_surjective_map(xor)),
+            (ck.NotAdmissibleError, non_admissible_map(parity)),
+            (ck.WellDefinednessError, non_measurable_map())):
+        nothing = ck.FiniteMeasure.uniform(source.space.restrict(()))
+        with pytest.raises(error):
+            ck.pushforward_intervention(source, outcome_map, rho, target_space,
+                                        (), nothing)
 
 
 def test_pushforward_intervention_on_merged_coordinate(parity):
@@ -535,3 +566,187 @@ def test_deterministic_distributional_iff_pushed_measure(seed, data):
                           outcome_map=outcome_map)
     report = ck.check_distributional(t)
     assert report.passed == (target_p == pushed)
+
+
+def per_outcome_interventional(t):
+    """``check_interventional(t).to_dict()`` by a scan over every source
+    outcome, with no pair skipped: the reference the library's scan over
+    distinct pairs must reproduce, witness included."""
+    src, tgt = t.source.space, t.target.space
+    image = tgt.projector(t.rho.image())
+    n_image = len(image.masks)
+
+    def parts(row, index, n):
+        out = [F(0)] * n
+        for j, w in enumerate(row.weights):
+            out[index[j]] += w
+        return [(a, v) for a, v in enumerate(out) if v]
+
+    def integrate(entries, table):
+        out = [F(0)] * n_image
+        for k, w in entries:
+            for a, v in table[k]:
+                out[a] += w * v
+        return out
+
+    kappa = t.kernel.rows
+    kappa_atoms = [parts(row, image.index, n_image) for row in kappa]
+    for subset in ck.subsets_of(t.rho.image()):
+        pre = t.rho.preimage(subset)
+        k2_atoms = [parts(row, image.index, n_image) for row in t.target.kernel(subset).rows]
+        pre_of = src.projector(pre).index
+        s_proj = tgt.projector(subset)
+        s_index, n_s = s_proj.index, len(s_proj.masks)
+        k1_rows = t.source.kernel(pre).rows
+        for i in range(src.n_outcomes):
+            row = k1_rows[pre_of[i]]
+            left_atoms = integrate([(k, w) for k, w in enumerate(row.weights) if w],
+                                   kappa_atoms)
+            right_atoms = integrate(parts(kappa[i], s_index, n_s), k2_atoms)
+            for a, (left, right) in enumerate(zip(left_atoms, right_atoms)):
+                if left != right:
+                    return {
+                        "check": "interventional", "passed": False, "details": [],
+                        "subreports": [],
+                        "witness": {
+                            "message": (f"at S={{{','.join(subset)}}} and omega="
+                                        f"{src.outcome(i)}: source route gives {left}, "
+                                        f"target route gives {right}"),
+                            "subset": list(subset),
+                            "outcome": list(src.outcome(i)),
+                            "event": [j for j in range(tgt.n_outcomes)
+                                      if image.index[j] == a],
+                        },
+                    }
+    return {"check": "interventional", "passed": True, "witness": None,
+            "details": [], "subreports": []}
+
+
+def random_row(rng, space):
+    raw = [rng.randint(0, 3) for _ in range(space.n_outcomes)]
+    raw[rng.randrange(space.n_outcomes)] += 1
+    return ck.FiniteMeasure(space, tuple(F(w, sum(raw)) for w in raw))
+
+
+def moved_mass(rng, row):
+    """``row`` with half the mass of one positive entry moved to another entry."""
+    w = list(row.weights)
+    src = rng.choice([j for j, v in enumerate(w) if v])
+    dst = rng.choice([j for j in range(len(w)) if j != src])
+    w[dst] += w[src] / 2
+    w[src] /= 2
+    return ck.FiniteMeasure(row.space, tuple(w))
+
+
+def first_representative_target(source, table, rho, target_space):
+    """Target with the pushed base measure whose K_S row on each S-atom
+    copies K_{rho^-1(S)} through f from the first source outcome f maps
+    into that atom (a Dirac row where f maps none).  Later outcomes of the
+    same atom may disagree, so the pair can fail the interventional check
+    far from the first outcome."""
+    n2 = target_space.n_outcomes
+
+    def pushed(row):
+        w = [F(0)] * n2
+        for i, v in enumerate(row.weights):
+            w[table[i]] += v
+        return ck.FiniteMeasure(target_space, tuple(w))
+
+    kernels = {}
+    for subset in ck.subsets_of(target_space.names):
+        k1 = source.kernel(rho.preimage(subset))
+        pre_of = source.space.projector(rho.preimage(subset)).index
+        cells = target_space.projector(subset)
+        rows = [None] * len(cells.masks)
+        for i, j in enumerate(table):
+            if rows[cells.index[j]] is None:
+                rows[cells.index[j]] = pushed(k1.rows[pre_of[i]])
+        rows = [ck.FiniteMeasure.dirac(target_space, cells.index.index(a)) if row is None
+                else row for a, row in enumerate(rows)]
+        kernels[frozenset(subset)] = ck.StochKernel(cells.sub, target_space, tuple(rows))
+    return ck.FiniteCausalSpace(target_space, pushed(source.P), kernels=kernels)
+
+
+def interventional_case(kind, seed, tamper):
+    """A transformation of the given kind.  ``tamper`` moves mass in one
+    kernel row (of kappa for an inclusion, of one target kernel for a
+    pushforward); for a first-representative target it swaps the
+    admissible coordinate-wise f for an arbitrary table."""
+    rng = Random(seed)
+    if kind == "first-representative":
+        source = ck.random_space(seed, n_coords=3)
+        names = [f"T{k}" for k in range(rng.randint(2, 3))]
+        rho = ck.IndexMap(source.space.names, tuple(names),
+                          {n: rng.choice(names) for n in source.space.names})
+        target_space = ck.CoordinateSpace.make([(n, rng.randint(2, 3)) for n in names])
+        if tamper:
+            table = tuple(rng.randrange(target_space.n_outcomes)
+                          for _ in range(source.space.n_outcomes))
+        else:
+            # each target coordinate is a function of its preimage's values
+            columns = []
+            for n, card in zip(names, target_space.cards):
+                proj = source.space.projector(rho.preimage((n,)))
+                values = [rng.randrange(card) for _ in proj.masks]
+                columns.append([values[a] for a in proj.index])
+            table = tuple(target_space.index(v) for v in zip(*columns))
+        target = first_representative_target(source, table, rho, target_space)
+        return ck.Transformation(source, target, rho, outcome_map=table)
+    if kind == "pushforward":
+        inst = _random_abstraction(rng)
+        t = inst.t
+        if not tamper:
+            return t
+        target = t.target
+        subset = rng.choice([s for s in target.subsets() if s])
+        k = target.kernel(subset)
+        rows = list(k.rows)
+        a = rng.randrange(len(rows))
+        rows[a] = moved_mass(rng, rows[a])
+        table = {frozenset(s): target.kernel(s) for s in target.subsets()}
+        table[frozenset(subset)] = ck.StochKernel(k.domain, k.codomain, tuple(rows))
+        tampered = ck.FiniteCausalSpace(target.space, target.P, kernels=table)
+        return ck.Transformation(source=t.source, target=tampered, rho=t.rho,
+                                 outcome_map=t.outcome_map)
+    source = ck.random_space(seed, n_coords=rng.randint(1, 2))
+    target = ck.random_space(seed + 1, n_coords=rng.randint(1, 2))
+    if kind == "inclusion":
+        t = ck.inclusion_into_product(
+            source, ck.rename(target, {n: "W" + n for n in target.space.names}))
+        if not tamper:
+            return t
+        rows = list(t.kernel.rows)
+        i = rng.randrange(len(rows))
+        rows[i] = moved_mass(rng, rows[i])
+        return ck.Transformation(t.source, t.target, t.rho,
+                                 kernel=ck.StochKernel(t.kernel.domain, t.kernel.codomain,
+                                                       tuple(rows)))
+    rho = ck.IndexMap(source.space.names, target.space.names,
+                      {n: rng.choice(target.space.names) for n in source.space.names})
+    n1, n2 = source.space.n_outcomes, target.space.n_outcomes
+    if kind == "random-map":
+        return ck.Transformation(source, target, rho,
+                                 outcome_map=tuple(rng.randrange(n2) for _ in range(n1)))
+    rows = tuple(random_row(rng, target.space) for _ in range(n1))
+    return ck.Transformation(source, target, rho,
+                             kernel=ck.StochKernel(source.space, target.space, rows))
+
+
+@given(st.sampled_from(["random-kernel", "random-map", "inclusion", "pushforward",
+                        "first-representative"]),
+       st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=40)
+@example("pushforward", 0, False)
+@example("pushforward", 0, True)
+# the first failing outcome shares its rho^-1(S)-atom with an earlier,
+# passing outcome (seed 5), or its kappa on the S-atoms (seed 0)
+@example("first-representative", 5, True)
+@example("first-representative", 0, False)
+def test_interventional_witness_matches_per_outcome_scan(kind, seed, tamper):
+    t = interventional_case(kind, seed, tamper)
+    report = ck.check_interventional(t)
+    assert report.to_dict() == per_outcome_interventional(t)
+    if kind in ("inclusion", "pushforward") and not tamper:
+        assert report.passed
+    if kind == "pushforward" and tamper:
+        assert not report.passed
