@@ -1,8 +1,9 @@
-"""Print one sha256 digest over the reports that must not change.
+"""Print one sha256 digest over the reports that must not change, and
+exit 1 unless it equals the one committed in ``report_digest.expected``.
 
-A change that should leave every verdict and witness byte-identical can be
-checked by running this script on both sides of the change and comparing
-the two digests.  The digest covers, in this order:
+A change that should leave every verdict and witness byte-identical is
+checked by this script passing on it; two checkouts can also be compared
+by the digests they print.  The digest covers, in this order:
 
 - ``to_dict()`` and ``render()`` of every lemma suite at seeds 0-2, five
   trials each;
@@ -40,17 +41,14 @@ the two digests.  The digest covers, in this order:
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 scripts/report_digest.py [--check]
+    PYTHONPATH=src python3 scripts/report_digest.py
 
-``--check`` compares the digest with the one committed in
-``scripts/report_digest.expected`` and exits 1, printing both, when they
-differ.  A change that alters a report on purpose updates that file and
-says why.
+On a mismatch both digests go to stderr.  A change that alters a report on
+purpose updates ``scripts/report_digest.expected`` and says why.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import io
 import json
@@ -288,11 +286,7 @@ def rows_section():
             yield guarded(f"inclusion_transform({name}, {keep})", build)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Digest the reports that must not change.")
-    parser.add_argument("--check", action="store_true",
-                        help=f"exit 1 unless the digest equals {EXPECTED.name}")
-    args = parser.parse_args(argv)
+def main() -> int:
     digest = hashlib.sha256()
     for section in (lemma_section(), corpus_section(), space_section(),
                     event_section(), cli_event_section(), product_section(),
@@ -301,11 +295,10 @@ def main(argv=None) -> int:
             digest.update(text.encode("utf-8"))
     value = digest.hexdigest()
     print(value)
-    if args.check:
-        expected = EXPECTED.read_text(encoding="utf-8").strip()
-        if value != expected:
-            print(f"digest mismatch: computed {value}, expected {expected}", file=sys.stderr)
-            return 1
+    expected = EXPECTED.read_text(encoding="utf-8").strip()
+    if value != expected:
+        print(f"digest mismatch: computed {value}, expected {expected}", file=sys.stderr)
+        return 1
     return 0
 
 
