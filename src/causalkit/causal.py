@@ -204,9 +204,11 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
         K^do_S(omega, A) = sum_u L_{S n U}(omega_{S n U}, u) K_{S u U}((omega_{S \\ U}, u), A)
 
     ``mechanism`` is a causal space over the U-marginal space whose base
-    measure must equal Q; when omitted, the independent pinning mechanism of
-    Q is used.  The caller is responsible for ``c`` itself satisfying the
-    axioms; this function does not re-validate it.
+    measure must equal Q; a given one is checked for both and validated.
+    When omitted, the independent pinning mechanism of Q is used; it
+    satisfies both axioms by construction and is not re-validated.  The
+    caller is responsible for ``c`` itself satisfying the axioms; this
+    function does not re-validate it.
     """
     U = frozenset(on)
     u_space = c.space.restrict(U)
@@ -214,14 +216,15 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
         raise SpaceError("intervention measure must live on the restricted space")
     if mechanism is None:
         mechanism = independent_pinning_space(measure)
-    if mechanism.space != u_space:
-        raise InvalidMechanismError("mechanism lives on the wrong space")
-    if mechanism.P != measure:
-        raise InvalidMechanismError("mechanism base measure differs from Q")
-    mech_report = validate_causal_space(mechanism)
-    if not mech_report.passed:
-        raise InvalidMechanismError(
-            f"mechanism violates the kernel axioms: {mech_report.witness.message}")
+    else:
+        if mechanism.space != u_space:
+            raise InvalidMechanismError("mechanism lives on the wrong space")
+        if mechanism.P != measure:
+            raise InvalidMechanismError("mechanism base measure differs from Q")
+        mech_report = validate_causal_space(mechanism)
+        if not mech_report.passed:
+            raise InvalidMechanismError(
+                f"mechanism violates the kernel axioms: {mech_report.witness.message}")
 
     new_p = FiniteMeasure._sparse(c.space, _mixture(zip(measure.weights, c.kernel(U).rows)))
 

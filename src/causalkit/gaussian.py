@@ -199,27 +199,17 @@ def interventional_kernel(scm: LinearGaussianSCM, on: Iterable[str]) -> AffineGa
         X = (I - B~)^-1 (P_S x_S + N~),
 
     N~ having zero mean and variance on the pinned rows.  For S empty this
-    is the observational law as a constant kernel.
+    is the observational law as a constant kernel.  It is the one-slice
+    case of ``_pinned_stack``.
     """
-    pinned = sorted(frozenset(on), key=scm.index)
-    d = len(scm.coords)
-    s_idx = [scm.index(n) for n in pinned]
-    b = scm.coefficients.copy()
-    b[s_idx, :] = 0.0
-    a = np.linalg.inv(np.eye(d) - b)
-    embed = np.zeros((d, len(pinned)))
-    for col, i in enumerate(s_idx):
-        embed[i, col] = 1.0
-    means = scm.noise_means.copy()
-    variances = scm.noise_variances.copy()
-    means[s_idx] = 0.0
-    variances[s_idx] = 0.0
+    pins = sorted(map(scm.index, frozenset(on)))
+    matrix, offset, cov = _pinned_stack(scm, np.array([pins], dtype=np.intp))
     return AffineGaussianKernel(
-        inputs=tuple(pinned),
+        inputs=tuple(scm.coords[i] for i in pins),
         outputs=scm.coords,
-        matrix=a @ embed,
-        offset=a @ means,
-        cov=a @ np.diag(variances) @ a.T,
+        matrix=matrix[0],
+        offset=offset[0],
+        cov=cov[0],
     )
 
 
@@ -318,9 +308,9 @@ def _pinned_stack(scm: LinearGaussianSCM, pins: np.ndarray
     """Matrices, offsets and covariances of a stack of K_S, unvalidated.
 
     ``pins`` is an (n, k) array whose rows are the coordinate positions of
-    n pin sets of one size, each in increasing order.  Slice i is computed
-    with the shapes and the operation order of ``interventional_kernel``
-    on pin set i, so it holds the same floats.
+    n pin sets of one size, each in increasing order.  Slice i is the
+    mutilated solve of ``interventional_kernel`` on pin set i, which is
+    this function on a one-row stack.
     """
     n, k = pins.shape
     d = len(scm.coords)
@@ -388,12 +378,13 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     The 2^|image| interventional sub-checks run in blocks: the canonical
     subset order is cut into runs of one subset size, at most 32 subsets
     each, and a block's mutilated solves, compositions, covariance
-    validations and comparisons are single stacked numpy calls.  Every
-    slice has the shapes and the operation order of
-    ``interventional_kernel`` followed by ``compose_affine``, so verdicts
-    and witness strings are those of the one-subset-at-a-time chain, and
-    an invalid covariance is reported at the first subset, and the first
-    object within it, where that chain would have met it.
+    validations and comparisons are single stacked numpy calls.  The
+    kernels K_S come from ``_pinned_stack``, as they do in
+    ``interventional_kernel``, and the compositions keep the shapes and
+    the operation order of ``compose_affine``, so verdicts and witness
+    strings are those of the one-subset-at-a-time chain, and an invalid
+    covariance is reported at the first subset, and the first object
+    within it, where that chain would have met it.
     """
     if kernel.inputs != source.coords or kernel.outputs != target.coords:
         raise SpaceError("kernel does not match source and target coordinates")

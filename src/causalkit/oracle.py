@@ -37,7 +37,7 @@ from .causal import (
     validate_causal_space,
 )
 from .errors import InstanceTooLargeError
-from .report import CheckReport, Witness
+from .report import CheckReport, Witness, combine
 from .scm import FiniteSCM, compile_scm, inclusion_transform
 from .spaces import (
     ZERO,
@@ -56,7 +56,6 @@ from .transform import (
     compose,
     inclusion_into_product,
     pushforward_intervention,
-    pushforward_space,
     rigidity_check,
 )
 
@@ -545,8 +544,8 @@ def _random_abstraction(rng: Random, n_factors: Optional[int] = None,
     surjection (safe: the pinned sets are whole factors, whose kernels are
     Dirac blocks) or kept coordinate-by-coordinate under value bijections
     (safe: images determine pinned values).  Both shapes make the kernel
-    measurability condition hold by construction, which the pushforward
-    verifies anyway.
+    measurability condition hold by construction.  The pushforward is built
+    unreported; the pushforward-uniqueness trial checks that it exists.
     """
     want = n_factors if n_factors is not None else rng.randint(1, 3)
     scms: list[FiniteSCM] = []
@@ -573,11 +572,7 @@ def _random_abstraction(rng: Random, n_factors: Optional[int] = None,
     target_space, table, rho, target_blocks = _block_map(
         rng, source.space, [scm.names for scm in scms], "G", keep_first=edge_factor)
     factor_of = {name: i for i, block in enumerate(target_blocks) for name in block}
-    pushed = pushforward_space(source, table, rho, target_space)
-    if not pushed.report.passed:
-        raise AssertionError(
-            f"constructive abstraction failed its own checks: "
-            f"{pushed.report.witness.message}")
+    t = _pushforward(source, table, rho, target_space)
 
     ancestors: dict[str, frozenset] = {}
     for scm in scms:
@@ -591,8 +586,7 @@ def _random_abstraction(rng: Random, n_factors: Optional[int] = None,
                     frontier.update(scm.parents[p])
             ancestors[v] = frozenset(seen)
 
-    return _AbstractionInstance(source, pushed.transformation,
-                                tuple(target_blocks), factor_of, ancestors)
+    return _AbstractionInstance(source, t, tuple(target_blocks), factor_of, ancestors)
 
 
 def _random_abstraction_on(rng: Random, inst: _AbstractionInstance) -> Transformation:
@@ -600,8 +594,9 @@ def _random_abstraction_on(rng: Random, inst: _AbstractionInstance) -> Transform
 
     Blocks of the first target are the only independent units its kernels
     expose, so second-level groups either collapse a whole block or relabel
-    its coordinates, mirroring the first level.  The pushforward is built
-    unreported; the composition trial checks the composite.
+    its coordinates, mirroring the first level.  As at the first level, the
+    pushforward is built unreported; the composition trial checks the
+    composite.
     """
     target_space, table, rho, _ = _block_map(rng, inst.target.space, inst.target_blocks, "H")
     return _pushforward(inst.target, table, rho, target_space)
@@ -683,8 +678,12 @@ def _trial_rigidity(rng: Random) -> CheckReport:
 
 def _trial_pushforward_uniqueness(rng: Random) -> CheckReport:
     inst = _random_abstraction(rng)
-    # the existence half was verified during construction; probe uniqueness
-    # by moving target kernel mass inside a fiber and demanding a failure
+    # existence: the constructed target is a causal space making (f, rho) a
+    # transformation
+    exists = combine("pushforward", [validate_causal_space(inst.target), check_all(inst.t)])
+    if not exists.passed:
+        return _fail(exists, "constructed pushforward is not a causal transformation")
+    # uniqueness: move target kernel mass inside a fiber and demand a failure
     target = inst.target
     sp = target.space
     for subset in subsets_of(sp.names):

@@ -47,7 +47,6 @@ from .spaces import (
     _mixture,
     _part_sums,
     _tensor,
-    atoms,
     iter_bits,
     kernel_compose,
     project,
@@ -354,12 +353,12 @@ def _check_pushforward_admissible(source: FiniteCausalSpace, outcome_map: tuple[
     # per-coordinate constancy on rho^-1(s)-fibers implies the subset form
     for s2 in target_space.names:
         pre = rho.preimage((s2,))
-        pos = target_space.position(s2)
-        for fiber in atoms(source.space, pre):
+        value_of = target_space.projector((s2,)).index
+        for fiber in source.space.projector(pre).masks:
             seen = None
             seen_at = None
-            for i in fiber.indices():
-                val = target_space.outcome(outcome_map[i])[pos]
+            for i in iter_bits(fiber):
+                val = value_of[outcome_map[i]]
                 if seen is None:
                     seen, seen_at = val, i
                 elif val != seen:

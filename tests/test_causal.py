@@ -117,6 +117,17 @@ def test_independent_pinning_space_is_valid(xor):
     # kernel rows pin the subset and draw the rest from P independently
     k = pinned.kernel(("X",))
     assert k.value(0, cyl(xor.space, Y=1)) == ck.project(xor.P, ("Y",)).weights[1]
+    # intervene does not re-validate the pinning mechanisms it builds, so
+    # they must satisfy both axioms for measures with null outcomes too
+    for cards in ([2], [3, 2], [2, 3, 2], [1, 4]):
+        space = ck.CoordinateSpace.make([(f"V{i}", c) for i, c in enumerate(cards)])
+        n = space.n_outcomes
+        spread = [F(i % 3) for i in range(n)]
+        for weights in (spread, [F(int(i == n - 1)) for i in range(n)]):
+            total = sum(weights)
+            P = ck.FiniteMeasure(space, tuple(w / total for w in weights))
+            report = ck.validate_causal_space(ck.independent_pinning_space(P))
+            assert report.passed, (cards, weights, report.render())
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +165,18 @@ def test_bad_mechanism_rejected(xor):
     u_space = xor.space.restrict(("X",))
     q = ck.FiniteMeasure.dirac(u_space, 1)
     other = ck.FiniteMeasure.uniform(u_space)
-    with pytest.raises(ck.InvalidMechanismError):
+    with pytest.raises(ck.InvalidMechanismError, match="base measure differs"):
         ck.intervene(xor, ("X",), q,
                      mechanism=ck.independent_pinning_space(other))
+    elsewhere = ck.FiniteMeasure.uniform(xor.space.restrict(("Y",)))
+    with pytest.raises(ck.InvalidMechanismError, match="wrong space"):
+        ck.intervene(xor, ("X",), other,
+                     mechanism=ck.independent_pinning_space(elsewhere))
+    # right space and base measure, but the row of K_X at X=0 puts its mass
+    # on X=1, against axiom (ii)
+    bad = tampered_pinning_space(xor.space, {("X",): [(0, (0, 0), (1, 0))]})
+    with pytest.raises(ck.InvalidMechanismError, match="violates the kernel axioms"):
+        ck.intervene(xor, ("X", "Y"), bad.P, mechanism=bad)
 
 
 def row_at(kernel, values):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import causalkit as ck
-from causalkit import examples
-from causalkit.oracle import _random_abstraction, _random_abstraction_on
+from causalkit import cli, examples, oracle
+from causalkit.oracle import MAX_ORACLE_OUTCOMES, _random_abstraction, _random_abstraction_on
 from conftest import kernels
 
 
@@ -121,16 +121,39 @@ def test_unknown_perturbation_rejected():
         ck.random_space(0, perturb="axiom-iii")
 
 
+# the shapes the lemma trials draw first-level abstractions in
+FIRST_LEVEL_SHAPES = (
+    lambda rng: {},
+    lambda rng: {"shifted": True},
+    lambda rng: {"n_factors": rng.randint(2, 3)},
+    lambda rng: {"n_factors": rng.randint(1, 2), "edge_factor": True},
+)
+
+
+def assert_checked_transformation(t, label):
+    axioms = ck.validate_causal_space(t.target)
+    assert axioms.passed, (label, axioms.render())
+    report = ck.check_all(t)
+    assert report.passed, (label, report.render())
+
+
 def test_second_level_abstractions_are_checked_transformations():
-    # _random_abstraction_on builds its pushforward without a report; the
+    # both levels build their pushforwards without a report; only the
+    # pushforward-uniqueness trial checks a first-level target, and the
     # composition trial only checks the composite
     for seed in range(40):
+        for shape, kwargs in enumerate(FIRST_LEVEL_SHAPES):
+            rng = Random(seed)
+            first = _random_abstraction(rng, **kwargs(rng))
+            assert_checked_transformation(first.t, (seed, shape))
+            if max(first.source.space.n_outcomes,
+                   first.target.space.n_outcomes) <= MAX_ORACLE_OUTCOMES:
+                for predicate in ("distributional", "interventional"):
+                    agree = ck.full_event_check(predicate, first.t)
+                    assert agree.passed, (seed, shape, agree.render())
         rng = Random(seed)
         second = _random_abstraction_on(rng, _random_abstraction(rng))
-        axioms = ck.validate_causal_space(second.target)
-        assert axioms.passed, (seed, axioms.render())
-        report = ck.check_all(second)
-        assert report.passed, (seed, report.render())
+        assert_checked_transformation(second, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +197,31 @@ def test_lemma_suites_pass_briefly(lemma_id):
     assert report.passed, report.render()
     assert report.check == f"lemma:{lemma_id}"
     assert "5 trials" in report.details[0]
+
+
+def test_broken_construction_is_a_failed_trial(monkeypatch, capsys):
+    # a pushforward whose base measure disagrees with its empty kernel comes
+    # back as a failed trial carrying its seed, not as an exception
+    build = oracle._pushforward
+
+    def broken(source, table, rho, target_space):
+        t = build(source, table, rho, target_space)
+        moved = target_space.n_outcomes - 1 if t.target.P.weights[0] == 1 else 0
+        bad = ck.FiniteCausalSpace.tabulated(
+            target_space, ck.FiniteMeasure.dirac(target_space, moved),
+            {s: t.target.kernel(s) for s in t.target.subsets()})
+        return ck.Transformation(source=source, target=bad, rho=rho,
+                                 outcome_map=t.outcome_map)
+
+    monkeypatch.setattr(oracle, "_pushforward", broken)
+    report = ck.lemma_suite("pushforward-uniqueness", trials=3)
+    assert not report.passed
+    assert report.details == ("3 trials, 0 covered and passed, 0 not covered, 3 failed",)
+    for failure in report.subreports:
+        assert failure.details == ("constructed pushforward is not a causal transformation",)
+        assert failure.witness.message.startswith("empty-subset kernel gives")
+    assert cli.main(["lemma", "pushforward-uniqueness", "--trials", "3"]) == 1
+    assert "seed 2]" in capsys.readouterr().out
 
 
 def test_lemma_suite_reproducible():
