@@ -32,9 +32,8 @@ from .spaces import (
     StochKernel,
     _mixture,
     _part_sums,
-    atoms,
+    _tensor,
     iter_bits,
-    kernel_product,
     product_space,
     project,
     rename_space,
@@ -225,12 +224,14 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
         if not mech_report.passed:
             raise InvalidMechanismError(
                 f"mechanism violates the kernel axioms: {mech_report.witness.message}")
+    return _intervene(c, U, measure, mechanism)
 
+
+def _intervene(c: FiniteCausalSpace, U: frozenset, measure: FiniteMeasure,
+               mechanism: FiniteCausalSpace) -> FiniteCausalSpace:
+    """``intervene`` with a mechanism valid by construction: nothing is checked."""
     new_p = FiniteMeasure._sparse(c.space, _mixture(zip(measure.weights, c.kernel(U).rows)))
-
-    # the lowest outcome of an atom of H_S is zero off S, so adding the
-    # lowest outcomes of atoms on disjoint blocks joins their values
-    u_reps = [next(iter_bits(m)) for m in c.space.projector(U).masks]
+    u_reps = c.space.projector(U).lowest
 
     def make(subset: frozenset) -> StochKernel:
         inter = subset & U
@@ -241,10 +242,9 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
         l_kernel = mechanism.kernel(inter)
         k_big = c.kernel(subset | U)
         rows = []
-        for mask in pin.masks:
-            rep = next(iter_bits(mask))
+        for rep in pin.lowest:
             l_row = l_kernel.rows[to_inter[rep]]
-            base = next(iter_bits(free.masks[free.index[rep]]))
+            base = free.lowest[free.index[rep]]
             rows.append(FiniteMeasure._sparse(c.space, _mixture(
                 (lw, k_big.rows[to_big[base + u_rep]])
                 for lw, u_rep in zip(l_row.weights, u_reps) if lw)))
@@ -285,25 +285,19 @@ def _lowest_found(found: list) -> Optional[tuple[int, tuple]]:
     return next(((j, f) for j, f in enumerate(found) if f is not None), None)
 
 
-def _classify(c: FiniteCausalSpace, U: frozenset, events: list[Event]) -> EffectClass:
+def _classify(c: FiniteCausalSpace, U: frozenset, index, masks) -> EffectClass:
     """Effect of H_U on each of some disjoint events, with the witness of the
     lowest event that has one.
 
-    Every row of P, K_U, K_S and K_{S \\ U} is summed onto the events once
-    (outcomes outside them go to one extra part, never compared).  Each event
-    keeps its first witness in the scan order: K_U rows by index for an
-    active effect, then subsets by increasing cardinality and name order and
-    the atoms of each subset by index.  A scan stops early only once the
-    first event has a witness, since no later one can come before it.
+    Every row of P, K_U, K_S and K_{S \\ U} is summed once onto the events
+    ``masks`` through the outcome -> event table ``index`` (one extra part,
+    never compared, takes the rest).  Each event keeps its first witness in
+    the scan order: K_U rows by index for an active effect, then subsets by
+    increasing cardinality and name order and the atoms of each subset by
+    index.  A scan stops early once event 0 has a witness: none can precede it.
     """
     k_u = c.kernel(U)
-    n_ev = len(events)
-    index = [n_ev] * c.space.n_outcomes
-    for j, event in enumerate(events):
-        if event.space != c.space:
-            raise SpaceError("event on a different space")
-        for i in event.indices():
-            index[i] = j
+    n_ev = len(masks)
     sums: dict[frozenset, list[list[Fraction]]] = {}
 
     def row_sums(subset: frozenset, k: StochKernel) -> list[list[Fraction]]:
@@ -328,7 +322,7 @@ def _classify(c: FiniteCausalSpace, U: frozenset, events: list[Event]) -> Effect
                      f"on the event but the base measure gives {base[j]}"),
             subset=tuple(sorted(U)),
             outcome=k_u.domain.outcome(a),
-            event=tuple(events[j].indices()),
+            event=tuple(iter_bits(masks[j])),
         ))
 
     for subset in subsets_of(c.space.names):
@@ -340,8 +334,8 @@ def _classify(c: FiniteCausalSpace, U: frozenset, events: list[Event]) -> Effect
         lhs_rows = row_sums(s, k_s)
         rhs_rows = row_sums(reduced, c.kernel(reduced))
         to_reduced = c.space.projector(reduced).index
-        for a, mask in enumerate(c.space.projector(s).masks):
-            lhs, rhs = lhs_rows[a], rhs_rows[to_reduced[next(iter_bits(mask))]]
+        for a, rep in enumerate(c.space.projector(s).lowest):
+            lhs, rhs = lhs_rows[a], rhs_rows[to_reduced[rep]]
             for j in range(n_ev):
                 if found[j] is None and lhs[j] != rhs[j]:
                     found[j] = (subset, k_s.domain.outcome(a), lhs[j], rhs[j])
@@ -358,8 +352,15 @@ def _classify(c: FiniteCausalSpace, U: frozenset, events: list[Event]) -> Effect
                  f"but dropping {sorted(U)} gives {rhs}"),
         subset=subset,
         outcome=omega,
-        event=tuple(events[j].indices()),
+        event=tuple(iter_bits(masks[j])),
     ))
+
+
+def _event_parts(c: FiniteCausalSpace, event: Event) -> list[int]:
+    """The outcome -> part table of {A, A^c}: 0 inside the event, 1 outside."""
+    if event.space != c.space:
+        raise SpaceError("event on a different space")
+    return [1 - (event.mask >> i & 1) for i in range(c.space.n_outcomes)]
 
 
 def classify_effect(c: FiniteCausalSpace, on: Iterable[str], event: Event) -> EffectClass:
@@ -371,7 +372,7 @@ def classify_effect(c: FiniteCausalSpace, on: Iterable[str], event: Event) -> Ef
     first K_U row, or else the first (S, omega) by increasing cardinality,
     then name order, then atom index, that breaks the identity.
     """
-    return _classify(c, frozenset(on), [event])
+    return _classify(c, frozenset(on), _event_parts(c, event), (event.mask,))
 
 
 def classify_effect_on(c: FiniteCausalSpace, on: Iterable[str],
@@ -387,8 +388,8 @@ def classify_effect_on(c: FiniteCausalSpace, on: Iterable[str],
     ``classify_effect``'s order).  The subset scan stops as soon as V-atom 0
     has a witness.
     """
-    target_atoms = atoms(c.space, target)
-    return _classify(c, frozenset(on), target_atoms)
+    v_proj = c.space.projector(target)
+    return _classify(c, frozenset(on), v_proj.index, v_proj.masks)
 
 
 def is_source(c: FiniteCausalSpace, on: Iterable[str],
@@ -476,11 +477,7 @@ def _first_failing_event_row(c: FiniteCausalSpace, on: Iterable[str],
     k_u = c.kernel(frozenset(on))
     if a.space != b.space:
         raise SpaceError("events live on different spaces")
-    if a.space != c.space:
-        raise SpaceError("event on a different space")
-    n = c.space.n_outcomes
-    to_a, to_b = ([1 - (e.mask >> i & 1) for i in range(n)] for e in (a, b))
-    return _first_failing_row(k_u, to_a, 2, to_b, 2)
+    return _first_failing_row(k_u, _event_parts(c, a), 2, _event_parts(c, b), 2)
 
 
 def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
@@ -513,16 +510,15 @@ def product(c1: FiniteCausalSpace, c2: FiniteCausalSpace) -> FiniteCausalSpace:
     space = product_space(c1.space, c2.space)
     names1 = set(c1.space.names)
     names2 = set(c2.space.names)
-    p = c1.P.tensor(c2.P)
 
     def make(subset: frozenset) -> StochKernel:
-        # factor-wise concatenation agrees with space.restrict(subset)
-        # because the product space lists first-factor coordinates first
+        # first-factor coordinates come first: atom a1 * len(k2.rows) + a2 pairs rows a1, a2
         k1 = c1.kernel(subset & names1)
         k2 = c2.kernel(subset & names2)
-        return kernel_product(k1, k2)
+        rows = tuple(_tensor(space, ra, rb) for ra in k1.rows for rb in k2.rows)
+        return StochKernel(space.restrict(subset), space, rows)
 
-    return FiniteCausalSpace.lazy(space, p, make)
+    return FiniteCausalSpace.lazy(space, _tensor(space, c1.P, c2.P), make)
 
 
 def rename(c: FiniteCausalSpace, mapping: Mapping[str, str]) -> FiniteCausalSpace:
@@ -536,7 +532,6 @@ def rename(c: FiniteCausalSpace, mapping: Mapping[str, str]) -> FiniteCausalSpac
 
     def make(subset: frozenset) -> StochKernel:
         old = c.kernel(frozenset(inverse[n] for n in subset))
-        dom = rename_space(old.domain, mapping)
-        return StochKernel(dom, space, tuple(moved(r) for r in old.rows))
+        return StochKernel(space.restrict(subset), space, tuple(moved(r) for r in old.rows))
 
     return FiniteCausalSpace.lazy(space, moved(c.P), make)

@@ -188,9 +188,7 @@ def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
     def make(subset: frozenset) -> StochKernel:
         pin = space.projector(subset)
         free = [t for t in tables if t[0] not in subset]
-        # the lowest outcome of an atom holds its pinned values, zero elsewhere
-        rows = tuple(_mutilated_law(space, free, (mask & -mask).bit_length() - 1)
-                     for mask in pin.masks)
+        rows = tuple(_mutilated_law(space, free, rep) for rep in pin.lowest)
         return StochKernel(pin.sub, space, rows)
 
     return FiniteCausalSpace.lazy(space, base, make)
@@ -217,8 +215,11 @@ def marginal_space(scm: FiniteSCM, subset: Iterable[str]) -> FiniteCausalSpace:
     kernel for S' projects the full-system kernel:
     K_{S'}(omega, A) = L_{S'}(omega, A x Omega_rest).
     """
-    full = compile_scm(scm)
-    keep = frozenset(subset)
+    return _marginal(compile_scm(scm), frozenset(subset))
+
+
+def _marginal(full: FiniteCausalSpace, keep: frozenset) -> FiniteCausalSpace:
+    """``marginal_space`` of a compiled model, projecting its cached kernels."""
     space = full.space.restrict(keep)
     base = project(full.P, keep)
 
@@ -241,21 +242,16 @@ def inclusion_transform(scm: FiniteSCM, subset: Iterable[str]):
     from .transform import IndexMap, Transformation
 
     keep = frozenset(subset)
-    source = marginal_space(scm, keep)
     target = compile_scm(scm)
+    source = _marginal(target, keep)
     sub = source.space
-    rows = []
-    null = []
-    for a, mask in enumerate(target.space.projector(keep).masks):
-        atom_event = Event(target.space, mask)
-        if target.P.mass(atom_event) == 0:
-            null.append(sub.outcome(a))
-            continue
-        rows.append(target.P.condition(atom_event))
+    null = [sub.outcome(a) for a, w in enumerate(source.P.weights) if w == 0]
     if null:
         raise NullAtomError(
             f"null atoms of the kept variables: {null}", atoms=null)
-    kernel = StochKernel(sub, target.space, tuple(rows))
+    rows = tuple(target.P.condition(Event(target.space, mask))
+                 for mask in target.space.projector(keep).masks)
+    kernel = StochKernel(sub, target.space, rows)
     rho = IndexMap(
         source=sub.names,
         target=target.space.names,

@@ -200,6 +200,12 @@ class Projector:
             masks[a] |= 1 << i
         return cls(sub, tuple(index), tuple(masks))
 
+    @cached_property
+    def lowest(self) -> tuple[int, ...]:
+        """Each atom's lowest full outcome: its values on the subset, zero off it.
+        Those of atoms on disjoint subsets add; they rise with the atom index."""
+        return tuple((m & -m).bit_length() - 1 for m in self.masks)
+
 
 def product_space(a: CoordinateSpace, b: CoordinateSpace) -> CoordinateSpace:
     """Concatenate two spaces with disjoint coordinate names.

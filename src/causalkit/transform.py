@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 from .causal import (
     FiniteCausalSpace,
     KernelSource,
+    _intervene,
     independent_pinning_space,
     intervene,
     product,
@@ -377,30 +378,29 @@ def _push_kernels(kernel: KernelSource, table: tuple[int, ...], rho: IndexMap,
 
     Each row of K^1_{rho^-1(S)} is pushed through f.  The cells of
     f^-1(H^2_S) group source outcomes by the S-projection of their image;
-    the row of an S-atom is the pushed row of any outcome in its cell,
-    validated when the cell is first met, and must not depend on the
-    representative.  ``fault(S, rho^-1(S), first, second)`` makes the error
-    raised for the first two outcomes of one cell whose pushed rows differ.
+    the row of an S-atom is the pushed row of any outcome in its cell and
+    must not depend on the representative.  ``fault(S, rho^-1(S), first,
+    second)`` makes the error raised for the first two outcomes of one cell
+    whose pushed rows differ.  (f, rho) must be admissible: then each
+    rho^-1(S)-atom lies in one cell, and walking the atoms' lowest outcomes
+    finds the same two outcomes as walking every outcome.
     """
     n2 = target_space.n_outcomes
     kernels: dict[frozenset, StochKernel] = {}
     for subset in subsets_of(target_space.names):
         pre = rho.preimage(subset)
         pushed = [_part_sums(r, table, n2) for r in kernel(pre).rows]
-        row_of = source_space.projector(pre).index
         cells = target_space.projector(subset)
-        rows: list[Optional[FiniteMeasure]] = [None] * len(cells.masks)
         first: list[Optional[tuple]] = [None] * len(cells.masks)  # (outcome, pushed row)
-        for i, j in enumerate(table):
-            cell = cells.index[j]
-            row = pushed[row_of[i]]
+        for row, i in zip(pushed, source_space.projector(pre).lowest):
+            cell = cells.index[table[i]]
             if first[cell] is None:
                 first[cell] = (i, row)
-                rows[cell] = FiniteMeasure._sparse(target_space, dict(enumerate(row)))
             elif first[cell][1] != row:
                 raise fault(subset, pre, first[cell][0], i)
         # f surjective onto the target, so every S-atom has a nonempty cell
-        kernels[frozenset(subset)] = StochKernel(cells.sub, target_space, tuple(rows))
+        rows = tuple(FiniteMeasure._sparse(target_space, dict(enumerate(row))) for _, row in first)
+        kernels[frozenset(subset)] = StochKernel(cells.sub, target_space, rows)
     return kernels
 
 
@@ -470,9 +470,11 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
     the report covers the intervened pair, both spaces validated and the
     transformation between them checked.  The source is intervened on
     U1 = rho^-1(U2) with (Q1, L1), and the target on U2 with the pushed
-    pair Q2 = f_* Q1 and L2 copied through f.  L1 must satisfy the same
-    kernel measurability condition as the space kernels, restricted to the
-    intervened coordinates; violations raise ``WellDefinednessError``.
+    pair Q2 = f_* Q1 and L2 copied through f.  Only a given L1 is validated:
+    L2's empty kernel pushes L1's to Q2, and admissibility keeps each pushed
+    row in its S-atom.  L1 must satisfy the same kernel measurability
+    condition as the space kernels, restricted to the intervened
+    coordinates; violations raise ``WellDefinednessError``.
     """
     table = tuple(outcome_map)
     pushed = _pushforward(source, table, rho, target_space).target
@@ -484,22 +486,21 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
         raise SpaceError("intervention measure must live on the pulled-back subset")
     if mechanism is None:
         mechanism = independent_pinning_space(measure)
-    src_done = intervene(source, u1, measure, mechanism)
+        src_done = _intervene(source, u1, measure, mechanism)
+    else:
+        src_done = intervene(source, u1, measure, mechanism)
 
     # f restricted to the intervened block: admissibility makes the image
     # of omega_{U1} under f's U2-component independent of the rest
     to_u2 = target_space.projector(u2).index
-    f_block = tuple(to_u2[table[next(iter_bits(mask))]]
-                    for mask in source.space.projector(u1).masks)
-    nq = u2_space.n_outcomes
-    if len(set(f_block)) != nq:
-        raise NotSurjectiveError("f does not map onto the intervened block")
+    f_block = tuple(to_u2[table[i]] for i in source.space.projector(u1).lowest)
+    # f_block is onto, since _pushforward found f surjective and admissible
 
     # push the mechanism through f, checking along the way that its kernels
     # are measurable with respect to f (cells of equal image must push to
     # the same row)
     pushed_q = FiniteMeasure._sparse(
-        u2_space, dict(enumerate(_part_sums(measure, f_block, nq))))
+        u2_space, dict(enumerate(_part_sums(measure, f_block, u2_space.n_outcomes))))
 
     def fault(subset, pre, first, second) -> WellDefinednessError:
         return WellDefinednessError(
@@ -510,7 +511,7 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
     l2_kernels = _push_kernels(mechanism.kernel, f_block, rho, u1_space, u2_space, fault)
     pushed_mechanism = FiniteCausalSpace(u2_space, pushed_q, kernels=l2_kernels)
 
-    tgt_done = intervene(pushed, u2, pushed_q, pushed_mechanism)
+    tgt_done = _intervene(pushed, u2, pushed_q, pushed_mechanism)
     t = Transformation(source=src_done, target=tgt_done, rho=rho, outcome_map=table)
     report = combine("pushforward-intervention", [
         validate_causal_space(src_done),

@@ -70,6 +70,25 @@ def causal_spaces() -> st.SearchStrategy:
     return st.integers(min_value=0, max_value=10 ** 6).map(ck.random_space)
 
 
+def tampered_pinning_space(space, moves):
+    """Uniform pinning space with some kernel mass moved between outcomes.
+
+    ``moves`` maps a subset to (row, from-values, to-values) triples.
+    """
+    full = ck.independent_pinning_space(ck.FiniteMeasure.uniform(space)).materialize()
+    table = {s: full.kernel(s) for s in full.subsets()}
+    for subset, triples in moves.items():
+        k = table[subset]
+        rows = list(k.rows)
+        for row, src, dst in triples:
+            w = list(rows[row].weights)
+            w[space.index(dst)] += w[space.index(src)]
+            w[space.index(src)] = Fraction(0)
+            rows[row] = ck.FiniteMeasure(space, tuple(w))
+        table[subset] = ck.StochKernel(k.domain, space, tuple(rows))
+    return ck.FiniteCausalSpace.tabulated(space, full.P, table)
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import cli, examples
-from conftest import causal_spaces, events
+from conftest import causal_spaces, events, tampered_pinning_space
 
 F = Fraction
 
@@ -629,25 +629,6 @@ def test_atom_sweeps_match_per_atom_scans_on_examples(make):
             assert_sweeps_match_scans(c, on, target, other)
 
 
-def tampered_pinning_space(space, moves):
-    """Uniform pinning space with some kernel mass moved between outcomes.
-
-    ``moves`` maps a subset to (row, from-values, to-values) triples.
-    """
-    full = ck.independent_pinning_space(ck.FiniteMeasure.uniform(space)).materialize()
-    table = {s: full.kernel(s) for s in full.subsets()}
-    for subset, triples in moves.items():
-        k = table[subset]
-        rows = list(k.rows)
-        for row, src, dst in triples:
-            w = list(rows[row].weights)
-            w[space.index(dst)] += w[space.index(src)]
-            w[space.index(src)] = F(0)
-            rows[row] = ck.FiniteMeasure(space, tuple(w))
-        table[subset] = ck.StochKernel(k.domain, space, tuple(rows))
-    return ck.FiniteCausalSpace.tabulated(space, full.P, table)
-
-
 def test_effect_witness_is_the_lowest_atom_not_the_first_subset():
     space = ck.CoordinateSpace.make([("X", 2), ("Y", 3), ("Z", 2)])
     c = tampered_pinning_space(space, {
@@ -715,6 +696,17 @@ def test_product_of_examples_is_valid(xor, fork):
 def test_product_name_collision_rejected(xor):
     with pytest.raises(ck.SpaceError):
         ck.product(xor, xor)
+
+
+def test_derived_spaces_build_every_kernel_on_their_own_space(xor, fork):
+    renamed = ck.rename(fork, {"X": "R", "Y1": "S1", "Y2": "S2"})
+    for c in (renamed, ck.product(xor, renamed),
+              ck.marginal_space(examples.mediator_confounder_scm(), ("X", "M"))):
+        assert c.P.space is c.space
+        for s in c.subsets():
+            k = c.kernel(s)
+            assert k.codomain is c.space
+            assert k.domain is c.space.restrict(s)
 
 
 def test_rename_round_trip(xor):

@@ -1,0 +1,63 @@
+"""Source hygiene: each module of the package uses every name it imports.
+
+``__init__.py`` is exempt, because its imports are the package's
+re-exports.  A name counts as used when it is read anywhere in the module,
+including inside a string annotation such as ``-> "CoordinateSpace"``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import causalkit
+
+MODULES = sorted(p for p in Path(causalkit.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """(bound name, line) of every import in the module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Every name the module reads, string annotations parsed."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in annotations(tree):
+        for node in ast.walk(ann) if ann is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree)
+              if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_an_unused_import_is_reported():
+    tree = ast.parse("from typing import Iterable, Mapping\n"
+                     "def f(x: 'Iterable[int]') -> None:\n    pass\n")
+    assert [n for n, _ in imported_names(tree) if n not in used_names(tree)] == ["Mapping"]

@@ -338,6 +338,22 @@ def test_inclusion_kernel_is_conditional_law():
         assert t.kernel.rows[a] == cond
 
 
+def test_inclusion_compiles_the_model_once(monkeypatch):
+    from causalkit import scm as scm_module
+
+    compiled = []
+    compile_scm = scm_module.compile_scm
+
+    def counting(model):
+        compiled.append(model)
+        return compile_scm(model)
+
+    monkeypatch.setattr(scm_module, "compile_scm", counting)
+    t = ck.inclusion_transform(examples.mediator_confounder_scm(), ("X", "M"))
+    assert len(compiled) == 1
+    assert ck.check_all(t).passed
+
+
 def test_inclusion_with_null_atom_rejected():
     scm = ck.FiniteSCM.build(
         variables=[("A", 2), ("B", 2)],

@@ -79,6 +79,21 @@ def test_projector_is_built_once_per_subset():
         space.project_index(space.n_outcomes, ("A",))
 
 
+@given(coordinate_spaces())
+def test_lowest_outcomes_represent_atoms_and_add(space):
+    names = space.names
+    for s in ck.subsets_of(names):
+        ps = space.projector(s)
+        assert ps.lowest == tuple(min(i for i in range(space.n_outcomes) if m >> i & 1)
+                                  for m in ps.masks)
+        for t in ck.subsets_of(set(names) - set(s)):
+            pt, pu = space.projector(t), space.projector(s + t)
+            for a, ma in enumerate(ps.masks):
+                for b, mb in enumerate(pt.masks):
+                    common = pu.masks.index(ma & mb)
+                    assert ps.lowest[a] + pt.lowest[b] == pu.lowest[common]
+
+
 def test_restrict_keeps_space_order():
     space = ck.CoordinateSpace.make([("B", 2), ("A", 3), ("C", 2)])
     assert space.restrict(("C", "A")).names == ("A", "C")

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import examples
-from causalkit.oracle import _random_abstraction
+from causalkit import transform
+from causalkit.oracle import _random_abstraction, _random_weights
+from conftest import tampered_pinning_space
 
 F = Fraction
 
@@ -414,6 +416,44 @@ def test_pushforward_intervention_rejects_a_mechanism_not_measurable_in_f(parity
         ck.pushforward_intervention(parity, t.outcome_map, t.rho, t.target.space,
                                     ("S", "Y"), mechanism.P, mechanism)
     assert err.value.witness == ((0, 1, 0), (1, 0, 0))
+
+
+def test_pushforward_intervention_validates_a_given_mechanism(parity):
+    # right base measure, but the row of K_Y at Y=0 puts its mass on Y=1,
+    # against axiom (ii)
+    t = parity_merge_transform(parity)
+    bad = tampered_pinning_space(parity.space.restrict(("Y",)), {("Y",): [(0, (0,), (1,))]})
+    with pytest.raises(ck.InvalidMechanismError, match="violates the kernel axioms"):
+        ck.pushforward_intervention(parity, t.outcome_map, t.rho, t.target.space,
+                                    ("Y",), bad.P, bad)
+
+
+def test_pushed_mechanisms_are_valid(monkeypatch):
+    # the pushed L2 reaches intervene unvalidated, so check it here, on the
+    # instances the intervention-commutes trial draws
+    handed = []
+    intervene = transform._intervene
+
+    def spy(c, on, measure, mechanism):
+        handed.append(mechanism)
+        return intervene(c, on, measure, mechanism)
+
+    monkeypatch.setattr(transform, "_intervene", spy)
+    for seed in range(40):
+        rng = Random(seed)
+        inst = _random_abstraction(rng)
+        names2 = inst.target.space.names
+        u2 = tuple(sorted(rng.sample(names2, rng.randint(1, len(names2)))))
+        u1_space = inst.source.space.restrict(inst.t.rho.preimage(u2))
+        q1 = ck.FiniteMeasure(u1_space, _random_weights(rng, u1_space.n_outcomes))
+        handed.clear()
+        done = ck.pushforward_intervention(inst.source, inst.t.outcome_map, inst.t.rho,
+                                           inst.target.space, u2, q1)
+        pushed = handed[-1]
+        assert pushed.space == inst.target.space.restrict(u2)
+        report = ck.validate_causal_space(pushed)
+        assert report.passed, (seed, report.render())
+        assert done.report.passed, (seed, done.report.render())
 
 
 def test_pushforward_intervention_keeps_the_pushforward_guards(xor, parity):
