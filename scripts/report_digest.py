@@ -35,7 +35,10 @@ by the digests they print.  The digest covers, in this order:
   ``kernel_compose`` and ``compose``, ``pushforward_space`` and
   ``pushforward_intervention`` (``_random_abstraction`` seeds 0-39, every
   intervened target subset), ``marginal_space`` and ``inclusion_transform``
-  (the example models, every kept subset) build, with the
+  (the example models, every kept subset) and ``compile_scm`` (the example
+  models, and ``_random_scm`` models with noises over thirds, sevenths,
+  ninths and elevenths, ``MIXED_SCM_SEEDS``, each also with a zero-weight
+  noise value put first on every variable) build, with the
   ``validate_causal_space`` and ``check_all`` reports of what they build
   and the text of any error they raise.
 
@@ -54,6 +57,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -69,6 +73,7 @@ LEMMA_TRIALS = 5
 PRODUCT_SEEDS = range(2)
 ROW_SEEDS = range(40)
 PRODUCT_SPACE_SEEDS = range(20)
+MIXED_SCM_SEEDS = (0, 4, 6, 10, 19)
 MAX_PRODUCT_OUTCOMES = 72
 EXAMPLE_SCMS = ("xor_scm", "parity_scm", "fork_scm", "collider_scm",
                 "mediator_confounder_scm", "composition_scm",
@@ -222,6 +227,18 @@ def identity(c) -> ck.Transformation:
                              outcome_map=tuple(range(c.space.n_outcomes)))
 
 
+def with_null_noise(scm) -> ck.FiniteSCM:
+    """``scm`` with a noise value of weight 0 put first on every variable,
+    sent to its parent row's index modulo the variable's cardinality."""
+    noises, mechanisms = {}, {}
+    for v in scm.names:
+        k, table = len(scm.noises[v]), scm.mechanisms[v]
+        noises[v] = (Fraction(0),) + scm.noises[v]
+        mechanisms[v] = tuple(x for r in range(len(table) // k)
+                              for x in (r % scm.cards[v],) + table[r * k:(r + 1) * k])
+    return ck.FiniteSCM(scm.variables, scm.parents, noises, mechanisms)
+
+
 def rows_section():
     for seed in ROW_SEEDS:
         c = ck.random_space(seed)
@@ -284,6 +301,14 @@ def rows_section():
                         + report_text(ck.check_all(t)))
 
             yield guarded(f"inclusion_transform({name}, {keep})", build)
+
+    for name in EXAMPLE_SCMS:
+        yield space_rows(f"compile_scm({name})", ck.compile_scm(getattr(examples, name)()))
+    for seed in MIXED_SCM_SEEDS:
+        scm = _random_scm(Random(seed), "R", n_vars=3)
+        yield space_rows(f"compile_scm(random {seed})", ck.compile_scm(scm))
+        yield space_rows(f"compile_scm(random {seed}, null noise)",
+                         ck.compile_scm(with_null_noise(scm)))
 
 
 def main() -> int:

@@ -19,19 +19,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InvalidMechanismError, MissingKernelError, SpaceError
 from .report import CheckReport, Witness
 from .spaces import (
-    ZERO,
     CoordinateSpace,
     Event,
     FiniteMeasure,
     StochKernel,
+    _first_difference,
     _mixture,
     _part_sums,
+    _push,
     _tensor,
     iter_bits,
     product_space,
@@ -132,8 +132,7 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
     empty = c.kernel(())
     base_row = empty.rows[0]
     if base_row != c.P:
-        diff = next(i for i in range(c.space.n_outcomes)
-                    if base_row.weights[i] != c.P.weights[i])
+        diff = _first_difference(base_row, c.P)
         return CheckReport(
             check="causal-space-axioms",
             passed=False,
@@ -182,11 +181,11 @@ def independent_pinning_space(P: FiniteMeasure) -> FiniteCausalSpace:
     def make(subset: frozenset) -> StochKernel:
         pin = space.projector(subset)
         rest = frozenset(space.names) - subset
-        to_rest = space.projector(rest).index
-        rest_weights = project(P, rest).weights
-        rows = tuple(FiniteMeasure._sparse(space, {i: rest_weights[to_rest[i]]
-                                                   for i in iter_bits(mask)})
-                     for mask in pin.masks)
+        rest_law = project(P, rest)
+        # an S-atom's lowest outcome plus a rest atom's is their joint outcome
+        rest_lowest = space.projector(rest).lowest
+        rows = tuple(_push(space, rest_law, [base + r for r in rest_lowest])
+                     for base in pin.lowest)
         return StochKernel(pin.sub, space, rows)
 
     return FiniteCausalSpace.lazy(space, P, make)
@@ -230,7 +229,7 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
 def _intervene(c: FiniteCausalSpace, U: frozenset, measure: FiniteMeasure,
                mechanism: FiniteCausalSpace) -> FiniteCausalSpace:
     """``intervene`` with a mechanism valid by construction: nothing is checked."""
-    new_p = FiniteMeasure._sparse(c.space, _mixture(zip(measure.weights, c.kernel(U).rows)))
+    new_p = _mixture(c.space, measure, c.kernel(U).rows)
     u_reps = c.space.projector(U).lowest
 
     def make(subset: frozenset) -> StochKernel:
@@ -245,9 +244,8 @@ def _intervene(c: FiniteCausalSpace, U: frozenset, measure: FiniteMeasure,
         for rep in pin.lowest:
             l_row = l_kernel.rows[to_inter[rep]]
             base = free.lowest[free.index[rep]]
-            rows.append(FiniteMeasure._sparse(c.space, _mixture(
-                (lw, k_big.rows[to_big[base + u_rep]])
-                for lw, u_rep in zip(l_row.weights, u_reps) if lw)))
+            rows.append(_mixture(c.space, l_row,
+                                 [k_big.rows[to_big[base + u_rep]] for u_rep in u_reps]))
         return StochKernel(pin.sub, c.space, tuple(rows))
 
     return FiniteCausalSpace.lazy(c.space, new_p, make)
@@ -291,27 +289,29 @@ def _classify(c: FiniteCausalSpace, U: frozenset, index, masks) -> EffectClass:
 
     Every row of P, K_U, K_S and K_{S \\ U} is summed once onto the events
     ``masks`` through the outcome -> event table ``index`` (one extra part,
-    never compared, takes the rest).  Each event keeps its first witness in
-    the scan order: K_U rows by index for an active effect, then subsets by
-    increasing cardinality and name order and the atoms of each subset by
-    index.  A scan stops early once event 0 has a witness: none can precede it.
+    never compared, takes the rest), as integer numerators over the row's
+    denominator; two masses compare by cross-multiplication.  Each event
+    keeps its first witness in the scan order: K_U rows by index for an
+    active effect, then subsets by increasing cardinality and name order and
+    the atoms of each subset by index.  A scan stops early once event 0 has
+    a witness: none can precede it.
     """
     k_u = c.kernel(U)
     n_ev = len(masks)
-    sums: dict[frozenset, list[list[Fraction]]] = {}
+    sums: dict[frozenset, list[tuple[list[int], int]]] = {}
 
-    def row_sums(subset: frozenset, k: StochKernel) -> list[list[Fraction]]:
+    def row_sums(subset: frozenset, k: StochKernel) -> list[tuple[list[int], int]]:
         got = sums.get(subset)
         if got is None:
             got = sums[subset] = [_part_sums(r, index, n_ev + 1) for r in k.rows]
         return got
 
-    base = _part_sums(c.P, index, n_ev + 1)
+    base, base_den = _part_sums(c.P, index, n_ev + 1)
     found: list = [None] * n_ev
-    for a, vals in enumerate(row_sums(U, k_u)):
+    for a, (vals, den) in enumerate(row_sums(U, k_u)):
         for j in range(n_ev):
-            if found[j] is None and vals[j] != base[j]:
-                found[j] = (a, vals[j])
+            if found[j] is None and vals[j] * base_den != base[j] * den:
+                found[j] = (a, Fraction(vals[j], den))
         if found[0] is not None:
             break
     hit = _lowest_found(found)
@@ -319,7 +319,7 @@ def _classify(c: FiniteCausalSpace, U: frozenset, index, masks) -> EffectClass:
         j, (a, val) = hit
         return EffectClass(EffectClass.ACTIVE, Witness(
             message=(f"K_{{{','.join(sorted(U))}}} at {k_u.domain.outcome(a)} gives {val} "
-                     f"on the event but the base measure gives {base[j]}"),
+                     f"on the event but the base measure gives {Fraction(base[j], base_den)}"),
             subset=tuple(sorted(U)),
             outcome=k_u.domain.outcome(a),
             event=tuple(iter_bits(masks[j])),
@@ -335,10 +335,11 @@ def _classify(c: FiniteCausalSpace, U: frozenset, index, masks) -> EffectClass:
         rhs_rows = row_sums(reduced, c.kernel(reduced))
         to_reduced = c.space.projector(reduced).index
         for a, rep in enumerate(c.space.projector(s).lowest):
-            lhs, rhs = lhs_rows[a], rhs_rows[to_reduced[rep]]
+            (lhs, lden), (rhs, rden) = lhs_rows[a], rhs_rows[to_reduced[rep]]
             for j in range(n_ev):
-                if found[j] is None and lhs[j] != rhs[j]:
-                    found[j] = (subset, k_s.domain.outcome(a), lhs[j], rhs[j])
+                if found[j] is None and lhs[j] * rden != rhs[j] * lden:
+                    found[j] = (subset, k_s.domain.outcome(a),
+                                Fraction(lhs[j], lden), Fraction(rhs[j], rden))
             if found[0] is not None:
                 break
         if found[0] is not None:
@@ -403,35 +404,37 @@ def is_source(c: FiniteCausalSpace, on: Iterable[str],
     is the global-source check.
 
     One pass of P fills the table of (U-atom, V-atom) cell masses, and the
-    K_U row of each U-atom of positive mass is summed onto the V-atoms once.  U-atoms are
-    scanned by index and V-atoms by index within each; the first mismatch
-    is the witness, with the null atoms exempted before it as details.
+    K_U row of each U-atom of positive mass is summed onto the V-atoms once.
+    On a U-atom of mass z the conditional of a cell is cell / z, where P's
+    denominator cancels, and it is compared with the K_U row's mass by
+    cross-multiplication.  U-atoms are scanned by index and V-atoms by index
+    within each; the first mismatch is the witness, with the null atoms
+    exempted before it as details.
     """
     U = tuple(sorted(frozenset(on)))
     k_u = c.kernel(U)
     v_proj = c.space.projector(target)
     to_u, to_v = c.space.projector(U).index, v_proj.index
     nv = len(v_proj.masks)
-    cells = [[ZERO] * nv for _ in range(k_u.domain.n_outcomes)]
-    for i, w in enumerate(c.P.weights):
-        if w:
-            cells[to_u[i]][to_v[i]] += w
+    flat, _ = _part_sums(c.P, [u * nv + v for u, v in zip(to_u, to_v)],
+                         k_u.domain.n_outcomes * nv)
     exempt = []
-    for a, joint in enumerate(cells):
-        z = sum(joint, ZERO)
+    for a in range(k_u.domain.n_outcomes):
+        joint = flat[a * nv:(a + 1) * nv]
+        z = sum(joint)
         if z == 0:
             exempt.append(f"null atom {k_u.domain.outcome(a)} of H_{{{','.join(U)}}} exempted")
             continue
-        row = _part_sums(k_u.rows[a], to_v, nv)
+        row, den = _part_sums(k_u.rows[a], to_v, nv)
         for j, (lhs, cell) in enumerate(zip(row, joint)):
-            rhs = cell / z
-            if lhs != rhs:
+            if lhs * z != cell * den:
                 return CheckReport(
                     check="local-source",
                     passed=False,
                     witness=Witness(
-                        message=(f"K_{{{','.join(U)}}} at {k_u.domain.outcome(a)} gives {lhs} "
-                                 f"but conditioning gives {rhs}"),
+                        message=(f"K_{{{','.join(U)}}} at {k_u.domain.outcome(a)} gives "
+                                 f"{Fraction(lhs, den)} but conditioning gives "
+                                 f"{Fraction(cell, z)}"),
                         subset=U,
                         outcome=k_u.domain.outcome(a),
                         event=tuple(iter_bits(v_proj.masks[j])),
@@ -449,16 +452,14 @@ def _first_failing_row(k_u: StochKernel, to_a, na: int, to_b, nb: int) -> Option
     """First row of K_U that breaks the product identity on a pair of
     partitions of the outcomes, given as outcome -> part tables, if any.
 
-    Each row is tabulated once on the (A-part, B-part) cells, as integers
-    over the row's common denominator D, and a cell passes when
+    Each row is summed once onto the (A-part, B-part) cells, as integers
+    over the row's denominator D, and a cell passes when
     D * cell == row_mass[a] * col_mass[b].
     """
+    to_cell = [a * nb + b for a, b in zip(to_a, to_b)]
     for r, row in enumerate(k_u.rows):
-        denom = lcm(*(w.denominator for w in row.weights if w))
-        cells = [[0] * nb for _ in range(na)]
-        for i, w in enumerate(row.weights):
-            if w:
-                cells[to_a[i]][to_b[i]] += w.numerator * (denom // w.denominator)
+        flat, denom = _part_sums(row, to_cell, na * nb)
+        cells = [flat[a * nb:(a + 1) * nb] for a in range(na)]
         col_mass = [sum(col) for col in zip(*cells)]
         for cell_row in cells:
             ra = sum(cell_row)
@@ -527,8 +528,7 @@ def rename(c: FiniteCausalSpace, mapping: Mapping[str, str]) -> FiniteCausalSpac
     inverse = {mapping.get(n, n): n for n in c.space.names}
 
     def moved(m: FiniteMeasure) -> FiniteMeasure:
-        weights = m.weights
-        return FiniteMeasure._sparse(space, {i: weights[i] for i in iter_bits(m.support_mask)})
+        return _push(space, m, range(space.n_outcomes))
 
     def make(subset: frozenset) -> StochKernel:
         old = c.kernel(frozenset(inverse[n] for n in subset))

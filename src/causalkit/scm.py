@@ -20,13 +20,13 @@ from typing import Iterable, Mapping
 from .causal import FiniteCausalSpace
 from .errors import CyclicSCMError, NullAtomError, SpaceError
 from .spaces import (
-    ZERO,
     ONE,
     Coordinate,
     CoordinateSpace,
     Event,
     FiniteMeasure,
     StochKernel,
+    _integer_row,
     project,
 )
 
@@ -63,8 +63,10 @@ class FiniteSCM:
             weights = self.noises[v]
             if not all(isinstance(w, Fraction) for w in weights):
                 raise SpaceError(f"noise weights of {v!r} must be Fractions")
-            if sum(weights, ZERO) != ONE or any(w < 0 for w in weights):
-                raise SpaceError(f"noise weights of {v!r} are not a probability vector")
+            try:
+                _integer_row(weights)
+            except SpaceError:
+                raise SpaceError(f"noise weights of {v!r} are not a probability vector") from None
             size = len(weights)
             for p in self.parents[v]:
                 size *= cards[p]
@@ -125,17 +127,19 @@ def _conditional_tables(scm: FiniteSCM, space: CoordinateSpace,
                         order: tuple[str, ...]) -> tuple[tuple, ...]:
     """Tabulate P(x_v | x_pa(v)) of every variable once, in topological order.
 
-    Each table is ``(v, stride, to_parents, rows)``: v's stride in ``space``,
-    the index ``space.projector(pa(v)).index`` that reads the parent values
-    off any outcome index whose parent digits are set, and for each parent
-    atom the ``(x_v, probability)`` pairs.  Noise values that give the same
-    x_v are merged and zero weights are dropped.
+    Each table is ``(v, stride, to_parents, rows, den)``: v's stride in
+    ``space``, the index ``space.projector(pa(v)).index`` that reads the
+    parent values off any outcome index whose parent digits are set, for each
+    parent atom the ``(x_v, numerator)`` pairs, and the denominator of v's
+    noise that every numerator is over.  Noise values that give the same x_v
+    are merged and zero weights are dropped.
     """
     tables = []
     for v in order:
         parents = scm.parents[v]
         proj = space.projector(parents)
-        noise, mechanism, k = scm.noises[v], scm.mechanisms[v], len(scm.noises[v])
+        noise, den = _integer_row(scm.noises[v])
+        mechanism, k = scm.mechanisms[v], len(noise)
         rows = []
         for values in proj.sub.outcomes():
             # the mechanism is indexed in the order of parents[v], the
@@ -144,13 +148,13 @@ def _conditional_tables(scm: FiniteSCM, space: CoordinateSpace,
             r = 0
             for p in parents:
                 r = r * scm.cards[p] + of[p]
-            merged: dict[int, Fraction] = {}
+            merged: dict[int, int] = {}
             for nv, w in enumerate(noise):
                 if w:
                     x = mechanism[r * k + nv]
-                    merged[x] = merged.get(x, ZERO) + w
+                    merged[x] = merged.get(x, 0) + w
             rows.append(tuple(sorted(merged.items())))
-        tables.append((v, space.strides[space.position(v)], proj.index, tuple(rows)))
+        tables.append((v, space.strides[space.position(v)], proj.index, tuple(rows), den))
     return tuple(tables)
 
 
@@ -164,14 +168,17 @@ def _mutilated_law(space: CoordinateSpace, free: Iterable[tuple],
     *Causality*, 2nd ed., section 3.2) the law is the product of the free
     variables' conditional probabilities.  The assignments of positive
     probability are grown one free variable at a time, each carrying its
-    prefix product and its outcome index so far, which is all the next
-    variable's table lookup needs.
+    prefix product of numerators and its outcome index so far, which is all
+    the next variable's table lookup needs; every law is over the product of
+    the free variables' noise denominators.
     """
-    states = [(base, ONE)]
-    for _, stride, to_parents, table in free:
+    states = [(base, 1)]
+    den = 1
+    for _, stride, to_parents, table, d in free:
         states = [(i + x * stride, p * w)
                   for i, p in states for x, w in table[to_parents[i]]]
-    return FiniteMeasure._sparse(space, dict(states))
+        den *= d
+    return FiniteMeasure._sparse(space, dict(states), den)
 
 
 def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
@@ -245,7 +252,8 @@ def inclusion_transform(scm: FiniteSCM, subset: Iterable[str]):
     target = compile_scm(scm)
     source = _marginal(target, keep)
     sub = source.space
-    null = [sub.outcome(a) for a, w in enumerate(source.P.weights) if w == 0]
+    support = source.P.support_mask
+    null = [sub.outcome(a) for a in range(sub.n_outcomes) if not support >> a & 1]
     if null:
         raise NullAtomError(
             f"null atoms of the kept variables: {null}", atoms=null)

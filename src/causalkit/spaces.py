@@ -4,16 +4,22 @@ A ``CoordinateSpace`` is an ordered list of named finite coordinates.  An
 outcome is a tuple of coordinate values and is addressed by its mixed-radix
 index (first coordinate most significant, so ``itertools.product`` order
 agrees with index order).  Events are bitsets over outcome indices, measures
-are dense tables of ``Fraction`` weights that also keep the bitset of their
-support, and kernels are row tables indexed by the atoms of a coordinate
-subset.  All arithmetic is exact; equality of measures means equality of
-every weight.
+are sparse rows of integer numerators over one reduced positive denominator,
+and kernels are row tables indexed by the atoms of a coordinate subset.  All
+arithmetic is exact and on integers; ``Fraction``s appear only where weights
+come in from outside and where they are rendered (``FiniteMeasure.weights``,
+``mass``, witness text).  Equality of measures means equality of every
+weight.
 
 Every row the algebra derives (products, marginals, conditionals, mixtures
 of kernel rows, pushforwards) has one constructor, ``FiniteMeasure._sparse``,
-fed by private row primitives: ``_part_sums`` sums a measure onto the parts
-of an outcome map, ``_mixture`` mixes measures by weights and ``_tensor``
-forms a product.  Each walks only supports.
+which checks and reduces it, fed by private row primitives: ``_part_sums``
+sums a measure onto the parts of an outcome map, ``_push`` forms the image
+measure under one, ``_mixture`` mixes rows by the weights of a measure and
+``_tensor`` forms a product.  Each walks only supports.  Callers get
+``(numerators, denominator)`` pairs or measures from these primitives and
+compare values by cross-multiplication; only this module reads a measure's
+integer row.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import OutcomeCapError, SpaceError
 
@@ -325,96 +331,145 @@ def is_measurable(event: Event, subset: Iterable[str]) -> bool:
     return True
 
 
-def _check_weights(weights: Iterable) -> None:
-    """Check a measure's weights: each a ``Fraction`` in [0, 1], in order,
-    then their sum, which must be 1.
+def _check_row(values, den: int) -> None:
+    """Check the integer numerators of a row over ``den``: each in [0, den],
+    in order, then their sum, which must be ``den``."""
+    if values and (min(values) < 0 or max(values) > den):
+        bad = next(v for v in values if v < 0 or v > den)
+        raise SpaceError(f"weight {Fraction(bad, den)} outside [0, 1]")
+    total = sum(values)
+    if total != den:
+        raise SpaceError(f"weights sum to {Fraction(total, den)}, expected 1")
 
-    The sum is exact, over the common denominator of the nonzero weights.
+
+def _integer_row(weights: Iterable) -> tuple[list[int], int]:
+    """Numerators of outside weights over their least common denominator.
+
+    Each weight must be a ``Fraction`` in [0, 1], checked in order, and they
+    must sum to 1.  Fractions are reduced, so a row that sums to 1 over the
+    least common denominator is reduced as well.
     """
-    nums, dens = [], []
+    weights = tuple(weights)
     for w in weights:
         if not isinstance(w, Fraction):
             raise SpaceError("weights must be Fractions")
-        num = w.numerator
-        if not num:  # in range, and adds nothing to the total
-            continue
-        den = w.denominator
-        if num < 0 or num > den:
+        if w.numerator < 0 or w.numerator > w.denominator:
             raise SpaceError(f"weight {w} outside [0, 1]")
-        nums.append(num)
-        dens.append(den)
-    den = lcm(*dens)
-    num = sum(n * (den // d) for n, d in zip(nums, dens))
-    if num != den:
-        raise SpaceError(f"weights sum to {Fraction(num, den)}, expected 1")
+    den = lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    _check_row(nums, den)
+    return nums, den
 
 
-@dataclass(frozen=True)
+def _measure(space: CoordinateSpace, nums: dict[int, int], den: int) -> "FiniteMeasure":
+    """A measure from its checked, reduced integer row."""
+    measure = object.__new__(FiniteMeasure)
+    fields = measure.__dict__
+    fields["space"] = space
+    fields["_nums"] = nums
+    fields["_den"] = den
+    return measure
+
+
 class FiniteMeasure:
-    """Dense table of exact rational weights over a coordinate space."""
+    """Exact probability measure on a coordinate space.
+
+    The weights are stored as ``{outcome index: numerator}`` over one
+    positive denominator, with no zero numerator and reduced, so that two
+    measures are equal exactly when their spaces, numerators and
+    denominators are, and a row costs its support, not its space.
+    ``weights`` renders the dense table as ``Fraction``s.  Measures are
+    immutable.
+    """
 
     space: CoordinateSpace
-    weights: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.weights) != self.space.n_outcomes:
+    def __init__(self, space: CoordinateSpace, weights: Iterable):
+        self.__dict__["space"] = space
+        self.__post_init__(weights)
+
+    def __post_init__(self, weights: Iterable) -> None:
+        """Check weights given from outside and store their integer row."""
+        weights = tuple(weights)
+        if len(weights) != self.space.n_outcomes:
             raise SpaceError("weight table length mismatch")
-        _check_weights(self.weights)
+        nums, den = _integer_row(weights)
+        self.__dict__.update(_nums={i: v for i, v in enumerate(nums) if v}, _den=den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMeasure):
+            return NotImplemented
+        return (self._den == other._den and self._nums == other._nums
+                and self.space == other.space)
+
+    def __hash__(self):
+        return hash((self._den, self.support_mask))
+
+    def __repr__(self):
+        return f"FiniteMeasure(space={self.space!r}, weights={self.weights!r})"
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The dense table of weights as ``Fraction``s, rendered once."""
+        den = self._den
+        out = [ZERO] * self.space.n_outcomes
+        for i, v in self._nums.items():
+            out[i] = Fraction(v, den)
+        return tuple(out)
+
+    @cached_property
+    def support_mask(self) -> int:
+        """Bitset of the outcomes of nonzero weight."""
+        return sum(map((1).__lshift__, self._nums))
 
     @classmethod
     def from_weights(cls, space: CoordinateSpace, weights: Iterable) -> "FiniteMeasure":
         return cls(space, tuple(Fraction(w) for w in weights))
 
     @classmethod
-    def _sparse(cls, space: CoordinateSpace, entries: Mapping[int, Fraction]) -> "FiniteMeasure":
-        """Measure from ``{outcome index: weight}``, zero elsewhere.
+    def _sparse(cls, space: CoordinateSpace, entries: Mapping[int, int],
+                den: int) -> "FiniteMeasure":
+        """Measure from ``{outcome index: numerator}`` over ``den``, zero elsewhere.
 
-        Every given weight is checked and summed as ``__post_init__`` would;
-        only the zeros placed around them are not scanned again.  The
-        support bitmask is recorded as it is built.
+        Every given numerator is checked and summed as ``__post_init__``
+        checks outside weights; the row is then reduced and its zeros
+        dropped.
         """
-        _check_weights(entries.values())
-        n = space.n_outcomes
-        weights = [ZERO] * n
-        mask = 0
-        for i, w in entries.items():
-            if w:
-                weights[i] = w
-                mask |= 1 << i
-        # the dataclass __init__ would run __post_init__ over every zero again
-        measure = object.__new__(cls)
-        object.__setattr__(measure, "space", space)
-        object.__setattr__(measure, "weights", tuple(weights))
-        measure.__dict__["support_mask"] = mask
-        return measure
+        values = entries.values()
+        _check_row(values, den)
+        g = gcd(den, *values)
+        if g > 1 or 0 in values:
+            nums = {i: v // g for i, v in entries.items() if v}
+        else:
+            nums = dict(entries)
+        return _measure(space, nums, den // g)
 
     @classmethod
     def dirac(cls, space: CoordinateSpace, index: int) -> "FiniteMeasure":
         if not 0 <= index < space.n_outcomes:
             raise SpaceError(f"outcome index {index} out of range")
-        return cls._sparse(space, {index: ONE})
+        return _measure(space, {index: 1}, 1)
 
     @classmethod
     def uniform(cls, space: CoordinateSpace) -> "FiniteMeasure":
         n = space.n_outcomes
-        return cls(space, tuple(Fraction(1, n) for _ in range(n)))
+        return _measure(space, dict.fromkeys(range(n), 1), n)
 
-    def mass(self, event: Event) -> Fraction:
+    def _numerator(self, event: Event) -> int:
+        """Numerator of the mass of an event, over the measure's denominator."""
         if event.space != self.space:
             raise SpaceError("event on a different space")
-        total = ZERO
-        for i in event.indices():
-            total += self.weights[i]
-        return total
+        nums = self._nums
+        return sum(nums[i] for i in iter_bits(event.mask & self.support_mask))
 
-    @cached_property
-    def support_mask(self) -> int:
-        """Bitset of the outcomes of nonzero weight."""
-        mask = 0
-        for i, w in enumerate(self.weights):
-            if w:
-                mask |= 1 << i
-        return mask
+    def mass(self, event: Event) -> Fraction:
+        return Fraction(self._numerator(event), self._den)
 
     def support(self) -> Event:
         return Event(self.space, self.support_mask)
@@ -425,52 +480,70 @@ class FiniteMeasure:
 
     def condition(self, event: Event) -> "FiniteMeasure":
         """Conditional measure given an event of positive mass."""
-        z = self.mass(event)
+        z = self._numerator(event)
         if z == 0:
             raise SpaceError("conditioning on a null event")
-        weights = self.weights
+        nums = self._nums
         return FiniteMeasure._sparse(
-            self.space, {i: weights[i] / z for i in iter_bits(event.mask & self.support_mask)})
+            self.space, {i: nums[i] for i in iter_bits(event.mask & self.support_mask)}, z)
+
+
+def _first_difference(a: FiniteMeasure, b: FiniteMeasure) -> int:
+    """The lowest outcome on which two measures on one space differ; they
+    must differ somewhere."""
+    na, nb, da, db = a._nums, b._nums, a._den, b._den
+    return min(i for i in na.keys() | nb.keys() if na.get(i, 0) * db != nb.get(i, 0) * da)
 
 
 def _part_sums(measure: FiniteMeasure, index: list[int] | tuple[int, ...],
-               n: int) -> list[Fraction]:
+               n: int) -> tuple[list[int], int]:
     """Masses of a measure on the parts ``0 .. n - 1`` that ``index`` assigns
-    each outcome to, in one pass over the measure's support."""
-    out = [ZERO] * n
-    weights = measure.weights
-    for i in iter_bits(measure.support_mask):
-        out[index[i]] += weights[i]
-    return out
+    each outcome to, in one pass over the measure's support, as numerators
+    over the returned denominator, which need not be their least."""
+    out = [0] * n
+    for i, v in measure._nums.items():
+        out[index[i]] += v
+    return out, measure._den
 
 
-def _mixture(terms: Iterable[tuple[Fraction, FiniteMeasure]]) -> dict[int, Fraction]:
-    """``{outcome: weight}`` of the mixture sum_k w_k m_k of ``(w_k, m_k)``
-    terms on one space, walking only the supports and skipping w_k = 0."""
-    out: dict[int, Fraction] = {}
+def _push(space: CoordinateSpace, measure: FiniteMeasure,
+          index: Sequence[int]) -> FiniteMeasure:
+    """Image of a measure under the outcome map ``index`` onto ``space``."""
+    out: dict[int, int] = {}
+    for i, v in measure._nums.items():
+        j = index[i]
+        out[j] = out.get(j, 0) + v
+    return FiniteMeasure._sparse(space, out, measure._den)
+
+
+def _mixture(space: CoordinateSpace, weights: FiniteMeasure,
+             rows: Sequence[FiniteMeasure]) -> FiniteMeasure:
+    """The mixture sum_k w_k rows[k] on ``space``, for the weights w of a
+    measure whose outcomes index ``rows``, walking only the supports."""
+    terms = [(w, rows[k]) for k, w in weights._nums.items()]
+    den = lcm(*(m._den for _, m in terms))
+    out: dict[int, int] = {}
     for w, m in terms:
-        if w:
-            weights = m.weights
-            for i in iter_bits(m.support_mask):
-                out[i] = out.get(i, ZERO) + w * weights[i]
-    return out
+        scale = w * (den // m._den)
+        for i, v in m._nums.items():
+            out[i] = out.get(i, 0) + scale * v
+    return FiniteMeasure._sparse(space, out, weights._den * den)
 
 
 def _tensor(space: CoordinateSpace, a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
     """Product measure of ``a`` and ``b`` on ``space``, their product space,
     built over both supports."""
     nb = b.space.n_outcomes
-    wa, wb = a.weights, b.weights
-    right = [(j, wb[j]) for j in iter_bits(b.support_mask)]
-    return FiniteMeasure._sparse(space, {i * nb + j: wa[i] * w
-                                         for i in iter_bits(a.support_mask) for j, w in right})
+    right = list(b._nums.items())
+    return FiniteMeasure._sparse(space, {i * nb + j: va * vb
+                                         for i, va in a._nums.items() for j, vb in right},
+                                 a._den * b._den)
 
 
 def project(measure: FiniteMeasure, subset: Iterable[str]) -> FiniteMeasure:
     """Marginal of a measure on a coordinate subset."""
     proj = measure.space.projector(subset)
-    sums = _part_sums(measure, proj.index, proj.sub.n_outcomes)
-    return FiniteMeasure._sparse(proj.sub, dict(enumerate(sums)))
+    return _push(proj.sub, measure, proj.index)
 
 
 @dataclass(frozen=True)
@@ -532,8 +605,7 @@ def kernel_compose(first: StochKernel, second: StochKernel) -> StochKernel:
     """
     if first.codomain != second.domain:
         raise SpaceError("kernel domains do not chain")
-    rows = tuple(FiniteMeasure._sparse(second.codomain, _mixture(zip(row.weights, second.rows)))
-                 for row in first.rows)
+    rows = tuple(_mixture(second.codomain, row, second.rows) for row in first.rows)
     return StochKernel(first.domain, second.codomain, rows)
 
 

@@ -21,6 +21,7 @@ in the oracle module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .causal import (
@@ -41,12 +42,13 @@ from .errors import (
 )
 from .report import CheckReport, Witness, combine
 from .spaces import (
-    ZERO,
     CoordinateSpace,
     FiniteMeasure,
     StochKernel,
+    _first_difference,
     _mixture,
     _part_sums,
+    _push,
     _tensor,
     iter_bits,
     kernel_compose,
@@ -134,7 +136,8 @@ def check_admissible(t: Transformation) -> CheckReport:
     """kappa(., A) must be constant on rho^-1(S)-atoms for A an atom of H_S.
 
     Atoms suffice because kappa(omega, .) is a measure.  S ranges over the
-    subsets of the image of rho, taken inclusively.
+    subsets of the image of rho, taken inclusively.  Masses are integer
+    numerators over each row's denominator, compared by cross-multiplication.
     """
     src = t.source.space
     kappa = t.kernel.rows
@@ -147,20 +150,21 @@ def check_admissible(t: Transformation) -> CheckReport:
         for a, a_mask in enumerate(s_proj.masks):
             for fiber in fibers:
                 first = None
-                first_val = None
                 for i in iter_bits(fiber):
-                    val = kappa_on_s[i][a]
+                    sums, den = kappa_on_s[i]
+                    val = sums[a]
                     if first is None:
-                        first, first_val = i, val
-                    elif val != first_val:
+                        first, first_val, first_den = i, val, den
+                    elif val * first_den != first_val * den:
                         return CheckReport(
                             check="admissible",
                             passed=False,
                             witness=Witness(
                                 message=(
                                     f"kappa(., A) varies on a fiber of {sorted(pre)}: "
-                                    f"{first_val} at {src.outcome(first)} vs "
-                                    f"{val} at {src.outcome(i)} for an atom of "
+                                    f"{Fraction(first_val, first_den)} at "
+                                    f"{src.outcome(first)} vs {Fraction(val, den)} at "
+                                    f"{src.outcome(i)} for an atom of "
                                     f"H_{{{','.join(subset)}}}"),
                                 subset=subset,
                                 outcome=src.outcome(i),
@@ -172,21 +176,21 @@ def check_admissible(t: Transformation) -> CheckReport:
 
 def check_distributional(t: Transformation) -> CheckReport:
     """Integrating kappa against the source measure must give the target measure."""
-    pushed = _mixture(zip(t.source.P.weights, t.kernel.rows))
-    for j, want in enumerate(t.target.P.weights):
-        got = pushed.get(j, ZERO)
-        if got != want:
-            return CheckReport(
-                check="distributional",
-                passed=False,
-                witness=Witness(
-                    message=(f"pushforward gives {got} on outcome "
-                             f"{t.target.space.outcome(j)} but the target measure "
-                             f"gives {want}"),
-                    outcome=t.target.space.outcome(j),
-                    event=(j,),
-                ),
-            )
+    target = t.target.P
+    pushed = _mixture(target.space, t.source.P, t.kernel.rows)
+    if pushed != target:
+        j = _first_difference(pushed, target)
+        return CheckReport(
+            check="distributional",
+            passed=False,
+            witness=Witness(
+                message=(f"pushforward gives {pushed.weights[j]} on outcome "
+                         f"{t.target.space.outcome(j)} but the target measure "
+                         f"gives {target.weights[j]}"),
+                outcome=t.target.space.outcome(j),
+                event=(j,),
+            ),
+        )
     return CheckReport(check="distributional", passed=True)
 
 
@@ -201,67 +205,52 @@ def check_interventional(t: Transformation) -> CheckReport:
     for A an atom of the image sigma-algebra (atoms suffice: both sides are
     measures in A).  No outcome is exempted, including null ones.
 
-    Both routes are evaluated on image atoms.  The source route depends on
-    omega only through its rho^-1(S)-atom, so it is integrated once per
-    kernel row against the table kappa(omega', A); the target route depends
-    on omega only through kappa(omega, .) summed onto the S-atoms, where
-    K^2_S is constant.  So each distinct (rho^-1(S)-atom, kappa on S-atoms)
-    pair is compared once, at its first outcome in index order: a later
-    outcome with the same pair would compare the same two lists, and the
-    first failing outcome, hence the witness, is the one a per-outcome scan
-    finds.
+    Both routes are evaluated as measures on the image atoms.  The source
+    route depends on omega only through its rho^-1(S)-atom, so it is mixed
+    once per kernel row from the rows kappa(omega', .) on the image atoms;
+    the target route depends on omega only through kappa(omega, .) on the
+    S-atoms, where K^2_S is constant.  So each distinct (rho^-1(S)-atom,
+    kappa on S-atoms) pair is compared once, at its first outcome in index
+    order: a later outcome with the same pair would compare the same two
+    measures, and the first failing outcome, hence the witness, is the one
+    a per-outcome scan finds.
     """
-    src, tgt = t.source.space, t.target.space
-    image = tgt.projector(t.rho.image())
-    n_image = len(image.masks)
-
-    def parts(row: FiniteMeasure, index, n: int) -> list:
-        """The nonzero (part, mass) pairs of a row summed onto parts."""
-        return [(a, v) for a, v in enumerate(_part_sums(row, index, n)) if v]
-
-    def integrate(entries, table) -> list:
-        out = [ZERO] * n_image
-        for k, w in entries:
-            for a, v in table[k]:
-                out[a] += w * v
-        return out
-
+    src = t.source.space
+    on_image = t.rho.image()
+    image = t.target.space.projector(on_image)
     kappa = t.kernel.rows
-    kappa_atoms = [parts(row, image.index, n_image) for row in kappa]
-    for subset in subsets_of(t.rho.image()):
+    kappa_image = [project(row, on_image) for row in kappa]
+    for subset in subsets_of(on_image):
         pre = t.rho.preimage(subset)
         k1 = t.source.kernel(pre)
         k2 = t.target.kernel(subset)
-        source_route = [integrate([(k, row.weights[k]) for k in iter_bits(row.support_mask)],
-                                  kappa_atoms) for row in k1.rows]
-        k2_atoms = [parts(row, image.index, n_image) for row in k2.rows]
+        source_route = [_mixture(image.sub, row, kappa_image) for row in k1.rows]
+        k2_image = [project(row, on_image) for row in k2.rows]
         pre_of = src.projector(pre).index
-        s_proj = tgt.projector(subset)
-        n_s = len(s_proj.masks)
         seen = set()
         for i in range(src.n_outcomes):
-            on_s = parts(kappa[i], s_proj.index, n_s)
-            key = (pre_of[i], tuple(on_s))
+            on_s = project(kappa[i], subset)
+            key = (pre_of[i], on_s)
             if key in seen:
                 continue
             seen.add(key)
-            left_atoms = source_route[pre_of[i]]
-            right_atoms = integrate(on_s, k2_atoms)
-            for a, (left, right) in enumerate(zip(left_atoms, right_atoms)):
-                if left != right:
-                    return CheckReport(
-                        check="interventional",
-                        passed=False,
-                        witness=Witness(
-                            message=(
-                                f"at S={{{','.join(subset)}}} and omega="
-                                f"{src.outcome(i)}: source route gives {left}, "
-                                f"target route gives {right}"),
-                            subset=subset,
-                            outcome=src.outcome(i),
-                            event=tuple(iter_bits(image.masks[a])),
-                        ),
-                    )
+            left = source_route[pre_of[i]]
+            right = _mixture(image.sub, on_s, k2_image)
+            if left != right:
+                a = _first_difference(left, right)
+                return CheckReport(
+                    check="interventional",
+                    passed=False,
+                    witness=Witness(
+                        message=(
+                            f"at S={{{','.join(subset)}}} and omega="
+                            f"{src.outcome(i)}: source route gives {left.weights[a]}, "
+                            f"target route gives {right.weights[a]}"),
+                        subset=subset,
+                        outcome=src.outcome(i),
+                        event=tuple(iter_bits(image.masks[a])),
+                    ),
+                )
     return CheckReport(check="interventional", passed=True)
 
 
@@ -385,11 +374,10 @@ def _push_kernels(kernel: KernelSource, table: tuple[int, ...], rho: IndexMap,
     rho^-1(S)-atom lies in one cell, and walking the atoms' lowest outcomes
     finds the same two outcomes as walking every outcome.
     """
-    n2 = target_space.n_outcomes
     kernels: dict[frozenset, StochKernel] = {}
     for subset in subsets_of(target_space.names):
         pre = rho.preimage(subset)
-        pushed = [_part_sums(r, table, n2) for r in kernel(pre).rows]
+        pushed = [_push(target_space, r, table) for r in kernel(pre).rows]
         cells = target_space.projector(subset)
         first: list[Optional[tuple]] = [None] * len(cells.masks)  # (outcome, pushed row)
         for row, i in zip(pushed, source_space.projector(pre).lowest):
@@ -399,7 +387,7 @@ def _push_kernels(kernel: KernelSource, table: tuple[int, ...], rho: IndexMap,
             elif first[cell][1] != row:
                 raise fault(subset, pre, first[cell][0], i)
         # f surjective onto the target, so every S-atom has a nonempty cell
-        rows = tuple(FiniteMeasure._sparse(target_space, dict(enumerate(row))) for _, row in first)
+        rows = tuple(row for _, row in first)
         kernels[frozenset(subset)] = StochKernel(cells.sub, target_space, rows)
     return kernels
 
@@ -428,8 +416,7 @@ def _pushforward(source: FiniteCausalSpace, outcome_map: Iterable[int],
             witness=(a, b))
 
     kernels = _push_kernels(source.kernel, table, rho, source.space, target_space, fault)
-    pushed_p = FiniteMeasure._sparse(
-        target_space, dict(enumerate(_part_sums(source.P, table, n2))))
+    pushed_p = _push(target_space, source.P, table)
     result = FiniteCausalSpace(target_space, pushed_p, kernels=kernels)
     return Transformation(source=source, target=result, rho=rho, outcome_map=table)
 
@@ -499,8 +486,7 @@ def pushforward_intervention(source: FiniteCausalSpace, outcome_map: Iterable[in
     # push the mechanism through f, checking along the way that its kernels
     # are measurable with respect to f (cells of equal image must push to
     # the same row)
-    pushed_q = FiniteMeasure._sparse(
-        u2_space, dict(enumerate(_part_sums(measure, f_block, u2_space.n_outcomes))))
+    pushed_q = _push(u2_space, measure, f_block)
 
     def fault(subset, pre, first, second) -> WellDefinednessError:
         return WellDefinednessError(
@@ -540,8 +526,7 @@ def rigidity_check(first: Transformation, second: Transformation) -> CheckReport
     if t_space != second.target.space:
         raise SpaceError("targets live on different measurable spaces")
     if first.target.P != second.target.P:
-        diff = next(j for j in range(t_space.n_outcomes)
-                    if first.target.P.weights[j] != second.target.P.weights[j])
+        diff = _first_difference(first.target.P, second.target.P)
         return CheckReport(
             check="rigidity",
             passed=False,
@@ -552,32 +537,32 @@ def rigidity_check(first: Transformation, second: Transformation) -> CheckReport
                 event=(diff,),
             ),
         )
-    image = t_space.projector(first.rho.image())
-    n_image = len(image.masks)
+    on_image = first.rho.image()
+    image = t_space.projector(on_image)
     exempt = []
     for subset in subsets_of(t_space.names):
         k_a = first.target.kernel(subset)
         k_b = second.target.kernel(subset)
-        s_mass = project(first.target.P, subset).weights
+        s_support = project(first.target.P, subset).support_mask
         for row in range(k_a.domain.n_outcomes):
-            if s_mass[row] == 0:
+            if not s_support >> row & 1:
                 exempt.append(
                     f"null atom {k_a.domain.outcome(row)} of H_{{{','.join(subset)}}} exempted")
                 continue
-            on_a = _part_sums(k_a.rows[row], image.index, n_image)
-            on_b = _part_sums(k_b.rows[row], image.index, n_image)
-            for va, vb, a_mask in zip(on_a, on_b, image.masks):
-                if va != vb:
-                    return CheckReport(
-                        check="rigidity",
-                        passed=False,
-                        witness=Witness(
-                            message=(f"K_{{{','.join(subset)}}} at {k_a.domain.outcome(row)} "
-                                     f"gives {va} vs {vb} on an image atom"),
-                            subset=subset,
-                            outcome=k_a.domain.outcome(row),
-                            event=tuple(iter_bits(a_mask)),
-                        ),
-                        details=tuple(exempt),
-                    )
+            on_a = project(k_a.rows[row], on_image)
+            on_b = project(k_b.rows[row], on_image)
+            if on_a != on_b:
+                a = _first_difference(on_a, on_b)
+                return CheckReport(
+                    check="rigidity",
+                    passed=False,
+                    witness=Witness(
+                        message=(f"K_{{{','.join(subset)}}} at {k_a.domain.outcome(row)} "
+                                 f"gives {on_a.weights[a]} vs {on_b.weights[a]} on an image atom"),
+                        subset=subset,
+                        outcome=k_a.domain.outcome(row),
+                        event=tuple(iter_bits(image.masks[a])),
+                    ),
+                    details=tuple(exempt),
+                )
     return CheckReport(check="rigidity", passed=True, details=tuple(exempt))

@@ -1,7 +1,11 @@
 """Command-line interface: golden outputs, exit codes, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -492,3 +496,44 @@ def test_validate_describes_measures(capsys, tmp_path, xor):
     code, out, _ = run(capsys, "validate", str(path), "--json")
     assert code == 0
     assert json.loads(out)["check"] == "finite-measure"
+
+
+# ---------------------------------------------------------------------------
+# one process, many commands
+
+ONE_PROCESS_COMMANDS = (
+    ("validate", "xor.json"),
+    ("classify", "xor.json", "--target", "Y"),
+    ("classify", "parity.json", "--on", "X", "--event", '{"Y": 1}'),
+    ("classify", "parity.json", "--event", '{"Y": 1}'),
+    ("source", "xor.json", "--on", "Y", "--target", "X"),
+    ("independence", "xor.json", "--first", '{"X": 1}', "--second", '{"Y": 1}'),
+    ("independence", "fork.json", "--on", "X", "--first", "Y1", "--second", "Y2"),
+)
+
+
+def test_commands_in_one_process_match_first_calls(capsys, monkeypatch, corpus_dir):
+    # the parser is built once per process; a command after others, such as
+    # classify without --on (its default=[]) after one with it, prints what
+    # the same command prints as the first call of a fresh interpreter
+    argvs = [[command, str(corpus_dir / name), *rest, "--json"]
+             for command, name, *rest in ONE_PROCESS_COMMANDS]
+    src = str(Path(ck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    first_calls = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "causalkit.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        first_calls.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in first_calls] == [0, 0, 0, 0, 1, 1, 0]
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(2):
+        for argv, want in zip(argvs, first_calls):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == want, argv
+    assert len(builds) == 1

@@ -51,6 +51,24 @@ def all_example_scms():
     ]
 
 
+def mixed_denominator_scm():
+    """Noises over thirds, sevenths, tenths and ninths, two with a zero
+    weight (A = 1 is never drawn, so some atoms are null); the space lists
+    the variables out of topological order."""
+    return ck.FiniteSCM.build(
+        variables=[("C", 3), ("A", 3), ("D", 2), ("B", 2)],
+        parents={"A": (), "B": ("A",), "C": ("B", "A"), "D": ("C",)},
+        noises={"A": (F(1, 3), F(0), F(2, 3)),
+                "B": (F(2, 7), F(5, 7)),
+                "C": (F(1, 5), F(0), F(3, 10), F(1, 2)),
+                "D": (F(1, 9), F(8, 9))},
+        mechanisms={"A": (0, 1, 2),
+                    "B": (0, 1, 1, 0, 1, 1),
+                    "C": (0, 1, 2, 2, 1, 1, 0, 2, 2, 0, 1, 0,
+                          0, 0, 1, 2, 2, 2, 1, 0, 1, 2, 0, 0),
+                    "D": (0, 1, 1, 0, 1, 1)})
+
+
 def cyl(space, **assignment):
     return ck.Event.cylinder(space, assignment)
 
@@ -89,7 +107,7 @@ def test_constant_scm_compiles_to_dirac():
     assert c.kernel(()).rows[0].weights == (0, 0, 1)
 
 
-@pytest.mark.parametrize("scm", all_example_scms(),
+@pytest.mark.parametrize("scm", all_example_scms() + [mixed_denominator_scm()],
                          ids=lambda s: ",".join(s.names))
 def test_compiled_kernels_match_enumeration_oracle(scm):
     c = ck.compile_scm(scm)

@@ -6,6 +6,7 @@ are checked against independent code, not against themselves.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -210,6 +211,14 @@ MEASURE_REJECTIONS = [
     pytest.param((F(1, 2), F(0), F(1, 4), F(0)), "weights sum to 3/4, expected 1",
                  id="short-sum"),
     pytest.param((F(0), F(0), F(0), F(0)), "weights sum to 0, expected 1", id="all-zero"),
+    # each fault alone: the other weights sum to 1 over thirds and sevenths
+    pytest.param((F(1, 3), F(-1, 7), F(17, 21), F(0)), "weight -1/7 outside [0, 1]",
+                 id="negative-mixed"),
+    pytest.param((F(1, 3), F(0), F(8, 7), F(-10, 21)), "weight 8/7 outside [0, 1]",
+                 id="above-one-mixed"),
+    pytest.param((F(1, 3), F(1, 7), F(0), F(1, 3)), "weights sum to 17/21, expected 1",
+                 id="short-sum-mixed"),
+    pytest.param((F(1, 3), 0.5, F(1, 6), F(0)), "weights must be Fractions", id="float"),
 ]
 
 
@@ -221,19 +230,88 @@ def test_measure_rejections_name_the_first_fault(weights, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("weights, message", MEASURE_REJECTIONS)
+@pytest.mark.parametrize("weights, message", [
+    case for case in MEASURE_REJECTIONS if case.id not in ("int", "float")])
 def test_sparse_measure_rejections_match_the_dense_ones(weights, message):
-    # the package's sparse rows check every weight they are given alike
+    # the package's integer rows check every numerator they are given alike;
+    # a non-Fraction weight cannot reach them
+    den = lcm(*(F(w).denominator for w in weights))
     with pytest.raises(ck.SpaceError) as err:
-        ck.FiniteMeasure._sparse(two_bits(), dict(enumerate(weights)))
+        ck.FiniteMeasure._sparse(two_bits(), {i: int(w * den) for i, w in enumerate(weights)},
+                                 den)
     assert str(err.value) == message
 
 
 def test_sparse_measure_places_its_entries_and_records_the_support():
     space = two_bits()
-    m = ck.FiniteMeasure._sparse(space, {3: F(1, 4), 1: F(0), 0: F(3, 4)})
+    m = ck.FiniteMeasure._sparse(space, {3: 1, 1: 0, 0: 3}, 4)
     assert m == ck.FiniteMeasure(space, (F(3, 4), F(0), F(0), F(1, 4)))
     assert m.support_mask == 0b1001 == ck.FiniteMeasure(space, m.weights).support_mask
+
+
+@st.composite
+def fraction_rows(draw, space):
+    """Weights of a probability measure on ``space`` as plain Fractions,
+    over mixed denominators."""
+    raw = draw(st.lists(st.integers(min_value=0, max_value=6),
+                        min_size=space.n_outcomes, max_size=space.n_outcomes)
+               .filter(any))
+    scale = draw(st.sampled_from([1, 3, 7]))
+    total = sum(raw) * scale
+    return tuple(F(w * scale, total) for w in raw)
+
+
+def check_integer_form(m, expected):
+    """``m`` renders ``expected``, keeps a reduced integer row, and compares
+    and hashes as a measure built from ``expected`` does."""
+    assert m.weights == tuple(expected)
+    nums, den = m._nums, m._den
+    assert den > 0 and all(v > 0 for v in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    twin = ck.FiniteMeasure(m.space, tuple(expected))
+    assert m == twin and hash(m) == hash(twin)
+    other = ck.FiniteMeasure.dirac(m.space, 0)
+    assert (m == other) == (m.weights == other.weights)
+
+
+@given(st.data())
+def test_integer_rows_match_fraction_arithmetic(data):
+    space = data.draw(coordinate_spaces())
+    n = space.n_outcomes
+    ws = data.draw(fraction_rows(space))
+    m = ck.FiniteMeasure(space, ws)
+    check_integer_form(m, ws)
+    check_integer_form(ck.FiniteMeasure.from_weights(space, [str(w) for w in ws]), ws)
+    index = data.draw(st.integers(min_value=0, max_value=n - 1))
+    check_integer_form(ck.FiniteMeasure.dirac(space, index),
+                       [F(int(i == index)) for i in range(n)])
+    check_integer_form(ck.FiniteMeasure.uniform(space), [F(1, n)] * n)
+
+    other = ck.CoordinateSpace.make([("W", 3)])
+    vs = data.draw(fraction_rows(other))
+    check_integer_form(m.tensor(ck.FiniteMeasure(other, vs)), [a * b for a in ws for b in vs])
+
+    event = data.draw(events(space))
+    z = sum((ws[i] for i in event.indices()), F(0))
+    if z:
+        check_integer_form(m.condition(event),
+                           [w / z if event.contains(i) else F(0) for i, w in enumerate(ws)])
+    for subset in ck.subsets_of(space.names):
+        marginal = [F(0)] * space.restrict(subset).n_outcomes
+        for i, w in enumerate(ws):
+            marginal[space.project_index(i, subset)] += w
+        check_integer_form(ck.project(m, subset), marginal)
+
+    mid = data.draw(coordinate_spaces(max_coords=2))
+    first = data.draw(kernels(codomain=mid))
+    second = data.draw(kernels(domain=mid))
+    for row, expected in zip(ck.kernel_compose(first, second).rows,
+                             compose_oracle(first, second)):
+        check_integer_form(row, expected)
+    beside = data.draw(kernels(domain=ck.CoordinateSpace.make([("B", 2)]), codomain=other))
+    prod = ck.kernel_product(first, beside)
+    for row, expected in zip(prod.rows, outer_oracle(first, beside, prod)):
+        check_integer_form(row, expected)
 
 
 def test_measure_accepts_zero_weights():
