@@ -40,7 +40,13 @@ by the digests they print.  The digest covers, in this order:
   ninths and elevenths, ``MIXED_SCM_SEEDS``, each also with a zero-weight
   noise value put first on every variable) build, with the
   ``validate_causal_space`` and ``check_all`` reports of what they build
-  and the text of any error they raise.
+  and the text of any error they raise;
+- the Gaussian section: the reports of ``check_linear_transform`` on
+  seeded models at d = 2-8 against their diagonal rescaling and against a
+  perturbed twin, and of ``check_affine_transform`` on seeded affine
+  kernels with a non-injective rho and a full-rank covariance, each at
+  every tolerance in ``GAUSS_TOLS``; then the error text of both checks on
+  inputs that each carry one fault.
 
 Run from the repository root:
 
@@ -61,6 +67,8 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import numpy as np
+
 import causalkit as ck
 from causalkit import cli, examples
 from causalkit.oracle import _random_abstraction, _random_scm, _random_weights
@@ -75,6 +83,9 @@ ROW_SEEDS = range(40)
 PRODUCT_SPACE_SEEDS = range(20)
 MIXED_SCM_SEEDS = (0, 4, 6, 10, 19)
 MAX_PRODUCT_OUTCOMES = 72
+GAUSS_DIMS = range(2, 9)
+GAUSS_SEEDS = range(3)
+GAUSS_TOLS = (0.0, 1e-12, 1e-9, 1e-6)
 EXAMPLE_SCMS = ("xor_scm", "parity_scm", "fork_scm", "collider_scm",
                 "mediator_confounder_scm", "composition_scm",
                 "faithfulness_full_scm")
@@ -311,11 +322,90 @@ def rows_section():
                          ck.compile_scm(with_null_noise(scm)))
 
 
+def gauss_model(rng, names) -> ck.LinearGaussianSCM:
+    d = len(names)
+    b = np.tril(rng.normal(0.0, 1.0, (d, d)), -1) * (rng.random((d, d)) < 0.6)
+    return ck.LinearGaussianSCM(names, b, rng.uniform(0.5, 2.0, d), rng.normal(0.0, 1.0, d))
+
+
+def gauss_checks(label: str, check, *args):
+    """``check(*args, tol)``'s report at every tolerance, or the error it raises."""
+    for tol in GAUSS_TOLS:
+        yield guarded(f"{label} tol={tol}",
+                      lambda: f"{label} tol={tol}\n" + report_text(check(*args, tol)))
+
+
+def gauss_faults():
+    """Inputs to the Gaussian checks that each carry one fault."""
+    source, target, matrix, rho = examples.abstraction_gaussian_pair()
+    kernel = ck.AffineGaussianKernel(source.coords, target.coords, matrix,
+                                     np.zeros(2), np.zeros((2, 2)))
+    linear, affine = ck.check_linear_transform, ck.check_affine_transform
+    nan_source = ck.LinearGaussianSCM(source.coords, np.tril(np.full((4, 4), np.nan), -1),
+                                      source.noise_variances)
+    doubled = ck.LinearGaussianSCM(target.coords, [[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
+    return [
+        ("matrix shape", lambda: linear(source, target, matrix[:, :3], rho)),
+        ("rho undefined", lambda: linear(source, target, matrix,
+                                         {"X1": "X", "X2": "X", "Y1": "Y"})),
+        ("rho target unknown", lambda: linear(source, target, matrix, dict(rho, Y2="Z"))),
+        ("source coefficients nan", lambda: linear(nan_source, target, matrix, rho)),
+        ("kernel inputs", lambda: affine(target, target, kernel, rho)),
+        ("kernel offset shape", lambda: affine(source, target, ck.AffineGaussianKernel(
+            source.coords, target.coords, matrix, np.zeros(3), np.zeros((2, 2))), rho)),
+        ("kernel covariance asymmetric", lambda: affine(source, target, ck.AffineGaussianKernel(
+            source.coords, target.coords, matrix, np.zeros(2), [[1.0, 0.5], [0.4, 1.0]]), rho)),
+        ("kernel covariance in the scan", lambda: affine(source, doubled, ck.AffineGaussianKernel(
+            source.coords, target.coords, matrix, np.zeros(2), np.diag([-0.9e-10, 0.0])), rho)),
+    ]
+
+
+def gaussian_section():
+    for d in GAUSS_DIMS:
+        src = tuple(f"X{k}" for k in range(d))
+        tgt = tuple(f"Y{k}" for k in range(d))
+        for seed in GAUSS_SEEDS:
+            rng = np.random.default_rng([d, seed])
+            source = gauss_model(rng, src)
+            scale = rng.uniform(0.5, 2.0, d)
+            coef = scale[:, None] * source.coefficients / scale[None, :]
+            moved = coef.copy()
+            i = int(rng.integers(1, d))
+            moved[i, rng.integers(i)] += rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 0.5)
+            rho = dict(zip(src, tgt))
+            for name, b in (("rescaled", coef), ("perturbed", moved)):
+                target = ck.LinearGaussianSCM(tgt, b, source.noise_variances * scale ** 2,
+                                              source.noise_means * scale)
+                yield from gauss_checks(f"linear d={d} seed={seed} {name}",
+                                        ck.check_linear_transform,
+                                        source, target, np.diag(scale), rho)
+
+    # d_s = d_t + 1 with an image smaller than the target: a non-injective rho
+    for d2 in range(2, 6):
+        src = tuple(f"X{k}" for k in range(d2 + 1))
+        tgt = tuple(f"Y{k}" for k in range(d2))
+        for seed in GAUSS_SEEDS:
+            rng = np.random.default_rng([d2, seed, 1])
+            source, target = gauss_model(rng, src), gauss_model(rng, tgt)
+            image = [str(y) for y in rng.choice(tgt, size=int(rng.integers(1, d2)),
+                                                replace=False)]
+            rho = {x: image[k] if k < len(image) else str(rng.choice(image))
+                   for k, x in enumerate(src)}
+            root = rng.normal(0.0, 1.0, (d2, d2))
+            kernel = ck.AffineGaussianKernel(src, tgt, rng.normal(0.0, 1.0, (d2, d2 + 1)),
+                                             rng.normal(0.0, 1.0, d2), root @ root.T)
+            yield from gauss_checks(f"affine d={d2} seed={seed}", ck.check_affine_transform,
+                                    source, target, kernel, rho)
+
+    for label, build in gauss_faults():
+        yield guarded(f"fault {label}", lambda: report_text(build()))
+
+
 def main() -> int:
     digest = hashlib.sha256()
     for section in (lemma_section(), corpus_section(), space_section(),
                     event_section(), cli_event_section(), product_section(),
-                    rows_section()):
+                    rows_section(), gaussian_section()):
         for text in section:
             digest.update(text.encode("utf-8"))
     value = digest.hexdigest()
