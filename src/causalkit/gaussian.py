@@ -385,6 +385,12 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     strings are those of the one-subset-at-a-time chain, and an invalid
     covariance is reported at the first subset, and the first object
     within it, where that chain would have met it.
+
+    Before any of that work the inputs are checked, raising ``SpaceError``:
+    the kernel must map the source coordinates to the target's, rho must
+    be defined on every source coordinate, and each of its targets must be
+    a target coordinate (the error names the first unknown one in sorted
+    order).
     """
     if kernel.inputs != source.coords or kernel.outputs != target.coords:
         raise SpaceError("kernel does not match source and target coordinates")
@@ -392,6 +398,9 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     if missing:
         raise SpaceError(f"rho undefined on {sorted(missing)}")
     image = frozenset(rho[n] for n in source.coords)
+    unknown = sorted(image - set(target.coords))
+    if unknown:
+        raise SpaceError(f"unknown coordinate {unknown[0]!r}")
     img = np.array([i for i, n in enumerate(target.coords) if n in image], dtype=np.intp)
 
     reports = [affine_admissible(kernel, rho, image)]
@@ -476,14 +485,7 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
 
     inter: list[CheckReport] = []
     for block in _blocks(image):
-        # a rho naming a coordinate the target lacks fails at the first
-        # subset that holds it, after the subsets before it are checked
-        cut = next((i for i, s in enumerate(block) if not tgt_pos.keys() >= set(s)),
-                   len(block))
-        if cut:
-            inter.extend(scan(block[:cut]))
-        if cut < len(block):
-            target.index(block[cut][0])  # that subset is a singleton: raises
+        inter.extend(scan(block))
     reports.append(combine("interventional", inter))
     return combine("causal-transformation", reports)
 

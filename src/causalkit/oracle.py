@@ -413,6 +413,22 @@ def _random_scm(rng: Random, prefix: str, cards: Optional[list[int]] = None,
     )
 
 
+def _tampered(c: FiniteCausalSpace, subset: Iterable[str], row: int, src: int,
+              dst: int) -> FiniteCausalSpace:
+    """``c`` with every kernel tabulated, half of the weight of row ``row``
+    of K_subset on outcome ``src`` moved to outcome ``dst``."""
+    table = {frozenset(s): c.kernel(s) for s in c.subsets()}
+    k = table[frozenset(subset)]
+    w = list(k.rows[row].weights)
+    shift = w[src] / 2
+    w[src] -= shift
+    w[dst] += shift
+    rows = list(k.rows)
+    rows[row] = FiniteMeasure(c.space, tuple(w))
+    table[frozenset(subset)] = StochKernel(k.domain, c.space, tuple(rows))
+    return FiniteCausalSpace(c.space, c.P, kernels=table)
+
+
 def random_space(seed: int, n_coords: Optional[int] = None,
                  perturb: Optional[str] = None) -> FiniteCausalSpace:
     """Deterministic random causal space; optionally tampered.
@@ -426,33 +442,17 @@ def random_space(seed: int, n_coords: Optional[int] = None,
     space = compile_scm(scm)
     if perturb is None:
         return space
-    full = space.materialize()
-    table = {frozenset(s): full.kernel(s) for s in full.subsets()}
-    sp = full.space
+    sp = space.space
     if perturb == "axiom-i":
-        w = list(full.P.weights)
-        i = next(i for i in range(sp.n_outcomes) if w[i] > 0)
-        j = (i + 1) % sp.n_outcomes
-        shift = w[i] / 2
-        w[i] -= shift
-        w[j] += shift
-        table[frozenset()] = StochKernel.constant(
-            sp.restrict(()), FiniteMeasure(sp, tuple(w)))
-        return FiniteCausalSpace(sp, full.P, kernels=table)
+        i = next(i for i, w in enumerate(space.P.weights) if w > 0)
+        return _tampered(space, (), 0, i, (i + 1) % sp.n_outcomes)
     if perturb == "axiom-ii":
         name = sorted(sp.names)[0]
-        k = table[frozenset({name})]
         fiber = atoms(sp, (name,))[0]
-        rows = list(k.rows)
-        row0 = list(rows[0].weights)
+        row0 = space.kernel((name,)).rows[0].weights
         inside = next(i for i in fiber.indices() if row0[i] > 0)
         outside = next(i for i in range(sp.n_outcomes) if not fiber.contains(i))
-        shift = row0[inside] / 2
-        row0[inside] -= shift
-        row0[outside] += shift
-        rows[0] = FiniteMeasure(sp, tuple(row0))
-        table[frozenset({name})] = StochKernel(k.domain, sp, tuple(rows))
-        return FiniteCausalSpace(sp, full.P, kernels=table)
+        return _tampered(space, (name,), 0, inside, outside)
     raise ValueError(f"unknown perturbation {perturb!r}")
 
 
@@ -620,18 +620,22 @@ def _fail(report: CheckReport, *notes: str) -> CheckReport:
                        details=notes + report.details)
 
 
-def _trial_product_validity(rng: Random) -> CheckReport:
+def _product_factors(rng: Random) -> tuple[FiniteCausalSpace, FiniteCausalSpace]:
+    """Two compiled models, the second drawn within what the first leaves of
+    the abstraction budget."""
     a = compile_scm(_random_scm(rng, "A", cards=_draw_cards(rng, 9)))
     b = compile_scm(_random_scm(
         rng, "B", cards=_draw_cards(rng, ABSTRACTION_BUDGET // a.space.n_outcomes)))
-    report = validate_causal_space(product(a, b))
+    return a, b
+
+
+def _trial_product_validity(rng: Random) -> CheckReport:
+    report = validate_causal_space(product(*_product_factors(rng)))
     return _pass() if report.passed else _fail(report)
 
 
 def _trial_product_effects(rng: Random) -> CheckReport:
-    a = compile_scm(_random_scm(rng, "A", cards=_draw_cards(rng, 9)))
-    b = compile_scm(_random_scm(
-        rng, "B", cards=_draw_cards(rng, ABSTRACTION_BUDGET // a.space.n_outcomes)))
+    a, b = _product_factors(rng)
     both = product(a, b)
     u = tuple(sorted(rng.sample(a.space.names, rng.randint(1, len(a.space.names)))))
     v = tuple(sorted(rng.sample(b.space.names, rng.randint(1, len(b.space.names)))))
@@ -695,20 +699,13 @@ def _trial_pushforward_uniqueness(rng: Random) -> CheckReport:
             inside = list(fiber.indices())
             if len(inside) < 2:
                 continue
-            src = next(i for i, w in enumerate(k.rows[a].weights) if w > 0)
-            moved = next((i for i in inside if k.rows[a].weights[i] == 0), None)
+            w = k.rows[a].weights
+            src = next(i for i, x in enumerate(w) if x > 0)
+            moved = next((i for i in inside if w[i] == 0), None)
             if moved is None:
                 moved = next(i for i in inside if i != src)
-            table = {frozenset(s): target.kernel(s) for s in target.subsets()}
-            rows = list(k.rows)
-            w = list(rows[a].weights)
-            shift = w[src] / 2
-            w[src] -= shift
-            w[moved] += shift
-            rows[a] = FiniteMeasure(sp, tuple(w))
-            table[frozenset(subset)] = StochKernel(k.domain, sp, tuple(rows))
-            tampered = FiniteCausalSpace(sp, target.P, kernels=table)
-            t_alt = Transformation(source=inst.source, target=tampered,
+            t_alt = Transformation(source=inst.source,
+                                   target=_tampered(target, subset, a, src, moved),
                                    rho=inst.t.rho, outcome_map=inst.t.outcome_map)
             if check_all(t_alt).passed:
                 return CheckReport(

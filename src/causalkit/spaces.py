@@ -25,7 +25,7 @@ integer row.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -59,20 +59,34 @@ class CoordinateSpace:
     """Ordered finite product space; outcomes are mixed-radix indexed."""
 
     coords: tuple[Coordinate, ...]
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    cards: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    n_outcomes: int = field(init=False, compare=False, repr=False)
+    _projectors: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [c.name for c in self.coords]
-        if len(set(names)) != len(names):
-            raise SpaceError(f"duplicate coordinate names: {names}")
+        self._shape()
+        if len(set(self.names)) != len(self.names):
+            raise SpaceError(f"duplicate coordinate names: {list(self.names)}")
         for c in self.coords:
             if c.cardinality < 1:
                 raise SpaceError(f"coordinate {c.name!r} has cardinality {c.cardinality}")
-        total = 1
-        for c in self.coords:
-            total *= c.cardinality
         cap = outcome_cap()
-        if total > cap:
-            raise OutcomeCapError(f"{total} outcomes exceeds bound {cap}")
+        if self.n_outcomes > cap:
+            raise OutcomeCapError(f"{self.n_outcomes} outcomes exceeds bound {cap}")
+
+    def _shape(self) -> None:
+        """Set what ``coords`` determines: names, cardinalities, strides (the
+        last coordinate's is 1), the outcome count and an empty projector cache."""
+        cards = tuple(c.cardinality for c in self.coords)
+        strides, total = [], 1
+        for card in reversed(cards):
+            strides.append(total)
+            total *= card
+        self.__dict__.update(names=tuple(c.name for c in self.coords), cards=cards,
+                             strides=tuple(reversed(strides)), n_outcomes=total,
+                             _projectors={})
 
     @classmethod
     def make(cls, pairs: Iterable[tuple[str, int]]) -> "CoordinateSpace":
@@ -87,30 +101,9 @@ class CoordinateSpace:
         is checked again and the cap's env var is not read.
         """
         space = object.__new__(cls)
-        object.__setattr__(space, "coords", tuple(parent.coords[i] for i in positions))
+        space.__dict__["coords"] = tuple(parent.coords[i] for i in positions)
+        space._shape()
         return space
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.coords)
-
-    @cached_property
-    def cards(self) -> tuple[int, ...]:
-        return tuple(c.cardinality for c in self.coords)
-
-    @cached_property
-    def n_outcomes(self) -> int:
-        total = 1
-        for c in self.coords:
-            total *= c.cardinality
-        return total
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        out = [1] * len(self.coords)
-        for i in range(len(self.coords) - 2, -1, -1):
-            out[i] = out[i + 1] * self.coords[i + 1].cardinality
-        return tuple(out)
 
     def position(self, name: str) -> int:
         try:
@@ -152,10 +145,6 @@ class CoordinateSpace:
         """Sub-space on a coordinate subset, keeping this space's order."""
         return self.projector(subset).sub
 
-    @cached_property
-    def _projectors(self) -> dict[frozenset, "Projector"]:
-        return {}
-
     def projector(self, subset: Iterable[str]) -> "Projector":
         """Projection table onto a coordinate subset, built once per subset."""
         key = frozenset(subset)
@@ -188,6 +177,9 @@ class Projector:
 
     sub: CoordinateSpace
     index: tuple[int, ...]
+    lowest: tuple[int, ...]
+    """Each atom's lowest full outcome: its values on the subset, zero off it.
+    Those of atoms on disjoint subsets add; they rise with the atom index."""
     masks: tuple[int, ...]
 
     @classmethod
@@ -195,22 +187,19 @@ class Projector:
         pos = space.positions(subset)
         sub = CoordinateSpace._sub(space, pos)
         step = dict(zip(pos, sub.strides))
-        # outcomes in index order, one coordinate at a time, the first most
-        # significant; a coordinate off the subset moves no sub-index
-        index = [0]
-        for p, card in enumerate(space.cards):
-            moves = [v * step.get(p, 0) for v in range(card)]
+        # one pass over the coordinates, the first most significant: a
+        # coordinate on the subset moves the sub-index and the atoms' lowest
+        # outcomes, one off it spreads atom 0, whose other atoms are shifts
+        index, lowest, first = [0], [0], 1
+        for p, (card, stride) in enumerate(zip(space.cards, space.strides)):
+            if p in step:
+                moves = [v * step[p] for v in range(card)]
+                lowest = [a + v * stride for a in lowest for v in range(card)]
+            else:
+                moves = [0] * card
+                first = sum(first << v * stride for v in range(card))
             index = [a + m for a in index for m in moves]
-        masks = [0] * sub.n_outcomes
-        for i, a in enumerate(index):
-            masks[a] |= 1 << i
-        return cls(sub, tuple(index), tuple(masks))
-
-    @cached_property
-    def lowest(self) -> tuple[int, ...]:
-        """Each atom's lowest full outcome: its values on the subset, zero off it.
-        Those of atoms on disjoint subsets add; they rise with the atom index."""
-        return tuple((m & -m).bit_length() - 1 for m in self.masks)
+        return cls(sub, tuple(index), tuple(lowest), tuple(first << a for a in lowest))
 
 
 def product_space(a: CoordinateSpace, b: CoordinateSpace) -> CoordinateSpace:

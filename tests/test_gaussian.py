@@ -571,3 +571,14 @@ def test_invalid_kernel_covariances_raise_space_errors():
     with pytest.raises(ck.SpaceError,
                        match="^kernel covariance is not positive semi-definite$"):
         ck.check_affine_transform(source, doubled, kernel, rho)
+
+
+def test_unknown_rho_target_is_reported_before_a_covariance_fault_in_the_scan():
+    # the kernel covariance of the previous test fails only inside the scan,
+    # at S={X}; rho's targets are checked before any of it
+    source, target, matrix, rho = examples.abstraction_gaussian_pair()
+    kernel = ck.AffineGaussianKernel(source.coords, target.coords, matrix, np.zeros(2),
+                                     np.diag([-0.9e-10, 0.0]))
+    doubled = ck.LinearGaussianSCM(target.coords, [[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
+    with pytest.raises(ck.SpaceError, match="^unknown coordinate 'Z'$"):
+        ck.check_affine_transform(source, doubled, kernel, dict(rho, Y2="Z"))
