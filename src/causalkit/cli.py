@@ -290,6 +290,8 @@ def cmd_lemma(args) -> int:
         raise SpecError("a lemma id is required (or use --list)")
     if args.id not in LEMMA_IDS:
         raise SpecError(f"unknown lemma {args.id!r}; known: {', '.join(LEMMA_IDS)}")
+    if args.trials < 0:
+        raise SpecError(f"--trials must be at least 0, got {args.trials}")
     return _emit(args, lemma_suite(args.id, trials=args.trials, seed=args.seed))
 
 

@@ -14,6 +14,7 @@ absolute-plus-relative tolerance, 1e-9 by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from typing import Iterable, Iterator, Mapping, Union
@@ -49,17 +50,18 @@ def _cov_faults(cov: np.ndarray) -> np.ndarray:
     ``eigvalsh``.
     """
     n = cov.shape[-1]
+    if not n:  # an empty matrix is valid; reshape cannot infer an empty stack
+        return np.zeros(cov.shape[:-2], dtype=np.intp)
     flat = cov.reshape(-1, n, n)
     faults = np.zeros(len(flat), dtype=np.intp)
-    if n:
-        scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
-        asym = ~np.all(np.abs(flat - flat.transpose(0, 2, 1))
-                       <= (SYMMETRY_TOL * scale)[:, None, None], axis=(1, 2))
-        faults[asym] = 1
-        sym = ~asym
-        if sym.any():
-            low = np.linalg.eigvalsh(flat[sym]).min(axis=1) < PSD_TOL * scale[sym]
-            faults[sym] = np.where(low, 2, 0)
+    scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
+    asym = ~np.all(np.abs(flat - flat.transpose(0, 2, 1))
+                   <= (SYMMETRY_TOL * scale)[:, None, None], axis=(1, 2))
+    faults[asym] = 1
+    sym = ~asym
+    if sym.any():
+        low = np.linalg.eigvalsh(flat[sym]).min(axis=1) < PSD_TOL * scale[sym]
+        faults[sym] = np.where(low, 2, 0)
     return faults.reshape(cov.shape[:-2])
 
 
@@ -386,17 +388,24 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     covariance is reported at the first subset, and the first object
     within it, where that chain would have met it.
 
-    Before any of that work the inputs are checked, raising ``SpaceError``:
-    the kernel must map the source coordinates to the target's, rho must
-    be defined on every source coordinate, and each of its targets must be
-    a target coordinate (the error names the first unknown one in sorted
-    order).
+    Before any of that work the inputs are checked, in this order, and
+    the first failure raises ``SpaceError``: ``tol`` must be finite and at
+    least 0 (0 asks for exact equality); the kernel must map the source
+    coordinates to the target's; rho must be defined on every source
+    coordinate and on nothing else; and each of its targets must be a
+    target coordinate (the error names the first unknown one in sorted
+    order).  A covariance fault is raised only after all of these pass.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SpaceError(f"tolerance must be finite and at least 0, got {tol}")
     if kernel.inputs != source.coords or kernel.outputs != target.coords:
         raise SpaceError("kernel does not match source and target coordinates")
     missing = set(source.coords) - set(rho)
     if missing:
         raise SpaceError(f"rho undefined on {sorted(missing)}")
+    extra = set(rho) - set(source.coords)
+    if extra:
+        raise SpaceError(f"rho defined on unknown coordinates {sorted(extra)}")
     image = frozenset(rho[n] for n in source.coords)
     unknown = sorted(image - set(target.coords))
     if unknown:

@@ -822,13 +822,16 @@ def lemma_suite(lemma_id: str, trials: int = 100, seed: int = 0) -> CheckReport:
 
     Instances satisfy the lemma's hypotheses by construction; trials the
     lemma does not cover are counted and logged but never asserted.  The
-    outcome is reproducible from (lemma_id, trials, seed).
+    outcome is reproducible from (lemma_id, trials, seed).  A negative
+    ``trials`` raises ``ValueError``.
     """
     try:
         trial = _TRIALS[lemma_id]
     except KeyError:
         raise ValueError(f"unknown lemma id {lemma_id!r}; "
                          f"known: {', '.join(LEMMA_IDS)}") from None
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     failures: list[CheckReport] = []
     skipped = 0
     for i in range(trials):

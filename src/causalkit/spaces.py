@@ -41,11 +41,21 @@ ONE = Fraction(1)
 
 
 def outcome_cap() -> int:
-    """The outcome-count bound: the env var if set, else the default."""
+    """The outcome-count bound: the env var if set, else the default.
+
+    A set variable must hold a positive integer; any other value raises
+    ``OutcomeCapError``.
+    """
     env = os.environ.get(MAX_OUTCOMES_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_OUTCOMES
+    if env is None:
+        return DEFAULT_MAX_OUTCOMES
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise OutcomeCapError(f"{MAX_OUTCOMES_ENV}={env!r} is not a positive integer")
+    return cap
 
 
 @dataclass(frozen=True)

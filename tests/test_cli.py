@@ -149,6 +149,43 @@ def test_non_finite_gaussian_numbers_exit_2(capsys, tmp_path, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_outcome_cap_variable_exits_2(capsys, corpus_dir, monkeypatch, value):
+    monkeypatch.setenv("CAUSALKIT_MAX_OUTCOMES", value)
+    code, out, err = run(capsys, "validate", str(corpus_dir / "xor.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: CAUSALKIT_MAX_OUTCOMES={value!r} is not a positive integer\n"
+
+
+def gaussian_document(tmp_path, corpus_dir, edit) -> str:
+    """The corpus Gaussian abstraction, edited, written to a file."""
+    doc = json.loads((corpus_dir / "gaussian-abstraction.json").read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_unknown_gaussian_rho_key_exits_2(capsys, tmp_path, corpus_dir):
+    path = gaussian_document(tmp_path, corpus_dir, lambda d: d["rho"].update(Bogus="X"))
+    code, out, err = run(capsys, "check-transform", path)
+    assert (code, out) == (2, "")
+    assert err == "error: rho defined on unknown coordinates ['Bogus']\n"
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_bad_tolerance_exits_2(capsys, tmp_path, corpus_dir, tol):
+    # a failing transformation: no tolerance may turn it into a pass
+    path = gaussian_document(tmp_path, corpus_dir,
+                             lambda d: d["map"]["matrix"][0].__setitem__(0, 2.0))
+    assert run(capsys, "check-transform", path)[0] == 1
+    assert run(capsys, "check-transform", path, "--tol", "0")[0] == 1
+    code, out, err = run(capsys, "check-transform", path, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == (f"error: tolerance must be finite and at least 0, "
+                   f"got {float(tol)}\n")
+
+
 def test_axiom_violation_exits_1(capsys, tmp_path, xor):
     doc = json.loads(ck.dumps(xor.materialize()))
     # move mass across the X-atom boundary in the X kernel
@@ -460,6 +497,16 @@ def test_lemma_rejects_unknown_ids(capsys):
     assert "unknown lemma" in err
     code, _, err = run(capsys, "lemma")
     assert code == 2
+
+
+def test_lemma_rejects_negative_trial_counts(capsys):
+    code, out, err = run(capsys, "lemma", "composition", "--trials", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --trials must be at least 0, got -3\n"
+    code, out, _ = run(capsys, "lemma", "composition", "--trials", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["details"] == [
+        "0 trials, 0 covered and passed, 0 not covered, 0 failed"]
 
 
 # ---------------------------------------------------------------------------

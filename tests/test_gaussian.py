@@ -582,3 +582,38 @@ def test_unknown_rho_target_is_reported_before_a_covariance_fault_in_the_scan():
     doubled = ck.LinearGaussianSCM(target.coords, [[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
     with pytest.raises(ck.SpaceError, match="^unknown coordinate 'Z'$"):
         ck.check_affine_transform(source, doubled, kernel, dict(rho, Y2="Z"))
+
+
+def test_rho_keys_must_be_source_coordinates():
+    source, target, matrix, rho = examples.abstraction_gaussian_pair()
+    with pytest.raises(ck.SpaceError,
+                       match=r"^rho defined on unknown coordinates \['Bogus'\]$"):
+        ck.check_linear_transform(source, target, matrix, dict(rho, Bogus="X"))
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-12])
+def test_tolerance_must_be_finite_and_not_negative(tol):
+    source, target, matrix, rho = examples.abstraction_gaussian_pair()
+    with pytest.raises(ck.SpaceError, match="^tolerance must be finite and at least 0"):
+        ck.check_linear_transform(source, target, matrix, rho, tol)
+
+
+def test_zero_tolerance_compares_exactly():
+    source, target, matrix, rho = examples.abstraction_gaussian_pair()
+    assert ck.check_linear_transform(source, target, matrix, rho, 0.0).passed
+    moved = matrix.copy()
+    moved[1, 3] += 1e-12
+    assert ck.check_linear_transform(source, target, moved, rho, 1e-9).passed
+    assert not ck.check_linear_transform(source, target, moved, rho, 0.0).passed
+
+
+def test_empty_source_is_checked_like_any_other():
+    # no source coordinate: an empty image, whose one subset is S = {}
+    empty = ck.LinearGaussianSCM((), np.zeros((0, 0)), np.zeros(0))
+    target = ck.LinearGaussianSCM(("Y",), np.zeros((1, 1)), np.ones(1))
+    point = ck.AffineGaussianKernel((), ("Y",), np.zeros((1, 0)), np.zeros(1), np.ones((1, 1)))
+    report = ck.check_affine_transform(empty, target, point, {})
+    assert report.passed
+    assert [r.check for r in report.subreports[2].subreports] == ["interventional S={}"]
+    report = ck.check_linear_transform(empty, target, np.zeros((1, 0)), {})
+    assert [r.passed for r in report.subreports] == [True, False, True]

@@ -240,3 +240,11 @@ def test_lemma_suite_seed_changes_trials():
 def test_unknown_lemma_id_rejected():
     with pytest.raises(ValueError):
         ck.lemma_suite("no-such-lemma")
+
+
+def test_trial_count_must_not_be_negative():
+    with pytest.raises(ValueError, match="trials must be at least 0, got -3"):
+        ck.lemma_suite("composition", trials=-3)
+    report = ck.lemma_suite("composition", trials=0)
+    assert report.passed and not report.subreports
+    assert report.details == ("0 trials, 0 covered and passed, 0 not covered, 0 failed",)

@@ -43,6 +43,15 @@ def test_outcome_cap_default_and_override(monkeypatch):
     monkeypatch.setenv("CAUSALKIT_MAX_OUTCOMES", "8")
     with pytest.raises(ck.OutcomeCapError):
         ck.CoordinateSpace.make([("X", 3), ("Y", 3)])
+    # a value that is not a positive integer names itself instead of
+    # failing inside int() or rejecting every space
+    for value in ("abc", "0", "-3", "", "2.5"):
+        monkeypatch.setenv("CAUSALKIT_MAX_OUTCOMES", value)
+        with pytest.raises(ck.OutcomeCapError,
+                           match=f"^CAUSALKIT_MAX_OUTCOMES={value!r} is not a positive"):
+            ck.CoordinateSpace.make([("X", 2)])
+    monkeypatch.setenv("CAUSALKIT_MAX_OUTCOMES", "1")
+    assert ck.CoordinateSpace.make([("X", 1)]).n_outcomes == 1
 
 
 @given(coordinate_spaces())
