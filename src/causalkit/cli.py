@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -36,14 +35,7 @@ from .gaussian import DEFAULT_TOL, LinearGaussianSCM, observational_law
 from .oracle import LEMMA_IDS, lemma_suite
 from .report import CheckReport, Witness, combine
 from .scm import FiniteSCM, compile_scm
-from .serialize import (
-    GaussianTransform,
-    _coord_list,
-    _outcome_table,
-    _require,
-    _rho_from_doc,
-    parse_event_spec,
-)
+from .serialize import GaussianTransform, parse_event_spec, parse_json, parse_rho
 from .spaces import CoordinateSpace, Event, FiniteMeasure
 from .transform import IndexMap, Transformation, check_all, compose, pushforward_space
 
@@ -61,13 +53,6 @@ def _as_space(artifact, origin: str) -> FiniteCausalSpace:
 
 def _load_space(path: str) -> FiniteCausalSpace:
     return _as_space(serialize.load(path), path)
-
-
-def _inline_json(text: str, what: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{what}: invalid JSON: {exc}") from None
 
 
 def _check_names(space: CoordinateSpace, names, what: str) -> tuple[str, ...]:
@@ -181,7 +166,7 @@ def cmd_classify(args) -> int:
     if (args.event is None) == (args.target is None):
         raise SpecError("exactly one of --event / --target is required")
     if args.event is not None:
-        spec = _inline_json(args.event, "--event")
+        spec = parse_json(args.event, "--event")
         effect = classify_effect(space, on, parse_event_spec(space.space, spec))
         subject = f"event {args.event}"
     else:
@@ -210,7 +195,7 @@ def cmd_source(args) -> int:
 def _event_or_names(space: CoordinateSpace, text: str,
                     what: str) -> Union[Event, tuple[str, ...]]:
     if text.lstrip().startswith("{"):
-        return parse_event_spec(space, _inline_json(text, what))
+        return parse_event_spec(space, parse_json(text, what))
     return _check_names(space, [n for n in text.split(",") if n], what)
 
 
@@ -252,18 +237,9 @@ def cmd_independence(args) -> int:
 
 def cmd_abstract(args) -> int:
     space = _load_space(args.path)
-    map_path = Path(args.map)
-    try:
-        text = map_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read {map_path}: {exc.strerror or exc}") from None
-    doc = _inline_json(text, args.map)
-    _require(doc, ("target", "table"), "abstraction map")
-    target_space = CoordinateSpace.make(_coord_list(doc["target"], "abstraction map"))
-    outcome_map = _outcome_table(doc["table"], space.space.n_outcomes, target_space,
-                                 "abstraction map: table")
+    target_space, outcome_map = serialize.load_abstraction_map(args.map, space.space)
     rho = IndexMap(space.space.names, target_space.names,
-                   _rho_from_doc(_inline_json(args.rho, "--rho"), "--rho"))
+                   parse_rho(parse_json(args.rho, "--rho"), "--rho"))
     pushed = pushforward_space(space, outcome_map, rho, target_space)
     _write(args, pushed.transformation)
     return _emit(args, pushed.report)

@@ -350,7 +350,8 @@ def _gaussian_to_doc(scm: LinearGaussianSCM) -> dict:
 
 # ---------------------------------------------------------- transformation
 
-def _rho_from_doc(doc: Any, what: str) -> dict[str, str]:
+def parse_rho(doc: Any, what: str) -> dict[str, str]:
+    """Index map from a JSON object of coordinate names to names."""
     if (not isinstance(doc, Mapping)
             or any(not isinstance(k, str) or not isinstance(v, str)
                    for k, v in doc.items())):
@@ -381,7 +382,7 @@ def _transformation_from_doc(doc: Mapping) -> Union[Transformation, GaussianTran
     for part, name in ((src_doc, "source"), (tgt_doc, "target")):
         if not isinstance(part, Mapping) or "kind" not in part:
             raise SpecError(f"transformation: '{name}' must be a document with a kind")
-    rho = _rho_from_doc(doc["rho"], "transformation: 'rho'")
+    rho = parse_rho(doc["rho"], "transformation: 'rho'")
     body = doc["map"]
     if not isinstance(body, Mapping) or "type" not in body:
         raise SpecError("transformation: 'map' must be an object with a 'type'")
@@ -519,18 +520,36 @@ def dump(obj: Artifact, path: Union[str, Path]) -> None:
     Path(path).write_text(dumps(obj), encoding="utf-8")
 
 
-def loads(text: str) -> Artifact:
+def parse_json(text: str, what: str = "") -> Any:
+    """Value of a JSON text; a malformed one raises ``SpecError`` naming ``what``."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid JSON: {exc}") from None
-    return load_document(doc)
+        raise SpecError(f"{what}: invalid JSON: {exc}" if what
+                        else f"invalid JSON: {exc}") from None
+
+
+def _read(path: Union[str, Path]) -> str:
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SpecError(f"cannot read {p}: {exc.strerror or exc}") from None
+
+
+def loads(text: str) -> Artifact:
+    return load_document(parse_json(text))
 
 
 def load(path: Union[str, Path]) -> Artifact:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read {p}: {exc.strerror or exc}") from None
-    return loads(text)
+    return loads(_read(path))
+
+
+def load_abstraction_map(path: Union[str, Path], source: CoordinateSpace
+                         ) -> tuple[CoordinateSpace, tuple[int, ...]]:
+    """Target space and outcome table of an abstraction-map file over ``source``."""
+    doc = parse_json(_read(path), str(path))
+    _require(doc, ("target", "table"), "abstraction map")
+    target = CoordinateSpace.make(_coord_list(doc["target"], "abstraction map"))
+    return target, _outcome_table(doc["table"], source.n_outcomes, target,
+                                  "abstraction map: table")

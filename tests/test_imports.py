@@ -61,3 +61,29 @@ def test_an_unused_import_is_reported():
     tree = ast.parse("from typing import Iterable, Mapping\n"
                      "def f(x: 'Iterable[int]') -> None:\n    pass\n")
     assert [n for n, _ in imported_names(tree) if n not in used_names(tree)] == ["Mapping"]
+
+
+def private_serialize_names(tree):
+    """Underscore names a module takes from ``causalkit.serialize``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module, node.level) in (("serialize", 1),
+                                                  ("causalkit.serialize", 0))):
+            yield from (a.name for a in node.names if a.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "serialize" and node.attr.startswith("_")):
+            yield node.attr
+
+
+def test_cli_reads_input_only_through_public_serialize_names():
+    path = Path(causalkit.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(private_serialize_names(tree)) == []
+
+
+def test_a_private_serialize_import_is_reported():
+    tree = ast.parse("from .serialize import _require, load\n"
+                     "from causalkit.serialize import _coord_list\n"
+                     "from . import serialize\nserialize._outcome_table\n")
+    assert list(private_serialize_names(tree)) == [
+        "_require", "_coord_list", "_outcome_table"]
