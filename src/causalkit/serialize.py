@@ -521,10 +521,14 @@ def dump(obj: Artifact, path: Union[str, Path]) -> None:
 
 
 def parse_json(text: str, what: str = "") -> Any:
-    """Value of a JSON text; a malformed one raises ``SpecError`` naming ``what``."""
+    """Value of a JSON text; a malformed one raises ``SpecError`` naming ``what``.
+
+    Nesting deeper than the parser's recursion limit and integers longer
+    than the interpreter's digit limit are malformed too.
+    """
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SpecError(f"{what}: invalid JSON: {exc}" if what
                         else f"invalid JSON: {exc}") from None
 
@@ -535,6 +539,8 @@ def _read(path: Union[str, Path]) -> str:
         return p.read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecError(f"cannot read {p}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"cannot read {p}: {exc}") from None
 
 
 def loads(text: str) -> Artifact:

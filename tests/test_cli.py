@@ -132,6 +132,55 @@ def test_invalid_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+# 200,000 levels: past the JSON parser's recursion limit
+DEEP = "[" * 200_000 + "]" * 200_000
+# a cardinality past the interpreter's 4300-digit integer conversion limit
+LONG = ('{"kind": "finite-measure", "coordinates": [{"name": "X", "cardinality": 1'
+        + "0" * 4999 + '}], "weights": ["1"]}')
+
+
+def one_error_line(err: str, prefix: str) -> bool:
+    return err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [DEEP, LONG], ids=["deep", "long"])
+def test_over_deep_or_over_long_document_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert one_error_line(err, "error: invalid JSON: ")
+
+
+@pytest.mark.parametrize("text", [DEEP, LONG], ids=["deep", "long"])
+def test_over_deep_or_over_long_map_file_exits_2(capsys, tmp_path, corpus_dir, text):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "abstract", str(corpus_dir / "parity.json"),
+        "--map", str(map_path), "--rho", "{}", "--out", str(tmp_path / "t.json"))
+    assert (code, out) == (2, "")
+    assert one_error_line(err, f"error: {map_path}: invalid JSON: ")
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("text", [DEEP, '{"Y": 1' + "0" * 4999 + "}"],
+                         ids=["deep", "long"])
+def test_over_deep_or_over_long_event_exits_2(capsys, corpus_dir, text):
+    code, out, err = run(capsys, "classify", str(corpus_dir / "parity.json"),
+                         "--on", "X", "--event", text)
+    assert (code, out) == (2, "")
+    assert one_error_line(err, "error: --event: invalid JSON: ")
+
+
+def test_undecodable_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert one_error_line(err, f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("field, value", [("coefficients", float("inf")),
                                           ("noise_variances", float("nan"))])
 def test_non_finite_gaussian_numbers_exit_2(capsys, tmp_path, field, value):
