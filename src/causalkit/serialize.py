@@ -289,7 +289,8 @@ def _scm_from_doc(doc: Mapping) -> FiniteSCM:
                 f"finite-scm: '{section}' must have exactly one entry per variable")
     parents = {}
     for v, ps in doc["parents"].items():
-        if not isinstance(ps, list) or any(p not in names for p in ps):
+        if not isinstance(ps, list) or any(not isinstance(p, str) or p not in names
+                                           for p in ps):
             raise SpecError(f"finite-scm: parents of {v!r} must list known variables")
         parents[v] = tuple(ps)
     noises = {}
@@ -485,7 +486,7 @@ def load_document(doc: Mapping) -> Artifact:
     if not isinstance(doc, Mapping):
         raise SpecError(f"expected a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in _LOADERS:
         raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     return _LOADERS[kind](doc)
 

@@ -1,10 +1,13 @@
 """JSON document layer: canonical form, round trips, strict validation."""
 
+import copy
 import json
 from fractions import Fraction
+from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import causalkit as ck
 from causalkit import examples
@@ -184,6 +187,16 @@ def test_invalid_json_rejected():
         ck.loads("{not json")
 
 
+@pytest.mark.parametrize("value", [[], {}, [[1]], {"a": 1}], ids=repr)
+def test_unhashable_kind_or_parent_rejected(value):
+    with pytest.raises(ck.SpecError, match="unknown kind"):
+        ck.load_document({"kind": value})
+    doc = ck.document(examples.parity_scm())
+    doc["parents"]["Y"] = ["X", value]
+    with pytest.raises(ck.SpecError, match="parents of 'Y' must list known variables"):
+        ck.load_document(doc)
+
+
 @pytest.mark.parametrize("name", sorted(finite_artifacts()))
 def test_unknown_fields_rejected_for_every_kind(name):
     doc = json.loads(ck.dumps(finite_artifacts()[name]))
@@ -316,3 +329,59 @@ def test_dump_and_load_files(tmp_path, xor):
     path = tmp_path / "xor.json"
     ck.dump(xor.materialize(), path)
     assert ck.causal_spaces_equal(ck.load(path), xor)
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: any JSON value anywhere in a shipped document
+
+CORPUS = {p.name[:-len(".json")]: json.loads(p.read_text(encoding="utf-8"))
+          for p in sorted(files("causalkit").joinpath("corpus").iterdir())
+          if p.name.endswith(".json") and not p.name.endswith(".report.json")}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def field_paths(value, prefix=()):
+    """Key path of the document itself and of every value nested in it."""
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from field_paths(inner, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def loads_or_rejects(load, arg) -> None:
+    try:
+        load(arg)
+    except ck.CausalKitError:
+        pass
+
+
+@pytest.mark.parametrize("stem", sorted(CORPUS))
+@given(data=st.data())
+def test_any_value_at_any_field_loads_or_raises_a_package_error(stem, data):
+    doc = CORPUS[stem]
+    path = data.draw(st.sampled_from(list(field_paths(doc))), label="path")
+    loads_or_rejects(ck.load_document, replaced(doc, path, data.draw(json_values)))
+
+
+@pytest.mark.parametrize("stem", sorted(CORPUS))
+@given(data=st.data())
+def test_truncated_text_loads_or_raises_a_package_error(stem, data):
+    text = json.dumps(CORPUS[stem], indent=2)
+    loads_or_rejects(ck.loads, text[:data.draw(st.integers(0, len(text)))])
