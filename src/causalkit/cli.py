@@ -31,7 +31,7 @@ from .causal import (
     validate_causal_space,
 )
 from .errors import CausalKitError, SpecError
-from .gaussian import DEFAULT_TOL, LinearGaussianSCM, observational_law
+from .gaussian import DEFAULT_TOL, LinearGaussianSCM, check_tolerance, observational_law
 from .oracle import LEMMA_IDS, lemma_suite
 from .report import CheckReport, Witness, combine
 from .scm import FiniteSCM, compile_scm
@@ -150,6 +150,7 @@ def cmd_product(args) -> int:
 
 def cmd_check_transform(args) -> int:
     artifact = serialize.load(args.path)
+    check_tolerance(args.tol)
     if isinstance(artifact, Transformation):
         report = check_all(artifact)
     elif isinstance(artifact, GaussianTransform):

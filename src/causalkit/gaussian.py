@@ -9,7 +9,8 @@ declared order) has observational law
 
 Dirac components are carried as exact zero rows and columns of the
 covariance; nothing is regularised.  Comparisons use a caller-supplied
-absolute-plus-relative tolerance, 1e-9 by default.
+absolute-plus-relative tolerance, 1e-9 by default; every function that
+takes one passes it through ``check_tolerance`` first.
 """
 
 from __future__ import annotations
@@ -78,8 +79,17 @@ def _check_cov(what: str, *covs: np.ndarray) -> None:
         raise SpaceError(f"{what} is {_COV_FAULTS[faults[bad[0]]]}")
 
 
+def check_tolerance(tol: float) -> float:
+    """``tol`` itself if it is finite and at least 0 (0 asks for exact
+    equality); any other value raises ``SpaceError``."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SpaceError(f"tolerance must be finite and at least 0, got {tol}")
+    return tol
+
+
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise comparison with absolute and relative tolerance."""
+    check_tolerance(tol)
     return bool(np.allclose(np.asarray(a, float), np.asarray(b, float),
                             rtol=tol, atol=tol))
 
@@ -107,6 +117,7 @@ class GaussianLaw:
                            self.mean[idx], self.cov[np.ix_(idx, idx)])
 
     def agrees_with(self, other: "GaussianLaw", tol: float = DEFAULT_TOL) -> bool:
+        check_tolerance(tol)
         return (self.coords == other.coords
                 and close(self.mean, other.mean, tol)
                 and close(self.cov, other.cov, tol))
@@ -142,6 +153,7 @@ class AffineGaussianKernel:
         return GaussianLaw(self.outputs, self.matrix @ values + self.offset, self.cov)
 
     def agrees_with(self, other: "AffineGaussianKernel", tol: float = DEFAULT_TOL) -> bool:
+        check_tolerance(tol)
         return (self.inputs == other.inputs and self.outputs == other.outputs
                 and close(self.matrix, other.matrix, tol)
                 and close(self.offset, other.offset, tol)
@@ -167,8 +179,8 @@ class LinearGaussianSCM:
                              "in the declared coordinate order")
         object.__setattr__(self, "coefficients", b)
         v = np.asarray(self.noise_variances, float)
-        if v.shape != (d,) or np.any(v < 0):
-            raise SpaceError("noise variances must be a nonnegative vector")
+        if v.shape != (d,) or not np.all(np.isfinite(v) & (v >= 0)):
+            raise SpaceError("noise variances must be a finite nonnegative vector")
         object.__setattr__(self, "noise_variances", v)
         m = (np.zeros(d) if self.noise_means is None
              else np.asarray(self.noise_means, float))
@@ -248,6 +260,7 @@ def conditional_kernel(law: GaussianLaw, given: Iterable[str],
     block (for example a fully correlated pair) raises
     ``SingularConditioningError`` rather than being regularised.
     """
+    check_tolerance(tol)
     g = tuple(given)
     g_idx = [law.coords.index(n) for n in g]
     r_idx = [i for i in range(len(law.coords)) if i not in g_idx]
@@ -396,8 +409,7 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     target coordinate (the error names the first unknown one in sorted
     order).  A covariance fault is raised only after all of these pass.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise SpaceError(f"tolerance must be finite and at least 0, got {tol}")
+    check_tolerance(tol)
     if kernel.inputs != source.coords or kernel.outputs != target.coords:
         raise SpaceError("kernel does not match source and target coordinates")
     missing = set(source.coords) - set(rho)
@@ -526,6 +538,7 @@ def faithfulness_demo(tol: float = DEFAULT_TOL) -> tuple[CheckReport, CheckRepor
     share the observational law and disagree on every interventional
     question, which is the point.
     """
+    check_tolerance(tol)
     scm = LinearGaussianSCM(
         coords=("W", "X", "M", "Y"),
         coefficients=np.array([
@@ -543,10 +556,10 @@ def faithfulness_demo(tol: float = DEFAULT_TOL) -> tuple[CheckReport, CheckRepor
     do_mean_y = k_x.matrix[y_pos, 0]
     do_var_y = k_x.cov[y_pos, y_pos]
     base_var_y = law.cov[y_pos, y_pos]
-    full_ok = (abs(cov_xy) <= tol
-               and close(do_mean_y, -1.0, tol)
-               and close(do_var_y, 3.0, tol)
-               and close(base_var_y, 2.0, tol))
+    full_ok = bool(abs(cov_xy) <= tol
+                   and close(do_mean_y, -1.0, tol)
+                   and close(do_var_y, 3.0, tol)
+                   and close(base_var_y, 2.0, tol))
     full = CheckReport(
         check="faithfulness-full-system",
         passed=full_ok,
@@ -570,7 +583,7 @@ def faithfulness_demo(tol: float = DEFAULT_TOL) -> tuple[CheckReport, CheckRepor
     indep_k = interventional_kernel(indep, ("X",))
     y_slope = indep_k.matrix[1, 0]
     indep_law = observational_law(indep)
-    sub_ok = (indep_law.agrees_with(sub_law, tol) and abs(y_slope) <= tol)
+    sub_ok = bool(indep_law.agrees_with(sub_law, tol) and abs(y_slope) <= tol)
     sub = CheckReport(
         check="faithfulness-independent-reading",
         passed=sub_ok,

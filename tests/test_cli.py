@@ -229,10 +229,12 @@ def test_bad_tolerance_exits_2(capsys, tmp_path, corpus_dir, tol):
                              lambda d: d["map"]["matrix"][0].__setitem__(0, 2.0))
     assert run(capsys, "check-transform", path)[0] == 1
     assert run(capsys, "check-transform", path, "--tol", "0")[0] == 1
-    code, out, err = run(capsys, "check-transform", path, "--tol", tol)
-    assert (code, out) == (2, "")
-    assert err == (f"error: tolerance must be finite and at least 0, "
-                   f"got {float(tol)}\n")
+    # the finite corpus inclusion passes, and takes the flag by the same rule
+    for doc in (path, str(corpus_dir / "inclusion.json")):
+        code, out, err = run(capsys, "check-transform", doc, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == (f"error: tolerance must be finite and at least 0, "
+                       f"got {float(tol)}\n")
 
 
 def test_axiom_violation_exits_1(capsys, tmp_path, xor):

@@ -5,6 +5,10 @@ frozen here; a seeded Monte-Carlo oracle double-checks the observational
 law of the standing four-variable example.
 """
 
+import json
+from importlib.resources import files
+
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,12 @@ import causalkit as ck
 from causalkit import examples
 
 TOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def schema():
+    return json.loads(files("causalkit").joinpath("report_schema.json")
+                      .read_text(encoding="utf-8"))
 
 
 def lower_triangular_scms():
@@ -596,6 +606,40 @@ def test_tolerance_must_be_finite_and_not_negative(tol):
     source, target, matrix, rho = examples.abstraction_gaussian_pair()
     with pytest.raises(ck.SpaceError, match="^tolerance must be finite and at least 0"):
         ck.check_linear_transform(source, target, matrix, rho, tol)
+
+
+BAD_TOLERANCES = [float("inf"), float("nan"), -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_every_gaussian_tolerance_follows_one_rule(tol):
+    source = examples.abstraction_gaussian_pair()[0]
+    law = ck.observational_law(source)
+    kernel = ck.interventional_kernel(source, ("X1",))
+    calls = [
+        lambda: ck.gaussian.close([0.0], [5.0], tol),
+        lambda: law.agrees_with(law, tol),
+        lambda: kernel.agrees_with(kernel, tol),
+        lambda: ck.conditional_kernel(law, ("X1",), tol),
+        lambda: ck.faithfulness_demo(tol),
+    ]
+    for call in calls:
+        with pytest.raises(ck.SpaceError,
+                           match=f"^tolerance must be finite and at least 0, got {tol}$"):
+            call()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_noise_variance_rejected(value):
+    with pytest.raises(ck.SpaceError, match="^noise variances must be a finite nonnegative"):
+        ck.LinearGaussianSCM(("A", "B"), np.zeros((2, 2)), [1.0, value])
+
+
+def test_faithfulness_reports_are_plain_json(schema):
+    for report in ck.faithfulness_demo():
+        assert type(report.passed) is bool
+        doc = json.loads(json.dumps(report.to_dict()))
+        jsonschema.validate(doc, schema)
 
 
 def test_zero_tolerance_compares_exactly():
