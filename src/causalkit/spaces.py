@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import OutcomeCapError, SpaceError
 
@@ -169,12 +169,6 @@ class CoordinateSpace:
             raise SpaceError(f"outcome index {index} out of range")
         return self.projector(subset).index[index]
 
-    def index_from_values(self, assignment: Mapping[str, int]) -> int:
-        """Full-outcome index from a total name-to-value assignment."""
-        if set(assignment) != set(self.names):
-            raise SpaceError("assignment must cover every coordinate exactly")
-        return self.index(tuple(assignment[n] for n in self.names))
-
 
 @dataclass(frozen=True)
 class Projector:
@@ -303,10 +297,6 @@ class Event:
 
     def complement(self) -> "Event":
         return Event(self.space, Event.full(self.space).mask ^ self.mask)
-
-    def is_subset(self, other: "Event") -> bool:
-        self._check_space(other)
-        return self.mask & ~other.mask == 0
 
     __or__ = union
     __and__ = intersect
@@ -470,9 +460,6 @@ class FiniteMeasure:
     def mass(self, event: Event) -> Fraction:
         return Fraction(self._numerator(event), self._den)
 
-    def support(self) -> Event:
-        return Event(self.space, self.support_mask)
-
     def tensor(self, other: "FiniteMeasure") -> "FiniteMeasure":
         """Product measure on the product space."""
         return _tensor(product_space(self.space, other.space), self, other)
@@ -584,12 +571,6 @@ class StochKernel:
                       table: Iterable[int]) -> "StochKernel":
         rows = tuple(FiniteMeasure.dirac(codomain, j) for j in table)
         return cls(domain, codomain, rows)
-
-    @classmethod
-    def from_function(cls, domain: CoordinateSpace,
-                      fn: Callable[[tuple[int, ...]], FiniteMeasure]) -> "StochKernel":
-        rows = tuple(fn(domain.outcome(i)) for i in range(domain.n_outcomes))
-        return cls(domain, rows[0].space, rows)
 
     def value(self, row_index: int, event: Event) -> Fraction:
         return self.rows[row_index].mass(event)
