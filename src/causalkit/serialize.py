@@ -24,6 +24,12 @@ Every artifact is a UTF-8 JSON object with a ``kind`` discriminator:
     (with optional ``offset`` and ``cov``) when the endpoints are
     Gaussian models.
 
+The abstraction-map file of ``causalkit abstract --map`` is the one input
+without a ``kind``: an object with exactly ``target`` (a coordinate list,
+as in ``finite-space``) and ``table`` (one list of target values per
+source outcome, in the source's index order); ``load_abstraction_map``
+reads it against the source space.
+
 Loading rejects unknown fields.  Dumps are canonical — sorted keys,
 two-space indent, rationals in lowest terms, trailing newline — so that
 dump(load(text)) reproduces ``text`` byte for byte whenever ``text`` was
