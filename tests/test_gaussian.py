@@ -466,6 +466,10 @@ def test_scm_validation():
             coefficients=np.zeros((1, 1)),
             noise_variances=np.array([-1.0]),
         )
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ck.SpaceError,
+                           match="^noise variances must be a finite nonnegative vector$"):
+            ck.LinearGaussianSCM(("A", "B"), np.zeros((2, 2)), [1.0, value])
 
 
 def test_gaussian_law_marginal():
@@ -604,35 +608,18 @@ def test_rho_keys_must_be_source_coordinates():
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-12])
 def test_tolerance_must_be_finite_and_not_negative(tol):
     source, target, matrix, rho = examples.abstraction_gaussian_pair()
-    with pytest.raises(ck.SpaceError, match="^tolerance must be finite and at least 0"):
-        ck.check_linear_transform(source, target, matrix, rho, tol)
-
-
-BAD_TOLERANCES = [float("inf"), float("nan"), -1.0]
-
-
-@pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_every_gaussian_tolerance_follows_one_rule(tol):
-    source = examples.abstraction_gaussian_pair()[0]
     law = ck.observational_law(source)
     kernel = ck.interventional_kernel(source, ("X1",))
-    calls = [
-        lambda: ck.gaussian.close([0.0], [5.0], tol),
-        lambda: law.agrees_with(law, tol),
-        lambda: kernel.agrees_with(kernel, tol),
-        lambda: ck.conditional_kernel(law, ("X1",), tol),
-        lambda: ck.faithfulness_demo(tol),
-    ]
-    for call in calls:
+    # every Gaussian function that takes a tolerance follows the one rule
+    for call in (lambda: ck.check_linear_transform(source, target, matrix, rho, tol),
+                 lambda: ck.gaussian.close([0.0], [5.0], tol),
+                 lambda: law.agrees_with(law, tol),
+                 lambda: kernel.agrees_with(kernel, tol),
+                 lambda: ck.conditional_kernel(law, ("X1",), tol),
+                 lambda: ck.faithfulness_demo(tol)):
         with pytest.raises(ck.SpaceError,
                            match=f"^tolerance must be finite and at least 0, got {tol}$"):
             call()
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_non_finite_noise_variance_rejected(value):
-    with pytest.raises(ck.SpaceError, match="^noise variances must be a finite nonnegative"):
-        ck.LinearGaussianSCM(("A", "B"), np.zeros((2, 2)), [1.0, value])
 
 
 def test_faithfulness_reports_are_plain_json(schema):
