@@ -79,12 +79,11 @@ def _check_cov(what: str, *covs: np.ndarray) -> None:
         raise SpaceError(f"{what} is {_COV_FAULTS[faults[bad[0]]]}")
 
 
-def check_tolerance(tol: float) -> float:
-    """``tol`` itself if it is finite and at least 0 (0 asks for exact
-    equality); any other value raises ``SpaceError``."""
+def check_tolerance(tol: float) -> None:
+    """Raise ``SpaceError`` unless ``tol`` is finite and at least 0 (0 asks
+    for exact equality)."""
     if not (math.isfinite(tol) and tol >= 0):
         raise SpaceError(f"tolerance must be finite and at least 0, got {tol}")
-    return tol
 
 
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
