@@ -42,11 +42,15 @@ by the digests they print.  The digest covers, in this order:
   ``validate_causal_space`` and ``check_all`` reports of what they build
   and the text of any error they raise;
 - the Gaussian section: the reports of ``check_linear_transform`` on
-  seeded models at d = 2-8 against their diagonal rescaling and against a
-  perturbed twin, and of ``check_affine_transform`` on seeded affine
-  kernels with a non-injective rho and a full-rank covariance, each at
-  every tolerance in ``GAUSS_TOLS``; then the error text of both checks on
-  inputs that each carry one fault.
+  seeded models at d = 2-10 against their diagonal rescaling and against a
+  perturbed twin, on wide models (coefficients N(0, 3^2), covariance
+  entries up to about 1e6) at d = 8 and 10 against the identity and a
+  rescaling, and of ``check_affine_transform`` on seeded affine kernels
+  with a non-injective rho and a full-rank covariance, each at every
+  tolerance in ``GAUSS_TOLS``; then the error text or report of both
+  checks on inputs that each carry one fault, among them kernel
+  covariances whose smallest eigenvalue or asymmetry is 0.9 and 1.1 times
+  its tolerance.
 
 Run from the repository root:
 
@@ -83,8 +87,10 @@ ROW_SEEDS = range(40)
 PRODUCT_SPACE_SEEDS = range(20)
 MIXED_SCM_SEEDS = (0, 4, 6, 10, 19)
 MAX_PRODUCT_OUTCOMES = 72
-GAUSS_DIMS = range(2, 9)
+GAUSS_DIMS = range(2, 11)
 GAUSS_SEEDS = range(3)
+WIDE_DIMS = (8, 10)
+WIDE_SEEDS = range(2)
 GAUSS_TOLS = (0.0, 1e-12, 1e-9, 1e-6)
 EXAMPLE_SCMS = ("xor_scm", "parity_scm", "fork_scm", "collider_scm",
                 "mediator_confounder_scm", "composition_scm",
@@ -328,6 +334,19 @@ def gauss_model(rng, names) -> ck.LinearGaussianSCM:
     return ck.LinearGaussianSCM(names, b, rng.uniform(0.5, 2.0, d), rng.normal(0.0, 1.0, d))
 
 
+def wide_model(rng, names) -> ck.LinearGaussianSCM:
+    """Half of the coefficients N(0, 3^2): covariance entries up to about 1e6."""
+    d = len(names)
+    b = np.tril(rng.normal(0.0, 3.0, (d, d)), -1) * (rng.random((d, d)) < 0.5)
+    return ck.LinearGaussianSCM(names, b, rng.uniform(0.5, 2.0, d))
+
+
+def rescaled(source, names, scale, b) -> ck.LinearGaussianSCM:
+    """The model with coefficients ``b`` and ``source``'s noise scaled by ``scale``."""
+    return ck.LinearGaussianSCM(names, b, source.noise_variances * scale ** 2,
+                                source.noise_means * scale)
+
+
 def gauss_checks(label: str, check, *args):
     """``check(*args, tol)``'s report at every tolerance, or the error it raises."""
     for tol in GAUSS_TOLS:
@@ -336,28 +355,74 @@ def gauss_checks(label: str, check, *args):
 
 
 def gauss_faults():
-    """Inputs to the Gaussian checks that each carry one fault."""
+    """Inputs to the Gaussian checks that each carry one fault, or sit next
+    to one; every model and kernel is built inside its guarded call."""
     source, target, matrix, rho = examples.abstraction_gaussian_pair()
-    kernel = ck.AffineGaussianKernel(source.coords, target.coords, matrix,
-                                     np.zeros(2), np.zeros((2, 2)))
     linear, affine = ck.check_linear_transform, ck.check_affine_transform
-    nan_source = ck.LinearGaussianSCM(source.coords, np.tril(np.full((4, 4), np.nan), -1),
-                                      source.noise_variances)
-    doubled = ck.LinearGaussianSCM(target.coords, [[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
-    return [
+    psd, sym = ck.gaussian.PSD_TOL, ck.gaussian.SYMMETRY_TOL
+
+    def kernel(cov, offset=np.zeros(2)):
+        return ck.AffineGaussianKernel(source.coords, target.coords, matrix, offset, cov)
+
+    def nan_source():
+        return ck.LinearGaussianSCM(source.coords, np.tril(np.full((4, 4), np.nan), -1),
+                                    source.noise_variances)
+
+    def doubled():
+        return ck.LinearGaussianSCM(target.coords, [[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
+
+    def narrowed(cov):
+        # the target coordinate Z, outside the image, sets the kernel
+        # covariance's scale to 1024; the scan's image slices have scale 1
+        pair = ck.LinearGaussianSCM(("A", "B"), np.zeros((2, 2)), [0.0, 0.0])
+        wide = ck.LinearGaussianSCM(("A", "B", "Z"), np.zeros((3, 3)), [1.0, 1.0, 1024.0])
+        k = ck.AffineGaussianKernel(pair.coords, wide.coords, np.eye(3, 2), np.zeros(3), cov)
+        return affine(pair, wide, k, {"A": "A", "B": "B"})
+
+    cases = [
         ("matrix shape", lambda: linear(source, target, matrix[:, :3], rho)),
         ("rho undefined", lambda: linear(source, target, matrix,
                                          {"X1": "X", "X2": "X", "Y1": "Y"})),
         ("rho target unknown", lambda: linear(source, target, matrix, dict(rho, Y2="Z"))),
-        ("source coefficients nan", lambda: linear(nan_source, target, matrix, rho)),
-        ("kernel inputs", lambda: affine(target, target, kernel, rho)),
-        ("kernel offset shape", lambda: affine(source, target, ck.AffineGaussianKernel(
-            source.coords, target.coords, matrix, np.zeros(3), np.zeros((2, 2))), rho)),
-        ("kernel covariance asymmetric", lambda: affine(source, target, ck.AffineGaussianKernel(
-            source.coords, target.coords, matrix, np.zeros(2), [[1.0, 0.5], [0.4, 1.0]]), rho)),
-        ("kernel covariance in the scan", lambda: affine(source, doubled, ck.AffineGaussianKernel(
-            source.coords, target.coords, matrix, np.zeros(2), np.diag([-0.9e-10, 0.0])), rho)),
+        ("source coefficients nan", lambda: linear(nan_source(), target, matrix, rho)),
+        ("kernel inputs", lambda: affine(target, target, kernel(np.zeros((2, 2))), rho)),
+        ("kernel offset shape", lambda: affine(source, target,
+                                               kernel(np.zeros((2, 2)), np.zeros(3)), rho)),
+        ("kernel covariance asymmetric", lambda: affine(
+            source, target, kernel([[1.0, 0.5], [0.4, 1.0]]), rho)),
     ]
+    for f in (0.9, 1.1):
+        # smallest eigenvalue f * PSD_TOL: on X alone (pinning Y = 2 X doubles
+        # it inside the scan), and along (1, 1) beside an eigenvalue 1
+        lam = f * psd
+        turned = [[(lam + 1.0) / 2, (lam - 1.0) / 2], [(lam - 1.0) / 2, (lam + 1.0) / 2]]
+        cases += [
+            (f"kernel covariance eigenvalue {f} x PSD_TOL doubled",
+             lambda lam=lam: affine(source, doubled(), kernel(np.diag([lam, 0.0])), rho)),
+            (f"kernel covariance eigenvalue {f} x PSD_TOL turned",
+             lambda c=turned: affine(source, target, kernel(c), rho)),
+            (f"kernel covariance eigenvalue {f} x PSD_TOL turned doubled",
+             lambda c=turned: affine(source, doubled(), kernel(c), rho)),
+        ]
+        # asymmetry f * SYMMETRY_TOL * scale, the scale being 1024
+        skew = [[1024.0, 512.0 + f * sym * 1024.0], [512.0, 1024.0]]
+        cases += [
+            (f"kernel covariance asymmetry {f} x SYMMETRY_TOL",
+             lambda c=skew: affine(source, target, kernel(c), rho)),
+            (f"kernel covariance asymmetry {f} x SYMMETRY_TOL doubled",
+             lambda c=skew: affine(source, doubled(), kernel(c), rho)),
+        ]
+        lam = f * psd * 1024.0
+        wide_skew = [[1.0, 0.5 + f * sym * 1024.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1024.0]]
+        wide_turned = [[(lam + 1.0) / 2, (lam - 1.0) / 2, 0.0],
+                       [(lam - 1.0) / 2, (lam + 1.0) / 2, 0.0], [0.0, 0.0, 1024.0]]
+        cases += [
+            (f"kernel covariance asymmetry {f} x SYMMETRY_TOL narrowed",
+             lambda c=wide_skew: narrowed(c)),
+            (f"kernel covariance eigenvalue {f} x PSD_TOL narrowed",
+             lambda c=wide_turned: narrowed(c)),
+        ]
+    return cases
 
 
 def gaussian_section():
@@ -374,11 +439,25 @@ def gaussian_section():
             moved[i, rng.integers(i)] += rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 0.5)
             rho = dict(zip(src, tgt))
             for name, b in (("rescaled", coef), ("perturbed", moved)):
-                target = ck.LinearGaussianSCM(tgt, b, source.noise_variances * scale ** 2,
-                                              source.noise_means * scale)
                 yield from gauss_checks(f"linear d={d} seed={seed} {name}",
-                                        ck.check_linear_transform,
-                                        source, target, np.diag(scale), rho)
+                                        ck.check_linear_transform, source,
+                                        rescaled(source, tgt, scale, b), np.diag(scale), rho)
+
+    for d in WIDE_DIMS:
+        src = tuple(f"X{k}" for k in range(d))
+        tgt = tuple(f"Y{k}" for k in range(d))
+        for seed in WIDE_SEEDS:
+            rng = np.random.default_rng([d, seed, 3])
+            source = wide_model(rng, src)
+            scale = rng.uniform(0.5, 2.0, d)
+            coef = scale[:, None] * source.coefficients / scale[None, :]
+            yield from gauss_checks(f"wide d={d} seed={seed} identity",
+                                    ck.check_linear_transform, source, source, np.eye(d),
+                                    {n: n for n in src})
+            yield from gauss_checks(f"wide d={d} seed={seed} rescaled",
+                                    ck.check_linear_transform, source,
+                                    rescaled(source, tgt, scale, coef), np.diag(scale),
+                                    dict(zip(src, tgt)))
 
     # d_s = d_t + 1 with an image smaller than the target: a non-injective rho
     for d2 in range(2, 6):
