@@ -33,6 +33,12 @@ PSD_TOL = -1e-10
 # are what the scan holds in memory, whatever the size of the image
 _BLOCK = 32
 _COV_FAULTS = ("valid", "not symmetric", "not positive semi-definite")
+_U = np.finfo(float).eps / 2  # unit roundoff
+# eigvalsh's eigenvalues of a symmetric m x m matrix S are exact for some
+# S + E with ||E||_2 <= _EIG_BACKWARD m^2 u ||S||_2: a generous multiple of
+# the m^2 growth of Householder tridiagonalisation's worst case, and above
+# the 50 m u ||S|| that LAPACK's own eigenvalue tests accept
+_EIG_BACKWARD = 64
 
 
 def _as_matrix(x, rows: int, cols: int, what: str) -> np.ndarray:
@@ -66,17 +72,48 @@ def _cov_faults(cov: np.ndarray) -> np.ndarray:
     return faults.reshape(cov.shape[:-2])
 
 
-def _check_cov(what: str, *covs: np.ndarray) -> None:
-    """Raise for the first invalid covariance among equally long stacks.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k: the relative error of k chained roundings."""
+    return k * _U / (1.0 - k * _U)
 
-    The stacks are read interleaved, item by item along their leading
-    axes, and the error names the fault of the first bad matrix in that
-    order.  A single matrix is a stack with no leading axis.
+
+def _certified_faults(cov: np.ndarray, floor: np.ndarray, skew: np.ndarray) -> np.ndarray:
+    """``_cov_faults`` of a stack of derived matrices, with per-matrix bounds.
+
+    ``floor`` bounds from below the smallest eigenvalue of the symmetric
+    matrix that ``eigvalsh`` reads off each lower triangle, and ``skew``
+    bounds max |C - C^T| from above.  A finite matrix whose bounds clear
+    both tolerances by a factor of 2, at the scale of its largest diagonal
+    entry and after ``eigvalsh``'s own backward error, passes the rule of
+    ``_cov_faults`` for certain; only the others are sent through it.  The
+    factor 2 covers the rounding of the bounds themselves, and underflow,
+    whose absolute errors are far below tolerances of at least 1e-12.
     """
-    faults = np.stack([_cov_faults(c) for c in covs], axis=-1).ravel()
-    bad = np.flatnonzero(faults)
+    m = cov.shape[-1]
+    diag = np.diagonal(cov, axis1=1, axis2=2)
+    scale = diag.max(axis=1, initial=1.0)  # at most the rule's max(1, max |C|)
+    # the matrix eigvalsh reads has 2-norm at most |trace| + m max(0, -floor)
+    norm = np.abs(diag.sum(axis=1)) + m * np.maximum(0.0, -floor)
+    low = floor - (_EIG_BACKWARD * m * m * _U) * norm
+    cleared = (np.isfinite(cov.sum(axis=(1, 2))) & (skew <= SYMMETRY_TOL / 2 * scale)
+               & (low >= PSD_TOL / 2 * scale))
+    faults = np.zeros(len(cov), dtype=np.intp)
+    if not cleared.all():
+        faults[~cleared] = _cov_faults(cov[~cleared])
+    return faults
+
+
+def _raise_first_fault(what: str, *faults: np.ndarray) -> None:
+    """Raise for the first nonzero index into ``_COV_FAULTS``.
+
+    The stacks of fault indices are read interleaved, item by item along
+    their leading axes.  A single matrix's fault is a stack with no
+    leading axis.
+    """
+    flat = np.stack(faults, axis=-1).ravel()
+    bad = np.flatnonzero(flat)
     if bad.size:
-        raise SpaceError(f"{what} is {_COV_FAULTS[faults[bad[0]]]}")
+        raise SpaceError(f"{what} is {_COV_FAULTS[flat[bad[0]]]}")
 
 
 def check_tolerance(tol: float) -> None:
@@ -108,7 +145,7 @@ class GaussianLaw:
         if self.mean.shape != (d,):
             raise SpaceError(f"mean must have shape ({d},)")
         object.__setattr__(self, "cov", _as_matrix(self.cov, d, d, "cov"))
-        _check_cov("covariance", self.cov)
+        _raise_first_fault("covariance", _cov_faults(self.cov))
 
     def marginal(self, names: Iterable[str]) -> "GaussianLaw":
         idx = [self.coords.index(n) for n in names]
@@ -145,7 +182,7 @@ class AffineGaussianKernel:
             raise SpaceError(f"offset must have shape ({dout},)")
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "cov", _as_matrix(self.cov, dout, dout, "cov"))
-        _check_cov("kernel covariance", self.cov)
+        _raise_first_fault("kernel covariance", _cov_faults(self.cov))
 
     def at(self, values: np.ndarray) -> GaussianLaw:
         values = np.asarray(values, float)
@@ -400,6 +437,22 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     covariance is reported at the first subset, and the first object
     within it, where that chain would have met it.
 
+    Those derived covariances (K^1, K^2, both routes and the routes'
+    image slices) are held to the constructors' rule, symmetry within
+    ``SYMMETRY_TOL`` and ``eigvalsh`` above ``PSD_TOL``, each times the
+    matrix's scale, but ``eigvalsh`` runs only where a rounding bound
+    cannot clear a matrix.  The K_S are Gram products A diag(v) A^T with
+    v >= 0, exactly PSD before rounding; the routes are congruences of
+    them plus the kernel covariance, or of the kernel covariance plus
+    them; the slices are principal submatrices.  Higham's gamma_n bounds
+    on inner products, Weyl's inequality and Cauchy's interlacing bound
+    each computed matrix's asymmetry and smallest eigenvalue, and a
+    matrix whose bounds clear both tolerances by a factor of 2, after
+    ``eigvalsh``'s own backward error, passes the eigenvalue rule on the
+    same floats.  Verdicts and fault text are therefore the eigenvalue
+    rule's.  The kernel covariance's smallest eigenvalue is computed once
+    per call.
+
     Before any of that work the inputs are checked, in this order, and
     the first failure raises ``SpaceError``: ``tol`` must be finite and at
     least 0 (0 asks for exact equality); the kernel must map the source
@@ -447,6 +500,37 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     # compose_affine(K^1, kappa) selects every source output, in order
     m1 = kernel.matrix @ np.eye(len(source.coords))
 
+    # Rounding bounds for the covariances the scan derives (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., 3.5); sym(C) is the
+    # matrix eigvalsh reads off C's lower triangle, and a bound on |E| by a
+    # symmetric nonnegative matrix bounds ||sym(E)||_2 by that matrix's norm.
+    # K^1 and K^2 are computed Gram products A diag(v) A^T, v >= 0, whose
+    # exact value is PSD whatever inv returned; entry (i, j) is off by at
+    # most gamma_{d+1} sqrt(c_ii c_jj) (Cauchy-Schwarz), so by Weyl's
+    # inequality lambda_min >= -gamma trace and |C - C^T| <= 2 gamma trace.
+    # The source route m1 K^1 m1^T + kappa is the PSD m1 K^1_exact m1^T plus
+    # kappa, off by at most c t t^T + 2 u ||kappa||_F, t = |m1| sqrt(diag K^1).
+    # The target route m2 kappa m2^T + K^2 has lambda_min at least
+    # min(0, lambda_min(kappa)) ||m2||_F^2, less kappa's asymmetry and the
+    # rounding of its congruence, carried by ||m2||_F^2, and K^2's Gram
+    # bound.  The image slices are principal submatrices: the same bounds
+    # hold summed over their own rows (Cauchy's interlacing for kappa).
+    ds, dt = len(source.coords), len(target.coords)
+    k_cov = kernel.cov
+    k_skew = np.abs(k_cov - k_cov.T).max(initial=0.0)
+    k_norm = math.sqrt(float((k_cov * k_cov).sum()))
+    # at most lambda_min of sym(kappa) and of (kappa + kappa^T) / 2, and 0
+    k_floor = (np.linalg.eigvalsh(k_cov).min(initial=0.0)
+               - _EIG_BACKWARD * dt ** 3 * _U * np.abs(k_cov).max(initial=0.0)
+               - dt * k_skew / 2)
+    m1_abs = np.abs(m1).T
+    gram1 = _gamma(ds + 1) / (1.0 - _gamma(ds + 1))
+    gram2 = _gamma(dt + 1) / (1.0 - _gamma(dt + 1))
+    lhs_gain = _gamma(3 * ds + 2) / (1.0 - _gamma(ds + 1))
+    lhs_kernel = 2 * _U * k_norm
+    rhs_gram = _gamma(dt + 2) / (1.0 - _gamma(dt + 1))
+    rhs_kernel = dt * k_skew / 2 + 2 * _gamma(2 * dt + 1) * k_norm
+
     def scan(block: list[tuple[str, ...]]) -> Iterator[CheckReport]:
         n, k = len(block), len(block[0])
         rows = np.arange(n)[:, None]
@@ -483,8 +567,25 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
         # both routes on the image coordinates only
         lhs_img = (lhs_matrix[:, img], lhs_offset[:, img], lhs_cov[:, img][:, :, img])
         rhs_img = (rhs_matrix[:, img], rhs_offset[:, img], rhs_cov[:, img][:, :, img])
-        _check_cov("kernel covariance", k1_cov, lhs_cov, k2_cov, rhs_cov,
-                   lhs_img[2], rhs_img[2])
+        diag1 = np.diagonal(k1_cov, axis1=1, axis2=2)
+        diag2 = np.diagonal(k2_cov, axis1=1, axis2=2)
+        err1 = gram1 * diag1.sum(axis=1)
+        err2 = gram2 * diag2.sum(axis=1)
+        lhs_rows = lhs_gain * (np.sqrt(diag1) @ m1_abs) ** 2
+        lhs_err = lhs_rows.sum(axis=1) + lhs_kernel
+        lhs_img_err = lhs_rows[:, img].sum(axis=1) + lhs_kernel
+        m2_rows = np.einsum("nij,nij->ni", m2, m2)
+        rhs_rows = rhs_kernel * m2_rows + rhs_gram * diag2
+        rhs_low = k_floor * m2_rows - rhs_rows
+        _raise_first_fault(
+            "kernel covariance",
+            _certified_faults(k1_cov, -err1, 2 * err1),
+            _certified_faults(lhs_cov, k_floor - lhs_err, k_skew + 2 * lhs_err),
+            _certified_faults(k2_cov, -err2, 2 * err2),
+            _certified_faults(rhs_cov, rhs_low.sum(axis=1), 2 * rhs_rows.sum(axis=1)),
+            _certified_faults(lhs_img[2], k_floor - lhs_img_err, k_skew + 2 * lhs_img_err),
+            _certified_faults(rhs_img[2], rhs_low[:, img].sum(axis=1),
+                              2 * rhs_rows[:, img].sum(axis=1)))
         agree = np.isclose(np.concatenate([x.reshape(n, -1) for x in lhs_img], axis=1),
                            np.concatenate([x.reshape(n, -1) for x in rhs_img], axis=1),
                            rtol=tol, atol=tol).all(axis=1)

@@ -11,7 +11,7 @@ from importlib.resources import files
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import examples
@@ -640,3 +640,114 @@ def test_empty_source_is_checked_like_any_other():
     assert [r.check for r in report.subreports[2].subreports] == ["interventional S={}"]
     report = ck.check_linear_transform(empty, target, np.zeros((1, 0)), {})
     assert [r.passed for r in report.subreports] == [True, False, True]
+
+
+def _count_cov_faults(mp):
+    """Record the shape of every matrix stack ``_cov_faults`` is given."""
+    shapes = []
+    real = ck.gaussian._cov_faults
+
+    def counted(cov):
+        shapes.append(cov.shape)
+        return real(cov)
+
+    mp.setattr(ck.gaussian, "_cov_faults", counted)
+    return shapes
+
+
+def test_rescaling_scan_sends_no_covariance_to_the_eigenvalue_rule(monkeypatch):
+    # models shaped like the gaussian-scale benchmark's: half of the
+    # coefficients N(0, 1/4) clipped to [-1, 1], the rest zero
+    shapes = _count_cov_faults(monkeypatch)
+    for seed in range(4):
+        for d in (2, 4, 7, 10):
+            rng = np.random.default_rng([seed, d])
+            b = np.tril(np.clip(rng.normal(0.0, 0.5, (d, d)), -1.0, 1.0), -1)
+            b *= rng.random((d, d)) < 0.5
+            names = tuple(f"X{i}" for i in range(d))
+            source = ck.LinearGaussianSCM(names, b, rng.uniform(0.5, 2.0, d))
+            scale = rng.uniform(0.5, 2.0, d)
+            moved = scale[:, None] * b / scale[None, :]
+            for passes in (True, False):
+                if not passes:
+                    moved[-1, 0] += 0.5
+                target = ck.LinearGaussianSCM(names, moved, source.noise_variances * scale ** 2)
+                shapes.clear()
+                report = ck.check_linear_transform(source, target, np.diag(scale),
+                                                   {n: n for n in names})
+                assert report.passed is passes
+                # only the kernel, both laws and the pushed law are eigen-checked
+                assert shapes == [(d, d)] * 4
+
+
+@given(st.integers(0, 10 ** 6), st.floats(0.25, 3.0), st.floats(-2.0, 2.0),
+       st.floats(-2.0, 2.0), st.booleans())
+@example(0, 1.5, -1.5, 0.0, False)  # an image slice below PSD_TOL
+@example(4, 1.5, -0.8, 0.0, False)  # the target route below PSD_TOL
+@example(1, 1.5, 0.0, 1.0, False)  # the target route over SYMMETRY_TOL
+@settings(max_examples=150, deadline=None)
+def test_certified_covariance_rule_is_the_eigenvalue_rule(seed, spread, lam, skew, linear):
+    # every stack the scan validates gets the fault indices of _cov_faults.
+    # The kernel covariance has the eigenvalue lam * |PSD_TOL| along a
+    # direction inside the image, the others in [0, 1], and up to 3 more on
+    # the diagonal outside the image, which may set its scale; then an
+    # asymmetry of skew * SYMMETRY_TOL times that scale inside the image.
+    # Its image slices, at a smaller scale, and the target route, which
+    # can stretch the negative direction, fault in the scan.
+    rng = np.random.default_rng(seed)
+    d1, d2 = (int(x) for x in rng.integers(1, 9, 2))
+    src = tuple(f"X{i}" for i in range(d1))
+    tgt = tuple(f"Y{i}" for i in range(d2))
+
+    def model(names):
+        d = len(names)
+        b = np.tril(rng.normal(0.0, spread, (d, d)), -1) * (rng.random((d, d)) < 0.5)
+        return ck.LinearGaussianSCM(names, b, rng.uniform(0.0, 2.0, d) * (rng.random(d) < 0.5))
+
+    source, target = model(src), model(tgt)
+    if rng.random() < 0.5:  # pinning then leaves no noise on the target route
+        target = ck.LinearGaussianSCM(tgt, target.coefficients, np.zeros(d2))
+    # the image in the first half of the target, so later coordinates read it
+    rho = {x: str(rng.choice(tgt[:(d2 + 1) // 2])) for x in src}
+    at = sorted({tgt.index(y) for y in rho.values()})
+    cov = np.zeros((d2, d2))
+    if not linear:
+        v = np.zeros(d2)
+        v[at] = rng.normal(0.0, 1.0, len(at))
+        q, _ = np.linalg.qr(np.column_stack([v, rng.normal(0.0, 1.0, (d2, d2 - 1))]))
+        eig = np.append(lam * abs(ck.gaussian.PSD_TOL), rng.uniform(0.0, 1.0, d2 - 1))
+        cov = q @ np.diag(eig) @ q.T
+        outside = np.ones(d2, dtype=bool)
+        outside[at] = False
+        cov = (cov + cov.T) / 2 + np.diag(outside * rng.uniform(0.0, 3.0, d2))
+        if len(at) > 1:
+            cov[at[-1], at[0]] += (skew * ck.gaussian.SYMMETRY_TOL
+                                   * max(1.0, np.abs(cov).max()))
+    matrix = rng.normal(0.0, spread, (d2, d1)) * (rng.random((d2, d1)) < 0.7)
+    real = ck.gaussian._certified_faults
+
+    def certified(stack, *bounds):
+        faults = real(stack, *bounds)
+        assert np.array_equal(faults, ck.gaussian._cov_faults(stack))
+        return faults
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ck.gaussian, "_certified_faults", certified)
+        try:
+            kernel = ck.AffineGaussianKernel(src, tgt, matrix, np.zeros(d2), cov)
+            ck.check_affine_transform(source, target, kernel, rho)
+        except ck.SpaceError:
+            pass
+
+
+def test_target_route_can_stretch_a_kernel_asymmetry_past_its_tolerance():
+    # kappa's covariance is within the symmetry tolerance on its own; pinning
+    # A and B in a target where Z = 4 A carries its asymmetry 4-fold into Z's
+    # row of the target route, whose scale stays 1, and nowhere else
+    pair = ck.LinearGaussianSCM(("A", "B"), np.zeros((2, 2)), [0.0, 0.0])
+    target = ck.LinearGaussianSCM(("A", "B", "Z"), [[0, 0, 0], [0, 0, 0], [4.0, 0, 0]],
+                                  [0.0, 0.0, 0.0])
+    cov = [[0.0, 0.9 * ck.gaussian.SYMMETRY_TOL, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    kernel = ck.AffineGaussianKernel(pair.coords, target.coords, np.eye(3, 2), np.zeros(3), cov)
+    with pytest.raises(ck.SpaceError, match="^kernel covariance is not symmetric$"):
+        ck.check_affine_transform(pair, target, kernel, {"A": "A", "B": "B"})
