@@ -210,6 +210,8 @@ class LinearGaussianSCM:
         if len(set(self.coords)) != d:
             raise SpaceError(f"duplicate coordinate names: {self.coords}")
         b = _as_matrix(self.coefficients, d, d, "coefficients")
+        if not np.all(np.isfinite(b)):
+            raise SpaceError("coefficients must be a finite matrix")
         if np.any(np.triu(b) != 0):
             raise SpaceError("coefficients must be strictly lower triangular "
                              "in the declared coordinate order")
@@ -222,6 +224,8 @@ class LinearGaussianSCM:
              else np.asarray(self.noise_means, float))
         if m.shape != (d,):
             raise SpaceError(f"noise means must have shape ({d},)")
+        if not np.all(np.isfinite(m)):
+            raise SpaceError("noise means must be a finite vector")
         object.__setattr__(self, "noise_means", m)
 
     def index(self, name: str) -> int:

@@ -469,6 +469,14 @@ def test_scm_validation():
         with pytest.raises(ck.SpaceError,
                            match="^noise variances must be a finite nonnegative vector$"):
             ck.LinearGaussianSCM(("A", "B"), np.zeros((2, 2)), [1.0, value])
+        with pytest.raises(ck.SpaceError, match="^noise means must be a finite vector$"):
+            ck.LinearGaussianSCM(("A", "B"), np.zeros((2, 2)), [1.0, 1.0], [value, 0.0])
+        # above the diagonal too: not finite comes before not lower triangular
+        for at in ((1, 0), (0, 1)):
+            b = np.zeros((2, 2))
+            b[at] = value
+            with pytest.raises(ck.SpaceError, match="^coefficients must be a finite matrix$"):
+                ck.LinearGaussianSCM(("A", "B"), b, [1.0, 1.0])
 
 
 def test_gaussian_law_marginal():
