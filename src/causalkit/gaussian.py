@@ -444,18 +444,13 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     Those derived covariances (K^1, K^2, both routes and the routes'
     image slices) are held to the constructors' rule, symmetry within
     ``SYMMETRY_TOL`` and ``eigvalsh`` above ``PSD_TOL``, each times the
-    matrix's scale, but ``eigvalsh`` runs only where a rounding bound
-    cannot clear a matrix.  The K_S are Gram products A diag(v) A^T with
-    v >= 0, exactly PSD before rounding; the routes are congruences of
-    them plus the kernel covariance, or of the kernel covariance plus
-    them; the slices are principal submatrices.  Higham's gamma_n bounds
-    on inner products, Weyl's inequality and Cauchy's interlacing bound
-    each computed matrix's asymmetry and smallest eigenvalue, and a
-    matrix whose bounds clear both tolerances by a factor of 2, after
-    ``eigvalsh``'s own backward error, passes the eigenvalue rule on the
-    same floats.  Verdicts and fault text are therefore the eigenvalue
-    rule's.  The kernel covariance's smallest eigenvalue is computed once
-    per call.
+    matrix's scale, but ``eigvalsh`` runs only on the matrices that
+    rounding bounds cannot clear: Higham's gamma_n bounds on inner
+    products, with Weyl's and Cauchy's interlacing inequalities, applied
+    to Gram products, their congruences and principal submatrices, plus
+    ``eigvalsh``'s own backward error.  A cleared matrix passes the
+    eigenvalue rule on the same floats, so verdicts and fault text are
+    the eigenvalue rule's.
 
     Before any of that work the inputs are checked, in this order, and
     the first failure raises ``SpaceError``: ``tol`` must be finite and at

@@ -650,23 +650,13 @@ def test_empty_source_is_checked_like_any_other():
     assert [r.passed for r in report.subreports] == [True, False, True]
 
 
-def _count_cov_faults(mp):
-    """Record the shape of every matrix stack ``_cov_faults`` is given."""
-    shapes = []
-    real = ck.gaussian._cov_faults
-
-    def counted(cov):
-        shapes.append(cov.shape)
-        return real(cov)
-
-    mp.setattr(ck.gaussian, "_cov_faults", counted)
-    return shapes
-
-
 def test_rescaling_scan_sends_no_covariance_to_the_eigenvalue_rule(monkeypatch):
     # models shaped like the gaussian-scale benchmark's: half of the
     # coefficients N(0, 1/4) clipped to [-1, 1], the rest zero
-    shapes = _count_cov_faults(monkeypatch)
+    shapes = []
+    real = ck.gaussian._cov_faults
+    monkeypatch.setattr(ck.gaussian, "_cov_faults",
+                        lambda cov: shapes.append(cov.shape) or real(cov))
     for seed in range(4):
         for d in (2, 4, 7, 10):
             rng = np.random.default_rng([seed, d])
