@@ -34,10 +34,11 @@ PSD_TOL = -1e-10
 _BLOCK = 32
 _COV_FAULTS = ("valid", "not symmetric", "not positive semi-definite")
 _U = np.finfo(float).eps / 2  # unit roundoff
-# eigvalsh's eigenvalues of a symmetric m x m matrix S are exact for some
-# S + E with ||E||_2 <= _EIG_BACKWARD m^2 u ||S||_2: a generous multiple of
-# the m^2 growth of Householder tridiagonalisation's worst case, and above
-# the 50 m u ||S|| that LAPACK's own eigenvalue tests accept
+# eigvalsh's eigenvalues of a symmetric m x m matrix S are taken to be
+# exact for some S + E with ||E||_2 <= _EIG_BACKWARD m^2 u ||S||_2.  The
+# LAPACK Users' Guide (4.7) bounds the error by p(m) u ||S||_2 with p "a
+# modestly growing function"; m^2 is the growth of Wilkinson's worst-case
+# bound for Householder tridiagonalisation, and 64 is a generous constant
 _EIG_BACKWARD = 64
 
 
