@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import chain, count, groupby, islice
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
 from .causal import subsets_of
 from .errors import SingularConditioningError, SpaceError
-from .report import CheckReport, Witness, combine
+from .report import CheckReport, Witness, _deferred_witness, combine
 
 DEFAULT_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -237,11 +237,24 @@ class LinearGaussianSCM:
 
 
 def observational_law(scm: LinearGaussianSCM) -> GaussianLaw:
-    """Closed-form law of X = (I - B)^-1 N."""
+    """Closed-form law of X = (I - B)^-1 N.
+
+    Finite inputs can still overflow: a chain of large coefficients, or a
+    large coefficient times a large noise variance.  That raises
+    ``SpaceError`` naming the overflow, before the covariance rule runs.
+    """
     d = len(scm.coords)
-    a = np.linalg.inv(np.eye(d) - scm.coefficients)
-    mean = a @ scm.noise_means
-    cov = a @ np.diag(scm.noise_variances) @ a.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # I - B is unit lower triangular, so inv fails only on overflow
+            a = np.linalg.inv(np.eye(d) - scm.coefficients)
+        except np.linalg.LinAlgError:
+            a = np.full((d, d), np.inf)
+        mean = a @ scm.noise_means
+        cov = a @ np.diag(scm.noise_variances) @ a.T
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise SpaceError("observational law overflows: its mean or covariance "
+                         "is not finite")
     return GaussianLaw(scm.coords, mean, cov)
 
 
@@ -453,6 +466,11 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     eigenvalue rule on the same floats, so verdicts and fault text are
     the eigenvalue rule's.
 
+    A failing subset's witness text is formatted the first time its
+    message is read; until then the report holds that subset's rows of
+    both routes on the image (copied once per block), and afterwards the
+    text alone.
+
     Before any of that work the inputs are checked, in this order, and
     the first failure raises ``SpaceError``: ``tol`` must be finite and at
     least 0 (0 asks for exact equality); the kernel must map the source
@@ -495,8 +513,11 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
                 f"pushed law mean {pushed.offset} cov diag {np.diag(pushed.cov)} "
                 f"vs target mean {law2.mean} cov diag {np.diag(law2.cov)}"))))
 
-    src_pos = {n: i for i, n in enumerate(source.coords)}
     tgt_pos = {n: i for i, n in enumerate(target.coords)}
+    # the source positions rho pulls each image coordinate back to, ascending
+    preimage: dict[str, list[int]] = {n: [] for n in image}
+    for i, n in enumerate(source.coords):
+        preimage[rho[n]].append(i)
     # compose_affine(K^1, kappa) selects every source output, in order
     m1 = kernel.matrix @ np.eye(len(source.coords))
 
@@ -539,15 +560,15 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
 
         # source route compose_affine(K^1_{rho^-1(S)}, kappa), its mean map
         # widened to all source inputs; the pull-back sizes may differ
-        s1 = [tuple(x for x in source.coords if rho[x] in subset) for subset in block]
+        s1 = [sorted(chain.from_iterable(map(preimage.__getitem__, subset)))
+              for subset in block]
         k1_cov = np.empty((n, len(source.coords), len(source.coords)))
         lhs_matrix = np.zeros((n, len(target.coords), len(source.coords)))
         lhs_offset = np.empty((n, len(target.coords)))
         lhs_cov = np.empty((n, len(target.coords), len(target.coords)))
         for size in sorted({len(s) for s in s1}):
             at = np.array([i for i, s in enumerate(s1) if len(s) == size], dtype=np.intp)
-            pins1 = np.array([[src_pos[x] for x in s1[i]] for i in at],
-                             dtype=np.intp).reshape(len(at), size)
+            pins1 = np.array([s1[i] for i in at], dtype=np.intp).reshape(len(at), size)
             matrix, offset, cov = _pinned_stack(source, pins1)
             k1_cov[at] = cov
             lhs_matrix.transpose(0, 2, 1)[at[:, None], pins1] = (
@@ -589,26 +610,34 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
         agree = np.isclose(np.concatenate([x.reshape(n, -1) for x in lhs_img], axis=1),
                            np.concatenate([x.reshape(n, -1) for x in rhs_img], axis=1),
                            rtol=tol, atol=tol).all(axis=1)
+        # the failing subsets' rows, copied once for their deferred witnesses
+        failing = () if agree.all() else tuple(x[~agree] for x in (*lhs_img, *rhs_img))
+        row = count()
         for i, s in enumerate(s2):
-            name = "{" + ",".join(s) + "}"
+            check = "interventional S={" + ",".join(s) + "}"
             if agree[i]:
-                yield CheckReport(check=f"interventional S={name}", passed=True)
-                continue
-            lm, lo, lc = (x[i].tolist() for x in lhs_img)
-            rm, ro, rc = (x[i].tolist() for x in rhs_img)
-            yield CheckReport(
-                check=f"interventional S={name}", passed=False,
-                witness=Witness(
-                    message=(f"at S={name}: source route matrix {lm} offset {lo} "
-                             f"cov {lc} vs target route matrix {rm} offset {ro} "
-                             f"cov {rc}"),
-                    subset=s))
+                yield CheckReport(check=check, passed=True)
+            else:
+                yield CheckReport(check=check, passed=False, witness=_deferred_witness(
+                    s, _route_message, s, failing, next(row)))
 
     inter: list[CheckReport] = []
     for block in _blocks(image):
         inter.extend(scan(block))
     reports.append(combine("interventional", inter))
     return combine("causal-transformation", reports)
+
+
+def _route_message(subset: tuple[str, ...], rows: tuple[np.ndarray, ...], j: int) -> str:
+    """Witness text of a failing interventional subset.
+
+    ``rows`` holds the source route's matrix, offset and covariance on the
+    image coordinates, then the target route's, one row per failing
+    subset of a scan block; ``j`` picks this subset's row.
+    """
+    lm, lo, lc, rm, ro, rc = (x[j].tolist() for x in rows)
+    return (f"at S={{{','.join(subset)}}}: source route matrix {lm} offset {lo} "
+            f"cov {lc} vs target route matrix {rm} offset {ro} cov {rc}")
 
 
 def check_linear_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,

@@ -8,7 +8,7 @@ and enough detail to reproduce it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,39 @@ class Witness:
             "outcome": list(self.outcome) if self.outcome is not None else None,
             "event": list(self.event) if self.event is not None else None,
         }
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks.  A witness made
+        # by ``_deferred_witness`` lacks its message until the first read,
+        # which formats it, keeps the text and drops what it was made from.
+        state = self.__dict__
+        if name == "message":
+            pending = state.get("_pending")
+            if pending is not None:
+                fmt, args = pending
+                state.setdefault("message", fmt(*args))
+                state.pop("_pending", None)
+            if "message" in state:
+                return state["message"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles carry the text, never the deferred formatter
+        return (type(self), (self.message, self.subset, self.outcome, self.event))
+
+
+def _deferred_witness(subset: Optional[tuple[str, ...]], fmt: Callable[..., str],
+                      *args) -> Witness:
+    """A ``Witness`` on ``subset`` whose message is ``fmt(*args)``, formatted
+    the first time it is read.
+
+    Until then the witness holds ``args`` instead of the text.  After that
+    it holds the text alone, like ``Witness(message=fmt(*args),
+    subset=subset)``, which it equals in every field, ``repr`` and pickle.
+    """
+    witness = object.__new__(Witness)
+    witness.__dict__.update(subset=subset, outcome=None, event=None, _pending=(fmt, args))
+    return witness
 
 
 @dataclass(frozen=True)
