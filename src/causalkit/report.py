@@ -36,17 +36,17 @@ class Witness:
     def __getattr__(self, name: str):
         # Reached only for an attribute the instance lacks.  A witness made
         # by ``_deferred_witness`` lacks its message until the first read,
-        # which formats it, keeps the text and drops what it was made from.
-        state = self.__dict__
-        if name == "message":
-            pending = state.get("_pending")
-            if pending is not None:
-                fmt, args = pending
-                state.setdefault("message", fmt(*args))
-                state.pop("_pending", None)
-            if "message" in state:
-                return state["message"]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # which formats it and drops what it was made from.  Attributes are
+        # set through ``object``, as the frozen dataclass's own __init__
+        # does, so the instance keeps the compact layout of an eager one.
+        if name != "message":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pending = object.__getattribute__(self, "_pending")
+        if pending is not None:
+            fmt, args = pending
+            object.__setattr__(self, "message", fmt(*args))
+            object.__setattr__(self, "_pending", None)
+        return object.__getattribute__(self, "message")
 
     def __reduce__(self):
         # copies and pickles carry the text, never the deferred formatter
@@ -58,12 +58,15 @@ def _deferred_witness(subset: Optional[tuple[str, ...]], fmt: Callable[..., str]
     """A ``Witness`` on ``subset`` whose message is ``fmt(*args)``, formatted
     the first time it is read.
 
-    Until then the witness holds ``args`` instead of the text.  After that
-    it holds the text alone, like ``Witness(message=fmt(*args),
-    subset=subset)``, which it equals in every field, ``repr`` and pickle.
+    Until then the witness holds ``args`` instead of the text; after that
+    it holds the text and no longer ``args``.  It equals
+    ``Witness(message=fmt(*args), subset=subset)`` in every field, hash
+    and ``repr``, and copies and pickles as that plain witness.
     """
     witness = object.__new__(Witness)
-    witness.__dict__.update(subset=subset, outcome=None, event=None, _pending=(fmt, args))
+    for name, value in (("subset", subset), ("outcome", None), ("event", None),
+                        ("_pending", (fmt, args))):
+        object.__setattr__(witness, name, value)
     return witness
 
 

@@ -1,14 +1,20 @@
 """Command-line interface: golden outputs, exit codes, file round trips."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
+from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import cli, examples
@@ -213,6 +219,20 @@ def gaussian_document(tmp_path, corpus_dir, edit) -> str:
     path = tmp_path / "gauss.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def test_overflowing_gaussian_model_exits_2(capsys, tmp_path):
+    # finite entries whose law overflows: named as such, with no numpy warning
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "kind": "gaussian-scm", "coordinates": ["A", "B"],
+        "coefficients": [[0.0, 0.0], [1e200, 0.0]], "noise_variances": [1e10, 1.0]}),
+        encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: observational law overflows: its mean or covariance is not finite\n"
 
 
 def test_unknown_gaussian_rho_key_exits_2(capsys, tmp_path, corpus_dir):
@@ -635,3 +655,63 @@ def test_commands_in_one_process_match_first_calls(capsys, monkeypatch, corpus_d
             code, out, _ = run(capsys, *argv)
             assert (code, out) == want, argv
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: mutated Gaussian documents through cli.main
+
+GAUSSIAN_TRANSFORM = json.loads(
+    (files("causalkit") / "corpus" / "gaussian-abstraction.json").read_text(encoding="utf-8"))
+GAUSSIAN_DOCUMENTS = {
+    "transform": GAUSSIAN_TRANSFORM,
+    "source": GAUSSIAN_TRANSFORM["source"],
+    "target": GAUSSIAN_TRANSFORM["target"],
+}
+
+# numbers that reach the model and the check: ordinary, boundary and
+# overflowing values, besides any JSON value at all
+fuzz_numbers = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, -1.0, 1e-12, 1e154, -1e154, 1e200, 1e308])
+                | st.integers(-3, 3))
+fuzz_values = fuzz_numbers | st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+def _field_paths(value, prefix=()):
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _field_paths(inner, prefix + (key,))
+
+
+@given(data=st.data(), stem=st.sampled_from(sorted(GAUSSIAN_DOCUMENTS)),
+       command=st.sampled_from(["validate", "check-transform"]),
+       tol=st.sampled_from([None, "0", "1e-9", "10", "nan"]))
+@settings(max_examples=150)
+def test_mutated_gaussian_documents_exit_0_1_or_2(tmp_path_factory, data, stem, command, tol):
+    doc = copy.deepcopy(GAUSSIAN_DOCUMENTS[stem])
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        path = data.draw(st.sampled_from(list(_field_paths(doc))[1:]), label="path")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(fuzz_values, label="value")
+    file = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, str(file), "--json"]
+    if tol is not None and command == "check-transform":
+        argv += ["--tol", tol]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        # exit 1 only with a failing report, exit 0 only with a passing one
+        assert json.loads(out.getvalue())["passed"] is (code == 0)

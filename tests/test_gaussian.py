@@ -5,7 +5,11 @@ frozen here; a seeded Monte-Carlo oracle double-checks the observational
 law of the standing four-variable example.
 """
 
+import copy
+import dataclasses
 import json
+import pickle
+import warnings
 from importlib.resources import files
 
 import jsonschema
@@ -479,6 +483,30 @@ def test_scm_validation():
                 ck.LinearGaussianSCM(("A", "B"), b, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("coefficients, variances, means", [
+    ([[0, 0], [1e200, 0]], [1e10, 1.0], None),  # a coefficient times a variance
+    ([[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0]], [1.0, 1.0, 1.0], None),  # a chain
+    ([[0, 0], [1e200, 0]], [0.0, 0.0], [1e200, 0.0]),  # the mean alone
+])
+def test_overflowing_law_is_named_as_overflow(coefficients, variances, means):
+    # every entry is finite, so the model is accepted; its law is not
+    scm = ck.LinearGaussianSCM(("A", "B", "C")[:len(variances)], coefficients, variances, means)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ck.SpaceError, match="^observational law overflows: "
+                                                "its mean or covariance is not finite$"):
+            ck.observational_law(scm)
+        with pytest.raises(ck.SpaceError, match="^observational law overflows"):
+            ck.check_linear_transform(scm, scm, np.eye(len(variances)),
+                                      {n: n for n in scm.coords})
+
+
+def test_large_finite_law_is_not_an_overflow():
+    law = ck.observational_law(ck.LinearGaussianSCM(("A", "B"), [[0, 0], [1e154, 0]],
+                                                    [1.0, 0.0]))
+    assert law.cov[1, 1] == 1e308
+
+
 def test_gaussian_law_marginal():
     law = ck.GaussianLaw(("A", "B", "C"), [1.0, 2.0, 3.0],
                          np.diag([1.0, 4.0, 9.0]))
@@ -749,3 +777,118 @@ def test_target_route_can_stretch_a_kernel_asymmetry_past_its_tolerance():
     kernel = ck.AffineGaussianKernel(pair.coords, target.coords, np.eye(3, 2), np.zeros(3), cov)
     with pytest.raises(ck.SpaceError, match="^kernel covariance is not symmetric$"):
         ck.check_affine_transform(pair, target, kernel, {"A": "A", "B": "B"})
+
+
+# ---------------------------------------------------------------------------
+# deferred witness text of the interventional scan
+
+
+def _perturbed_twin(seed, d):
+    """A gaussian-scale shaped model, and its rescaling with one coefficient moved."""
+    rng = np.random.default_rng([seed, d])
+    b = np.tril(np.clip(rng.normal(0.0, 0.5, (d, d)), -1.0, 1.0), -1)
+    b *= rng.random((d, d)) < 0.5
+    names = tuple(f"X{i}" for i in range(d))
+    source = ck.LinearGaussianSCM(names, b, rng.uniform(0.5, 2.0, d))
+    scale = rng.uniform(0.5, 2.0, d)
+    moved = scale[:, None] * b / scale[None, :]
+    moved[int(rng.integers(1, d)), 0] += 0.5
+    target = ck.LinearGaussianSCM(names, moved, source.noise_variances * scale ** 2)
+    return source, target, np.diag(scale), {n: n for n in names}
+
+
+def _interventional(report):
+    return next(r for r in report.subreports if r.check == "interventional")
+
+
+def _failing_witnesses(report):
+    return [r.witness for r in _interventional(report).subreports if not r.passed]
+
+
+def _eager(report):
+    """The report with every witness rebuilt by the public constructor."""
+    w = report.witness
+    return dataclasses.replace(
+        report,
+        witness=None if w is None else ck.Witness(w.message, w.subset, w.outcome, w.event),
+        subreports=tuple(_eager(r) for r in report.subreports))
+
+
+TWINS = [(seed, d) for seed in range(3) for d in (3, 5, 8)]
+
+
+@pytest.mark.parametrize("seed, d", TWINS)
+def test_deferred_witnesses_behave_as_eager_ones(seed, d):
+    twin = _perturbed_twin(seed, d)
+    eager_report = _eager(ck.check_linear_transform(*twin))
+    eager = _failing_witnesses(eager_report)
+    assert eager
+    # every operation is tried first on a fresh report, whose witnesses
+    # have not been formatted yet
+    operations = {
+        "==": lambda w: w,
+        "hash": hash,
+        "repr": repr,
+        "to_dict": lambda w: w.to_dict(),
+        "replace": dataclasses.replace,
+        "replace subset": lambda w: dataclasses.replace(w, subset=("Z",)),
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda w: pickle.loads(pickle.dumps(w)),
+    }
+    for name, op in operations.items():
+        fresh = _failing_witnesses(ck.check_linear_transform(*twin))
+        assert all("message" not in vars(w) for w in fresh), name
+        made = [op(w) for w in fresh]
+        for w, m in zip(fresh, made):
+            if isinstance(m, ck.Witness) and m is not w:  # a plain witness, with text
+                assert type(m) is ck.Witness, name
+                assert set(vars(m)) == {"message", "subset", "outcome", "event"}, name
+        assert made == [op(w) for w in eager], name
+    # whole reports, again unformatted before each comparison
+    assert ck.check_linear_transform(*twin) == eager_report
+    assert eager_report == ck.check_linear_transform(*twin)
+    assert ck.check_linear_transform(*twin).render() == eager_report.render()
+    assert ck.check_linear_transform(*twin).to_dict() == eager_report.to_dict()
+    inter = _interventional(ck.check_linear_transform(*twin))
+    # the combined report's witness is its first failing subset's, one object
+    assert inter.witness is next(r.witness for r in inter.subreports if not r.passed)
+    assert inter.witness.message == _interventional(eager_report).witness.message
+
+
+def test_scan_formats_nothing_until_read_and_each_message_once(monkeypatch):
+    calls = []
+    real = ck.gaussian._route_message
+    monkeypatch.setattr(ck.gaussian, "_route_message",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    report = ck.check_linear_transform(*_perturbed_twin(1, 8))
+    witnesses = _failing_witnesses(report)
+    assert len(witnesses) > 32  # more than one scan block fails
+    assert calls == []
+    first = _interventional(report).witness.message
+    assert calls == [witnesses[0].subset]
+    text = report.render()
+    assert first in text
+    report.to_dict()
+    assert [w.message for w in witnesses] == [w.message for w in witnesses]
+    assert sorted(calls) == sorted(w.subset for w in witnesses)
+
+
+def test_deferred_witnesses_share_one_copy_of_their_rows_and_drop_it():
+    twin = _perturbed_twin(2, 8)
+    report = ck.check_linear_transform(*twin)
+    witnesses = _failing_witnesses(report)
+    pending = [vars(w)["_pending"] for w in witnesses]
+    # one copy of the failing rows per scan block, six arrays, one row for
+    # each of the block's failing subsets
+    blocks = {id(rows): rows for _, (_, rows, _) in pending}
+    assert len(blocks) <= len(list(ck.gaussian._blocks(twin[0].coords))) < len(witnesses)
+    assert all(len(rows) == 6 for rows in blocks.values())
+    assert sum(len(rows[0]) for rows in blocks.values()) == len(witnesses)
+    assert sorted((id(rows), j) for _, (_, rows, j) in pending) == sorted(
+        (id(rows), j) for rows in blocks.values() for j in range(len(rows[0])))
+    report.render()
+    for w in witnesses:
+        assert isinstance(vars(w)["message"], str)
+        assert vars(w)["_pending"] is None
+        assert not any(isinstance(v, np.ndarray) for v in vars(w).values())
