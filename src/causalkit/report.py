@@ -39,6 +39,7 @@ class Witness:
         # which formats it and drops what it was made from.  Attributes are
         # set through ``object``, as the frozen dataclass's own __init__
         # does, so the instance keeps the compact layout of an eager one.
+        # Two threads reading at once may both format; both store one text.
         if name != "message":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         pending = object.__getattribute__(self, "_pending")

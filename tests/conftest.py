@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis strategies for the test-suite."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,27 @@ def tampered_pinning_space(space, moves):
             rows[row] = ck.FiniteMeasure(space, tuple(w))
         table[subset] = ck.StochKernel(k.domain, space, tuple(rows))
     return ck.FiniteCausalSpace.tabulated(space, full.P, table)
+
+
+def field_paths(value, prefix=()):
+    """Key path of a JSON document itself and of every value nested in it."""
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from field_paths(inner, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of a JSON document with the value at a key path replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 # ---------------------------------------------------------------------------

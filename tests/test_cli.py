@@ -1,7 +1,6 @@
 """Command-line interface: golden outputs, exit codes, file round trips."""
 
 import contextlib
-import copy
 import io
 import json
 import os
@@ -18,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import cli, examples
+from conftest import field_paths, replaced
 
 F = Fraction
 
@@ -680,26 +680,15 @@ fuzz_values = fuzz_numbers | st.recursive(
     max_leaves=4)
 
 
-def _field_paths(value, prefix=()):
-    yield prefix
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, inner in items:
-        yield from _field_paths(inner, prefix + (key,))
-
-
 @given(data=st.data(), stem=st.sampled_from(sorted(GAUSSIAN_DOCUMENTS)),
        command=st.sampled_from(["validate", "check-transform"]),
        tol=st.sampled_from([None, "0", "1e-9", "10", "nan"]))
 @settings(max_examples=150)
 def test_mutated_gaussian_documents_exit_0_1_or_2(tmp_path_factory, data, stem, command, tol):
-    doc = copy.deepcopy(GAUSSIAN_DOCUMENTS[stem])
+    doc = GAUSSIAN_DOCUMENTS[stem]
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
-        path = data.draw(st.sampled_from(list(_field_paths(doc))[1:]), label="path")
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = data.draw(fuzz_values, label="value")
+        path = data.draw(st.sampled_from(list(field_paths(doc))[1:]), label="path")
+        doc = replaced(doc, path, data.draw(fuzz_values, label="value"))
     file = tmp_path_factory.mktemp("fuzz") / "doc.json"
     file.write_text(json.dumps(doc), encoding="utf-8")
     argv = [command, str(file), "--json"]

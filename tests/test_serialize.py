@@ -1,6 +1,5 @@
 """JSON document layer: canonical form, round trips, strict validation."""
 
-import copy
 import json
 from fractions import Fraction
 from importlib.resources import files
@@ -11,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import causalkit as ck
 from causalkit import examples
+from conftest import field_paths, replaced
 
 F = Fraction
 
@@ -345,26 +345,6 @@ json_values = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
-
-
-def field_paths(value, prefix=()):
-    """Key path of the document itself and of every value nested in it."""
-    yield prefix
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, inner in items:
-        yield from field_paths(inner, prefix + (key,))
-
-
-def replaced(doc, path, value):
-    if not path:
-        return value
-    doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return doc
 
 
 def loads_or_rejects(load, arg) -> None:
