@@ -243,18 +243,18 @@ def observational_law(scm: LinearGaussianSCM) -> GaussianLaw:
     large coefficient times a large noise variance.  That raises
     ``SpaceError`` naming the overflow, before the covariance rule runs.
     """
+    overflow = "observational law overflows: its mean or covariance is not finite"
     d = len(scm.coords)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             # I - B is unit lower triangular, so inv fails only on overflow
             a = np.linalg.inv(np.eye(d) - scm.coefficients)
         except np.linalg.LinAlgError:
-            a = np.full((d, d), np.inf)
+            raise SpaceError(overflow) from None
         mean = a @ scm.noise_means
         cov = a @ np.diag(scm.noise_variances) @ a.T
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise SpaceError("observational law overflows: its mean or covariance "
-                         "is not finite")
+        raise SpaceError(overflow)
     return GaussianLaw(scm.coords, mean, cov)
 
 
