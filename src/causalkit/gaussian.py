@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, count, groupby, islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -29,8 +29,8 @@ from .report import CheckReport, Witness, _deferred_witness, combine
 DEFAULT_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
-# subsets per stacked block of the interventional scan: the block's arrays
-# are what the scan holds in memory, whatever the size of the image
+# subsets, of any sizes, per stacked block of the interventional scan: the
+# block's arrays are what the scan holds in memory, whatever the image size
 _BLOCK = 32
 _COV_FAULTS = ("valid", "not symmetric", "not positive semi-definite")
 _U = np.finfo(float).eps / 2  # unit roundoff
@@ -47,6 +47,17 @@ def _as_matrix(x, rows: int, cols: int, what: str) -> np.ndarray:
     if a.shape != (rows, cols):
         raise SpaceError(f"{what} must have shape {(rows, cols)}, got {a.shape}")
     return a
+
+
+def _as_vector(x, n: int, what: str) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.shape != (n,):
+        raise SpaceError(f"{what} must have shape ({n},)")
+    return a
+
+
+def _finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(x).all() for x in arrays)
 
 
 def _cov_faults(cov: np.ndarray) -> np.ndarray:
@@ -141,10 +152,7 @@ class GaussianLaw:
 
     def __post_init__(self):
         d = len(self.coords)
-        object.__setattr__(self, "mean", _as_matrix(self.mean, d, 1, "mean").reshape(d)
-                           if np.ndim(self.mean) == 2 else np.asarray(self.mean, float))
-        if self.mean.shape != (d,):
-            raise SpaceError(f"mean must have shape ({d},)")
+        object.__setattr__(self, "mean", _as_vector(self.mean, d, "mean"))
         object.__setattr__(self, "cov", _as_matrix(self.cov, d, d, "cov"))
         _raise_first_fault("covariance", _cov_faults(self.cov))
 
@@ -178,16 +186,15 @@ class AffineGaussianKernel:
     def __post_init__(self):
         din, dout = len(self.inputs), len(self.outputs)
         object.__setattr__(self, "matrix", _as_matrix(self.matrix, dout, din, "matrix"))
-        off = np.asarray(self.offset, float)
-        if off.shape != (dout,):
-            raise SpaceError(f"offset must have shape ({dout},)")
-        object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "offset", _as_vector(self.offset, dout, "offset"))
         object.__setattr__(self, "cov", _as_matrix(self.cov, dout, dout, "cov"))
         _raise_first_fault("kernel covariance", _cov_faults(self.cov))
 
     def at(self, values: np.ndarray) -> GaussianLaw:
-        values = np.asarray(values, float)
-        return GaussianLaw(self.outputs, self.matrix @ values + self.offset, self.cov)
+        law = object.__new__(GaussianLaw)  # its covariance was checked with the kernel
+        law.__dict__.update(coords=self.outputs, cov=self.cov, mean=_as_vector(
+            self.matrix @ np.asarray(values, float) + self.offset, len(self.outputs), "mean"))
+        return law
 
     def agrees_with(self, other: "AffineGaussianKernel", tol: float = DEFAULT_TOL) -> bool:
         check_tolerance(tol)
@@ -221,10 +228,8 @@ class LinearGaussianSCM:
         if v.shape != (d,) or not np.all(np.isfinite(v) & (v >= 0)):
             raise SpaceError("noise variances must be a finite nonnegative vector")
         object.__setattr__(self, "noise_variances", v)
-        m = (np.zeros(d) if self.noise_means is None
-             else np.asarray(self.noise_means, float))
-        if m.shape != (d,):
-            raise SpaceError(f"noise means must have shape ({d},)")
+        m = _as_vector(np.zeros(d) if self.noise_means is None else self.noise_means,
+                       d, "noise means")
         if not np.all(np.isfinite(m)):
             raise SpaceError("noise means must be a finite vector")
         object.__setattr__(self, "noise_means", m)
@@ -237,45 +242,28 @@ class LinearGaussianSCM:
 
 
 def observational_law(scm: LinearGaussianSCM) -> GaussianLaw:
-    """Closed-form law of X = (I - B)^-1 N.
+    """Closed-form law of X = (I - B)^-1 N: the unpinned slice of ``_pinned_stack``.
 
-    Finite inputs can still overflow: a chain of large coefficients, or a
-    large coefficient times a large noise variance.  That raises
-    ``SpaceError`` naming the overflow, before the covariance rule runs.
+    A finite model can still have a law that overflows (a chain of large
+    coefficients, say); that raises ``SpaceError`` naming the overflow.
     """
-    overflow = "observational law overflows: its mean or covariance is not finite"
-    d = len(scm.coords)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            # I - B is unit lower triangular, so inv fails only on overflow
-            a = np.linalg.inv(np.eye(d) - scm.coefficients)
-        except np.linalg.LinAlgError:
-            raise SpaceError(overflow) from None
-        mean = a @ scm.noise_means
-        cov = a @ np.diag(scm.noise_variances) @ a.T
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise SpaceError(overflow)
-    return GaussianLaw(scm.coords, mean, cov)
+    _, mean, cov = _pinned_stack(scm, np.zeros((1, len(scm.coords)), dtype=bool))
+    return GaussianLaw(scm.coords, mean[0], cov[0])
 
 
 def interventional_kernel(scm: LinearGaussianSCM, on: Iterable[str]) -> AffineGaussianKernel:
     """K_S as an affine kernel: pin the S rows, re-run the rest on fresh noise.
 
-    With B~ the coefficient matrix whose S rows are zeroed and P_S the
-    embedding of the pinned values, the mutilated solve gives
-
-        X = (I - B~)^-1 (P_S x_S + N~),
-
-    N~ having zero mean and variance on the pinned rows.  For S empty this
-    is the observational law as a constant kernel.  It is the one-slice
-    case of ``_pinned_stack``.
+    It is the one-slice case of ``_pinned_stack``, its matrix cut to the
+    pinned columns.  For S empty this is the observational law as a
+    constant kernel.
     """
     pins = sorted(map(scm.index, frozenset(on)))
-    matrix, offset, cov = _pinned_stack(scm, np.array([pins], dtype=np.intp))
+    matrix, offset, cov = _pinned_stack(scm, np.isin(np.arange(len(scm.coords)), pins)[None])
     return AffineGaussianKernel(
         inputs=tuple(scm.coords[i] for i in pins),
         outputs=scm.coords,
-        matrix=matrix[0],
+        matrix=matrix[0][:, pins] + 0.0,  # the solve's -0.0 entries read as 0.0
         offset=offset[0],
         cov=cov[0],
     )
@@ -366,37 +354,41 @@ def compose_affine(first: AffineGaussianKernel, second: AffineGaussianKernel
 
 
 def _blocks(names: Iterable[str]) -> Iterator[list[tuple[str, ...]]]:
-    """All subsets in the canonical order, in runs of one size and at most _BLOCK."""
-    for _, same_size in groupby(subsets_of(names), key=len):
-        while block := list(islice(same_size, _BLOCK)):
-            yield block
+    """All subsets in the canonical order, in runs of at most _BLOCK."""
+    subsets = subsets_of(names)
+    while block := list(islice(subsets, _BLOCK)):
+        yield block
 
 
-def _pinned_stack(scm: LinearGaussianSCM, pins: np.ndarray
+def _pinned_stack(scm: LinearGaussianSCM, pinned: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices, offsets and covariances of a stack of K_S, unvalidated.
+    """Matrices, offsets and covariances of a stack of K_S: the mutilated solve.
 
-    ``pins`` is an (n, k) array whose rows are the coordinate positions of
-    n pin sets of one size, each in increasing order.  Slice i is the
-    mutilated solve of ``interventional_kernel`` on pin set i, which is
-    this function on a one-row stack.
+    ``pinned`` is an (n, d) boolean mask, one pin set S per row.  Slice i is
+    X = (I - B~)^-1 (x_S + N~), B~ with the S rows zeroed and N~ with zero
+    mean and variance on S; its matrix spans all d inputs, zero off S.  An
+    unpinned row is the observational law.  This is the layer's one inverse
+    of I - B~: if it fails, or a result is not finite, ``SpaceError`` names
+    the overflow, without numpy warnings.
     """
-    n, k = pins.shape
-    d = len(scm.coords)
-    rows = np.arange(n)[:, None]
+    n, d = pinned.shape
     b = np.repeat(scm.coefficients[None], n, axis=0)
-    b[rows, pins] = 0.0
-    a = np.linalg.inv(np.eye(d) - b)
-    embed = np.zeros((n, d, k))
-    embed[rows, pins, np.arange(k)] = 1.0
-    means = np.repeat(scm.noise_means[None], n, axis=0)
-    variances = np.repeat(scm.noise_variances[None], n, axis=0)
-    means[rows, pins] = 0.0
-    variances[rows, pins] = 0.0
-    diag = np.zeros((n, d, d))
-    diag[:, np.arange(d), np.arange(d)] = variances
-    return (a @ embed, (a @ means[:, :, None])[:, :, 0],
-            a @ diag @ a.transpose(0, 2, 1))
+    b[pinned] = 0.0
+    means = np.where(pinned, 0.0, scm.noise_means)
+    diag = np.eye(d) * np.where(pinned, 0.0, scm.noise_variances)[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # I - B~ is unit lower triangular, so inv fails only on overflow
+            a = np.linalg.inv(np.eye(d) - b)
+        except np.linalg.LinAlgError:
+            a = np.full((n, d, d), np.nan)
+        stack = (np.where(pinned[:, None, :], a, 0.0), (a @ means[:, :, None])[:, :, 0],
+                 a @ diag @ a.transpose(0, 2, 1))
+    if not _finite(*stack):
+        raise SpaceError("interventional kernel overflows: its matrix, offset or "
+                         "covariance is not finite" if pinned.any() else
+                         "observational law overflows: its mean or covariance is not finite")
+    return stack
 
 
 def affine_admissible(kernel: AffineGaussianKernel, rho: Mapping[str, str],
@@ -445,15 +437,19 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     comparisons use ``tol`` absolute-plus-relative.
 
     The 2^|image| interventional sub-checks run in blocks: the canonical
-    subset order is cut into runs of one subset size, at most 32 subsets
-    each, and a block's mutilated solves, compositions, covariance
-    validations and comparisons are single stacked numpy calls.  The
+    subset order is cut into runs of at most ``_BLOCK`` subsets, of any
+    sizes, and a block's mutilated solves (one per side), compositions,
+    covariance validations and comparisons are stacked numpy calls.  The
     kernels K_S come from ``_pinned_stack``, as they do in
     ``interventional_kernel``, and the compositions keep the shapes and
     the operation order of ``compose_affine``, so verdicts and witness
     strings are those of the one-subset-at-a-time chain, and an invalid
     covariance is reported at the first subset, and the first object
     within it, where that chain would have met it.
+
+    A law, K_S, pushed law or block of routes that is not finite although
+    its inputs are (a kernel's matrix and offset included) has overflowed:
+    ``SpaceError`` names it, before the block's covariance faults.
 
     Those derived covariances (K^1, K^2, both routes and the routes'
     image slices) are held to the constructors' rule, symmetry within
@@ -498,12 +494,15 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
 
     law1 = observational_law(source)
     law2 = observational_law(target)
-    pushed = AffineGaussianKernel(
-        inputs=(), outputs=target.coords,
-        matrix=np.zeros((len(target.coords), 0)),
-        offset=kernel.matrix @ law1.mean + kernel.offset,
-        cov=kernel.matrix @ law1.cov @ kernel.matrix.T + kernel.cov,
-    )
+    finite_kernel = _finite(kernel.matrix, kernel.offset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = kernel.matrix @ law1.mean + kernel.offset
+        cov = kernel.matrix @ law1.cov @ kernel.matrix.T + kernel.cov
+    if finite_kernel and not _finite(offset, cov):
+        raise SpaceError("pushed law overflows: its mean or covariance is not finite")
+    pushed = AffineGaussianKernel(inputs=(), outputs=target.coords,
+                                  matrix=np.zeros((len(target.coords), 0)),
+                                  offset=offset, cov=cov)
     if close(pushed.offset, law2.mean, tol) and close(pushed.cov, law2.cov, tol):
         reports.append(CheckReport(check="distributional", passed=True))
     else:
@@ -514,10 +513,8 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
                 f"vs target mean {law2.mean} cov diag {np.diag(law2.cov)}"))))
 
     tgt_pos = {n: i for i, n in enumerate(target.coords)}
-    # the source positions rho pulls each image coordinate back to, ascending
-    preimage: dict[str, list[int]] = {n: [] for n in image}
-    for i, n in enumerate(source.coords):
-        preimage[rho[n]].append(i)
+    # the target position of each source coordinate's image under rho
+    rho_pos = np.array([tgt_pos[rho[n]] for n in source.coords], dtype=np.intp)
     # compose_affine(K^1, kappa) selects every source output, in order
     m1 = kernel.matrix @ np.eye(len(source.coords))
 
@@ -553,43 +550,43 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     rhs_kernel = dt * k_skew / 2 + 2 * _gamma(2 * dt + 1) * k_norm
 
     def scan(block: list[tuple[str, ...]]) -> Iterator[CheckReport]:
-        n, k = len(block), len(block[0])
-        rows = np.arange(n)[:, None]
+        n = len(block)
         s2 = [tuple(sorted(subset, key=tgt_pos.__getitem__)) for subset in block]
-        pins2 = np.array([[tgt_pos[x] for x in s] for s in s2], dtype=np.intp).reshape(n, k)
+        pinned2 = np.zeros((n, dt), dtype=bool)
+        pinned2[np.repeat(np.arange(n), [len(s) for s in s2]),
+                [tgt_pos[x] for s in s2 for x in s]] = True
+        # the source coordinates pinned by K^1_{rho^-1(S)}
+        pinned1 = pinned2[:, rho_pos]
+        matrix1, offset1, cov1 = _pinned_stack(source, pinned1)
+        m2, offset2, cov2 = _pinned_stack(target, pinned2)
 
-        # source route compose_affine(K^1_{rho^-1(S)}, kappa), its mean map
-        # widened to all source inputs; the pull-back sizes may differ
-        s1 = [sorted(chain.from_iterable(map(preimage.__getitem__, subset)))
-              for subset in block]
-        k1_cov = np.empty((n, len(source.coords), len(source.coords)))
-        lhs_matrix = np.zeros((n, len(target.coords), len(source.coords)))
-        lhs_offset = np.empty((n, len(target.coords)))
-        lhs_cov = np.empty((n, len(target.coords), len(target.coords)))
-        for size in sorted({len(s) for s in s1}):
-            at = np.array([i for i, s in enumerate(s1) if len(s) == size], dtype=np.intp)
-            pins1 = np.array([s1[i] for i in at], dtype=np.intp).reshape(len(at), size)
-            matrix, offset, cov = _pinned_stack(source, pins1)
-            k1_cov[at] = cov
-            lhs_matrix.transpose(0, 2, 1)[at[:, None], pins1] = (
-                m1 @ matrix).transpose(0, 2, 1)
-            lhs_offset[at] = (m1 @ offset[:, :, None])[:, :, 0] + kernel.offset
-            lhs_cov[at] = m1 @ cov @ m1.T + kernel.cov
+        with np.errstate(over="ignore", invalid="ignore"):
+            # source route compose_affine(K^1_{rho^-1(S)}, kappa), its mean map
+            # widened to all source inputs, in compose_affine's shapes per size
+            lhs_matrix = np.zeros((n, dt, ds))
+            sizes = pinned1.sum(axis=1)
+            for size in sorted(set(sizes.tolist())):
+                at = np.flatnonzero(sizes == size)
+                cols = np.nonzero(pinned1[at])[1].reshape(len(at), size)
+                pulled = np.take_along_axis(matrix1[at], cols[:, None, :], axis=2)
+                lhs_matrix.transpose(0, 2, 1)[at[:, None], cols] = (m1 @ pulled).transpose(0, 2, 1)
+            lhs_offset = (m1 @ offset1[:, :, None])[:, :, 0] + kernel.offset
+            lhs_cov = m1 @ cov1 @ m1.T + kernel.cov
 
-        # target route compose_affine(kappa, K^2_S)
-        k2_matrix, k2_offset, k2_cov = _pinned_stack(target, pins2)
-        sel = np.zeros((n, k, len(target.coords)))
-        sel[rows, np.arange(k), pins2] = 1.0
-        m2 = k2_matrix @ sel
-        rhs_matrix = m2 @ kernel.matrix
-        rhs_offset = m2 @ kernel.offset + k2_offset
-        rhs_cov = m2 @ kernel.cov @ m2.transpose(0, 2, 1) + k2_cov
+            # target route compose_affine(kappa, K^2_S); K^2_S spans all inputs
+            rhs_matrix = m2 @ kernel.matrix
+            rhs_offset = m2 @ kernel.offset + offset2
+            rhs_cov = m2 @ kernel.cov @ m2.transpose(0, 2, 1) + cov2
+        if finite_kernel and not _finite(lhs_matrix, lhs_offset, lhs_cov,
+                                         rhs_matrix, rhs_offset, rhs_cov):
+            raise SpaceError("interventional routes overflow: a matrix, offset or "
+                             "covariance is not finite")
 
         # both routes on the image coordinates only
         lhs_img = (lhs_matrix[:, img], lhs_offset[:, img], lhs_cov[:, img][:, :, img])
         rhs_img = (rhs_matrix[:, img], rhs_offset[:, img], rhs_cov[:, img][:, :, img])
-        diag1 = np.diagonal(k1_cov, axis1=1, axis2=2)
-        diag2 = np.diagonal(k2_cov, axis1=1, axis2=2)
+        diag1 = np.diagonal(cov1, axis1=1, axis2=2)
+        diag2 = np.diagonal(cov2, axis1=1, axis2=2)
         err1 = gram1 * diag1.sum(axis=1)
         err2 = gram2 * diag2.sum(axis=1)
         lhs_rows = lhs_gain * (np.sqrt(diag1) @ m1_abs) ** 2
@@ -600,9 +597,9 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
         rhs_low = k_floor * m2_rows - rhs_rows
         _raise_first_fault(
             "kernel covariance",
-            _certified_faults(k1_cov, -err1, 2 * err1),
+            _certified_faults(cov1, -err1, 2 * err1),
             _certified_faults(lhs_cov, k_floor - lhs_err, k_skew + 2 * lhs_err),
-            _certified_faults(k2_cov, -err2, 2 * err2),
+            _certified_faults(cov2, -err2, 2 * err2),
             _certified_faults(rhs_cov, rhs_low.sum(axis=1), 2 * rhs_rows.sum(axis=1)),
             _certified_faults(lhs_img[2], k_floor - lhs_img_err, k_skew + 2 * lhs_img_err),
             _certified_faults(rhs_img[2], rhs_low[:, img].sum(axis=1),

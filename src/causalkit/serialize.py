@@ -421,7 +421,7 @@ def _transformation_from_doc(doc: Mapping) -> Union[Transformation, GaussianTran
         if part["kind"] == "finite-space":
             endpoints.append(_space_from_doc(part))
         elif part["kind"] == "finite-scm":
-            endpoints.append(compile_scm(_scm_from_doc(part)).materialize())
+            endpoints.append(compile_scm(_scm_from_doc(part)))
         else:
             raise SpecError(f"transformation: unsupported {name} kind {part['kind']!r}")
     source, target = endpoints

@@ -12,6 +12,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -606,6 +607,60 @@ def test_validate_describes_gaussian_models(capsys, tmp_path):
     report = json.loads(out)
     assert report["check"] == "gaussian-model"
     assert any("observational mean" in d for d in report["details"])
+
+
+def test_validate_checks_both_endpoints_of_a_finite_transformation(capsys, tmp_path):
+    # finite-scm endpoints are compiled and read lazily; tabulated, they give
+    # the same report; a target X kernel that breaks axiom (ii) fails it
+    scm_doc = ck.document(examples.xor_scm())
+    lazy = {"kind": "transformation", "source": scm_doc, "target": scm_doc,
+            "rho": {"X": "X", "Y": "Y"},
+            "map": {"type": "deterministic", "table": [[0, 0], [0, 1], [1, 0], [1, 1]]}}
+    tabulated = json.loads(ck.dumps(ck.load_document(lazy)))
+    tampered = json.loads(json.dumps(tabulated))
+    tampered["target"]["kernels"]["X"][0] = ["0", "0", "1/4", "3/4"]
+    results = []
+    for i, doc in enumerate((lazy, tabulated, tampered)):
+        path = tmp_path / f"t{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        results.append(run(capsys, "validate", str(path)))
+    passing = ("[PASS] transformation-endpoints\n"
+               "  [PASS] causal-space-axioms\n  [PASS] causal-space-axioms\n")
+    assert results[0] == results[1] == (0, passing, "")
+    code, out, _ = results[2]
+    assert code == 1
+    assert out.startswith("[FAIL] transformation-endpoints\n")
+    assert "  [PASS] causal-space-axioms\n  [FAIL] causal-space-axioms\n" in out
+
+
+def test_affine_gaussian_transformation_round_trips_and_checks(capsys, tmp_path):
+    # an offset and a noise covariance on Y, which the target's noise means
+    # and variances absorb: X = 1 + N(0, 2), Y = 3 X - 5 + N(0, 6)
+    source, target, matrix, rho = examples.abstraction_gaussian_pair()
+    shifted = ck.LinearGaussianSCM(target.coords, target.coefficients, [2.0, 6.0], [1.0, -5.0])
+    t = ck.GaussianTransform(source=source, target=shifted, rho=rho, matrix=matrix,
+                             offset=[1.0, -2.0], cov=np.diag([0.0, 1.0]))
+    text = ck.dumps(t)
+    doc = json.loads(text)
+    assert doc["map"]["offset"] == [1.0, -2.0]
+    assert doc["map"]["cov"] == [[0.0, 0.0], [0.0, 1.0]]
+    loaded = ck.loads(text)
+    assert ck.dumps(loaded) == text
+    assert loaded.offset.tolist() == [1.0, -2.0]
+    assert loaded.cov.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+    path = tmp_path / "affine.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "check-transform", str(path))
+    assert (code, out) == (0, t.check().render() + "\n")
+    assert out.startswith("[PASS] causal-transformation\n")
+    # without either one the pushed law misses the target's
+    for key in ("offset", "cov"):
+        part = json.loads(text)
+        del part["map"][key]
+        path.write_text(json.dumps(part), encoding="utf-8")
+        code, out, _ = run(capsys, "check-transform", str(path), "--json")
+        assert code == 1
+        assert [r["passed"] for r in json.loads(out)["subreports"]][:2] == [True, False]
 
 
 def test_validate_describes_measures(capsys, tmp_path, xor):

@@ -493,18 +493,93 @@ def test_overflowing_law_is_named_as_overflow(coefficients, variances, means):
     scm = ck.LinearGaussianSCM(("A", "B", "C")[:len(variances)], coefficients, variances, means)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ck.SpaceError, match="^observational law overflows: "
-                                                "its mean or covariance is not finite$"):
-            ck.observational_law(scm)
+        for law in (lambda: ck.observational_law(scm),
+                    lambda: ck.interventional_kernel(scm, ())):
+            with pytest.raises(ck.SpaceError, match="^observational law overflows: "
+                                                    "its mean or covariance is not finite$"):
+                law()
         with pytest.raises(ck.SpaceError, match="^observational law overflows"):
             ck.check_linear_transform(scm, scm, np.eye(len(variances)),
                                       {n: n for n in scm.coords})
+
+
+def test_overflowing_kernel_is_named_as_overflow():
+    chain = ck.LinearGaussianSCM(("A", "B", "C"), [[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0]],
+                                 [1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # pinning the root leaves the chain, whose inverse fails; pinning C
+        # leaves A -> B, whose variance overflows
+        for on in (("A",), ("C",)):
+            with pytest.raises(ck.SpaceError, match="^interventional kernel overflows: its "
+                                                    "matrix, offset or covariance is not "
+                                                    "finite$"):
+                ck.interventional_kernel(chain, on)
+        # pinning B cuts the chain: C = 1e200 x_B + N_C is finite
+        k = ck.interventional_kernel(chain, ("B",))
+        assert k.matrix[:, 0].tolist() == [0.0, 1.0, 1e200]
+        assert np.diag(k.cov).tolist() == [1.0, 0.0, 1.0]
+
+
+def test_overflow_in_the_transformation_check_is_named():
+    doc = json.loads((files("causalkit") / "corpus" / "gaussian-abstraction.json")
+                     .read_text(encoding="utf-8"))
+    doc["map"]["matrix"][0][2] = 1e154  # times Var(Y1) = 11 in the pushed law
+    big = ck.loads(json.dumps(doc))
+    # the target pins X, whose noise has no variance, and sends 1e200 x to Y;
+    # the kernel's unit covariance on X then overflows the target route
+    pinned = ck.LinearGaussianSCM(("X", "Y"), [[0, 0], [1e200, 0]], [0.0, 1.0])
+    unit = ck.AffineGaussianKernel(pinned.coords, pinned.coords, np.eye(2), np.zeros(2),
+                                   np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ck.SpaceError, match="^pushed law overflows: "
+                                                "its mean or covariance is not finite$"):
+            big.check()
+        with pytest.raises(ck.SpaceError, match="^interventional routes overflow: a matrix, "
+                                                "offset or covariance is not finite$"):
+            ck.check_affine_transform(pinned, pinned, unit, {"X": "X", "Y": "Y"})
+        # a kernel whose own offset is not finite is not held to the rule
+        source, target, matrix, rho = examples.abstraction_gaussian_pair()
+        inf_offset = ck.AffineGaussianKernel(source.coords, target.coords, matrix,
+                                             [np.inf, 0.0], np.zeros((2, 2)))
+        report = ck.check_affine_transform(source, target, inf_offset, rho)
+        assert [r.passed for r in report.subreports] == [True, False, False]
 
 
 def test_large_finite_law_is_not_an_overflow():
     law = ck.observational_law(ck.LinearGaussianSCM(("A", "B"), [[0, 0], [1e154, 0]],
                                                     [1.0, 0.0]))
     assert law.cov[1, 1] == 1e308
+
+
+def test_a_marginal_is_held_to_its_own_scale():
+    # -1e-7 is within PSD_TOL at the scale 1e6 of the whole covariance, not
+    # at the scale 1 of B's own
+    law = ck.GaussianLaw(("A", "B"), [0.0, 0.0], [[1e6, 0.0], [0.0, -1e-7]])
+    assert law.marginal(("A",)).cov.tolist() == [[1e6]]
+    with pytest.raises(ck.SpaceError, match="^covariance is not positive semi-definite$"):
+        law.marginal(("B",))
+
+
+def test_a_kernel_law_keeps_the_checked_covariance(monkeypatch):
+    source = examples.abstraction_gaussian_pair()[0]
+    kernel = ck.interventional_kernel(source, ("X1",))
+    calls = []
+    real = ck.gaussian._cov_faults
+    monkeypatch.setattr(ck.gaussian, "_cov_faults", lambda cov: calls.append(cov) or real(cov))
+    law = kernel.at([2.0])
+    assert calls == [] and law.cov is kernel.cov
+    assert law.coords == source.coords
+    assert law.mean.tolist() == (kernel.matrix @ [2.0] + kernel.offset).tolist()
+    # the mean's shape is still checked
+    with pytest.raises(ck.SpaceError, match=r"^mean must have shape \(4,\)$"):
+        kernel.at([[2.0]])
+
+
+def test_a_mean_is_a_vector():
+    with pytest.raises(ck.SpaceError, match=r"^mean must have shape \(2,\)$"):
+        ck.GaussianLaw(("A", "B"), [[0.0], [1.0]], np.eye(2))
 
 
 def test_gaussian_law_marginal():

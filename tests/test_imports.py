@@ -3,6 +3,8 @@
 ``__init__.py`` is exempt, because its imports are the package's
 re-exports.  A name counts as used when it is read anywhere in the module,
 including inside a string annotation such as ``-> "CoordinateSpace"``.
+The CLI reads input only through public ``serialize`` names, and the
+oracle's ``_oracle_*`` functions read no fast-path checker.
 """
 
 import ast
@@ -87,3 +89,40 @@ def test_a_private_serialize_import_is_reported():
                      "from . import serialize\nserialize._outcome_table\n")
     assert list(private_serialize_names(tree)) == [
         "_require", "_coord_list", "_outcome_table"]
+
+
+# the brute-force oracle shares no checking code with the fast path: its
+# agreement with the fast path only means something if they share none
+FAST_PATH_NAMES = {"validate_causal_space", "is_source", "rigidity_check", "_classify",
+                   "_first_failing_row", "_part_sums", "_mixture", "_push", "_tensor",
+                   "project"}
+FAST_PATH_PREFIXES = ("classify_effect", "causally_independent", "check_")
+
+
+def fast_path_reads(tree):
+    """(function, name) of each fast-path checker or row primitive that an
+    ``_oracle_*`` function reads, as a name or as an attribute."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_oracle_"):
+            for node in ast.walk(fn):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else "")
+                if name in FAST_PATH_NAMES or name.startswith(FAST_PATH_PREFIXES):
+                    yield fn.name, name
+
+
+def test_oracle_reads_no_fast_path_checker():
+    path = Path(causalkit.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert any(isinstance(n, ast.FunctionDef) and n.name.startswith("_oracle_")
+               for n in ast.walk(tree))
+    assert list(fast_path_reads(tree)) == []
+
+
+def test_a_fast_path_read_in_the_oracle_is_reported():
+    tree = ast.parse("def _oracle_a(c):\n    return validate_causal_space(c), spaces._tensor\n"
+                     "def _oracle_b(c):\n    return causal.classify_effect_on(c), project(c)\n"
+                     "def helper(c):\n    return check_all(c)\n")
+    assert sorted(fast_path_reads(tree)) == [
+        ("_oracle_a", "_tensor"), ("_oracle_a", "validate_causal_space"),
+        ("_oracle_b", "classify_effect_on"), ("_oracle_b", "project")]

@@ -528,6 +528,22 @@ def test_rigidity_ignores_changes_inside_image_atoms(xor, coin):
     assert ck.rigidity_check(t1, t2).passed
 
 
+def test_rigidity_reports_differing_target_measures_first(xor, coin):
+    # the same kernel and index map into the product space with two of its
+    # outcome weights swapped: the first differing outcome is the witness
+    t1 = ck.inclusion_into_product(coin, xor)
+    sp = t1.target.space
+    w = list(t1.target.P.weights)
+    w[1], w[3] = w[3], w[1]
+    moved = ck.independent_pinning_space(ck.FiniteMeasure(sp, tuple(w)))
+    t2 = ck.Transformation(source=t1.source, target=moved, rho=t1.rho, kernel=t1.kernel)
+    report = ck.rigidity_check(t1, t2)
+    assert not report.passed
+    assert report.witness == ck.Witness(
+        message="target measures differ on (0, 0, 1): 1/16 vs 3/16",
+        outcome=(0, 0, 1), event=(1,))
+
+
 def test_rigidity_detects_image_disagreement(xor, coin):
     # move K_X mass across the C-atoms (staying inside the X-atom, so the
     # space remains axiom-valid): the kernels now disagree on an image atom
