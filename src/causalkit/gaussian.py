@@ -191,9 +191,11 @@ class AffineGaussianKernel:
         _raise_first_fault("kernel covariance", _cov_faults(self.cov))
 
     def at(self, values: np.ndarray) -> GaussianLaw:
+        mean = _as_vector(self.matrix @ np.asarray(values, float) + self.offset,
+                          len(self.outputs), "mean")
         law = object.__new__(GaussianLaw)  # its covariance was checked with the kernel
-        law.__dict__.update(coords=self.outputs, cov=self.cov, mean=_as_vector(
-            self.matrix @ np.asarray(values, float) + self.offset, len(self.outputs), "mean"))
+        for name, value in (("coords", self.outputs), ("mean", mean), ("cov", self.cov)):
+            object.__setattr__(law, name, value)
         return law
 
     def agrees_with(self, other: "AffineGaussianKernel", tol: float = DEFAULT_TOL) -> bool:
