@@ -188,15 +188,13 @@ class AffineGaussianKernel:
         object.__setattr__(self, "matrix", _as_matrix(self.matrix, dout, din, "matrix"))
         object.__setattr__(self, "offset", _as_vector(self.offset, dout, "offset"))
         object.__setattr__(self, "cov", _as_matrix(self.cov, dout, dout, "cov"))
+        if not _finite(self.matrix, self.offset):
+            raise SpaceError("kernel matrix and offset must be finite")
         _raise_first_fault("kernel covariance", _cov_faults(self.cov))
 
     def at(self, values: np.ndarray) -> GaussianLaw:
-        mean = _as_vector(self.matrix @ np.asarray(values, float) + self.offset,
-                          len(self.outputs), "mean")
-        law = object.__new__(GaussianLaw)  # its covariance was checked with the kernel
-        for name, value in (("coords", self.outputs), ("mean", mean), ("cov", self.cov)):
-            object.__setattr__(law, name, value)
-        return law
+        return GaussianLaw(self.outputs, self.matrix @ np.asarray(values, float) + self.offset,
+                           self.cov)
 
     def agrees_with(self, other: "AffineGaussianKernel", tol: float = DEFAULT_TOL) -> bool:
         check_tolerance(tol)
@@ -342,10 +340,7 @@ def compose_affine(first: AffineGaussianKernel, second: AffineGaussianKernel
         sel_idx = [first.outputs.index(n) for n in second.inputs]
     except ValueError as exc:
         raise SpaceError(f"composition inputs missing from outputs: {exc}") from None
-    sel = np.zeros((len(second.inputs), len(first.outputs)))
-    for row, i in enumerate(sel_idx):
-        sel[row, i] = 1.0
-    m = second.matrix @ sel
+    m = second.matrix @ np.eye(len(first.outputs))[sel_idx]
     return AffineGaussianKernel(
         inputs=first.inputs,
         outputs=second.outputs,
@@ -378,18 +373,19 @@ def _pinned_stack(scm: LinearGaussianSCM, pinned: np.ndarray
     b[pinned] = 0.0
     means = np.where(pinned, 0.0, scm.noise_means)
     diag = np.eye(d) * np.where(pinned, 0.0, scm.noise_variances)[:, None, :]
+    overflow = ("interventional kernel overflows: its matrix, offset or covariance is not "
+                "finite" if pinned.any() else
+                "observational law overflows: its mean or covariance is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             # I - B~ is unit lower triangular, so inv fails only on overflow
             a = np.linalg.inv(np.eye(d) - b)
         except np.linalg.LinAlgError:
-            a = np.full((n, d, d), np.nan)
+            raise SpaceError(overflow) from None
         stack = (np.where(pinned[:, None, :], a, 0.0), (a @ means[:, :, None])[:, :, 0],
                  a @ diag @ a.transpose(0, 2, 1))
     if not _finite(*stack):
-        raise SpaceError("interventional kernel overflows: its matrix, offset or "
-                         "covariance is not finite" if pinned.any() else
-                         "observational law overflows: its mean or covariance is not finite")
+        raise SpaceError(overflow)
     return stack
 
 
@@ -445,13 +441,14 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     kernels K_S come from ``_pinned_stack``, as they do in
     ``interventional_kernel``, and the compositions keep the shapes and
     the operation order of ``compose_affine``, so verdicts and witness
-    strings are those of the one-subset-at-a-time chain, and an invalid
-    covariance is reported at the first subset, and the first object
-    within it, where that chain would have met it.
+    strings are those of the one-subset-at-a-time chain.
 
-    A law, K_S, pushed law or block of routes that is not finite although
-    its inputs are (a kernel's matrix and offset included) has overflowed:
-    ``SpaceError`` names it, before the block's covariance faults.
+    A law, K_S, pushed law or route that is not finite has overflowed
+    (every input is finite), and ``SpaceError`` names it.  A block that
+    raises is scanned again one subset at a time, so the error is the
+    first subset's, whatever ``_BLOCK`` is.  Within a subset, overflows
+    (K^1, K^2, the routes) come before covariance faults (K^1, source
+    route, K^2, target route, the routes' image slices).
 
     Those derived covariances (K^1, K^2, both routes and the routes'
     image slices) are held to the constructors' rule, symmetry within
@@ -496,11 +493,10 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
 
     law1 = observational_law(source)
     law2 = observational_law(target)
-    finite_kernel = _finite(kernel.matrix, kernel.offset)
     with np.errstate(over="ignore", invalid="ignore"):
         offset = kernel.matrix @ law1.mean + kernel.offset
         cov = kernel.matrix @ law1.cov @ kernel.matrix.T + kernel.cov
-    if finite_kernel and not _finite(offset, cov):
+    if not _finite(offset, cov):
         raise SpaceError("pushed law overflows: its mean or covariance is not finite")
     pushed = AffineGaussianKernel(inputs=(), outputs=target.coords,
                                   matrix=np.zeros((len(target.coords), 0)),
@@ -579,8 +575,7 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
             rhs_matrix = m2 @ kernel.matrix
             rhs_offset = m2 @ kernel.offset + offset2
             rhs_cov = m2 @ kernel.cov @ m2.transpose(0, 2, 1) + cov2
-        if finite_kernel and not _finite(lhs_matrix, lhs_offset, lhs_cov,
-                                         rhs_matrix, rhs_offset, rhs_cov):
+        if not _finite(lhs_matrix, lhs_offset, lhs_cov, rhs_matrix, rhs_offset, rhs_cov):
             raise SpaceError("interventional routes overflow: a matrix, offset or "
                              "covariance is not finite")
 
@@ -622,7 +617,11 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
 
     inter: list[CheckReport] = []
     for block in _blocks(image):
-        inter.extend(scan(block))
+        try:
+            inter.extend(scan(block))
+        except SpaceError:  # raised for the whole block: find the first subset's
+            for subset in block:
+                inter.extend(scan([subset]))
     reports.append(combine("interventional", inter))
     return combine("causal-transformation", reports)
 

@@ -539,12 +539,39 @@ def test_overflow_in_the_transformation_check_is_named():
         with pytest.raises(ck.SpaceError, match="^interventional routes overflow: a matrix, "
                                                 "offset or covariance is not finite$"):
             ck.check_affine_transform(pinned, pinned, unit, {"X": "X", "Y": "Y"})
-        # a kernel whose own offset is not finite is not held to the rule
-        source, target, matrix, rho = examples.abstraction_gaussian_pair()
-        inf_offset = ck.AffineGaussianKernel(source.coords, target.coords, matrix,
-                                             [np.inf, 0.0], np.zeros((2, 2)))
-        report = ck.check_affine_transform(source, target, inf_offset, rho)
-        assert [r.passed for r in report.subreports] == [True, False, False]
+
+
+@pytest.mark.parametrize("block", [1, 32, 64])
+def test_a_fault_before_an_overflow_in_one_block_is_raised(monkeypatch, block):
+    # the kernel's A-B asymmetry faults the target route at S={A,B}, the
+    # eighth subset (as in the stretched-asymmetry test below); Y = 1e154 W
+    # + 1e154 X overflows it only from S={W,X}, the seventeenth, on
+    monkeypatch.setattr(ck.gaussian, "_BLOCK", block)
+    coords = ("A", "B", "Z", "W", "X", "Y")
+    b = np.zeros((6, 6))
+    b[2, 0], b[5, 3], b[5, 4] = 4.0, 1e154, 1e154
+    scm = ck.LinearGaussianSCM(coords, b, np.zeros(6))
+    cov = np.diag([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    cov[0, 1] = 0.9 * ck.gaussian.SYMMETRY_TOL
+    kernel = ck.AffineGaussianKernel(coords, coords, np.eye(6), np.zeros(6), cov)
+    rho = {n: n for n in coords}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ck.SpaceError, match="^kernel covariance is not symmetric$"):
+            ck.check_affine_transform(scm, scm, kernel, rho)
+        # without the asymmetry the overflow is what is raised
+        cov[0, 1] = 0.0
+        kernel = ck.AffineGaussianKernel(coords, coords, np.eye(6), np.zeros(6), cov)
+        with pytest.raises(ck.SpaceError, match="^interventional routes overflow"):
+            ck.check_affine_transform(scm, scm, kernel, rho)
+
+
+def test_a_kernel_matrix_and_offset_are_finite():
+    source, target, matrix, _ = examples.abstraction_gaussian_pair()
+    for bad_matrix, offset in ((matrix, [np.inf, 0.0]), (np.where(matrix, np.nan, 0.0), [0, 0])):
+        with pytest.raises(ck.SpaceError, match="^kernel matrix and offset must be finite$"):
+            ck.AffineGaussianKernel(source.coords, target.coords, bad_matrix, offset,
+                                    np.zeros((2, 2)))
 
 
 def test_large_finite_law_is_not_an_overflow():
@@ -562,15 +589,11 @@ def test_a_marginal_is_held_to_its_own_scale():
         law.marginal(("B",))
 
 
-def test_a_kernel_law_keeps_the_checked_covariance(monkeypatch):
+def test_a_kernel_law_at_a_point():
     source = examples.abstraction_gaussian_pair()[0]
     kernel = ck.interventional_kernel(source, ("X1",))
-    calls = []
-    real = ck.gaussian._cov_faults
-    monkeypatch.setattr(ck.gaussian, "_cov_faults", lambda cov: calls.append(cov) or real(cov))
     law = kernel.at([2.0])
-    assert calls == [] and law.cov is kernel.cov
-    assert law.coords == source.coords
+    assert law.coords == source.coords and np.array_equal(law.cov, kernel.cov)
     assert law.mean.tolist() == (kernel.matrix @ [2.0] + kernel.offset).tolist()
     # the mean's shape is still checked
     with pytest.raises(ck.SpaceError, match=r"^mean must have shape \(4,\)$"):
