@@ -340,7 +340,10 @@ def compose_affine(first: AffineGaussianKernel, second: AffineGaussianKernel
         sel_idx = [first.outputs.index(n) for n in second.inputs]
     except ValueError as exc:
         raise SpaceError(f"composition inputs missing from outputs: {exc}") from None
-    m = second.matrix @ np.eye(len(first.outputs))[sel_idx]
+    sel = np.zeros((len(second.inputs), len(first.outputs)))
+    for row, i in enumerate(sel_idx):
+        sel[row, i] = 1.0
+    m = second.matrix @ sel
     return AffineGaussianKernel(
         inputs=first.inputs,
         outputs=second.outputs,
@@ -498,16 +501,14 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
         cov = kernel.matrix @ law1.cov @ kernel.matrix.T + kernel.cov
     if not _finite(offset, cov):
         raise SpaceError("pushed law overflows: its mean or covariance is not finite")
-    pushed = AffineGaussianKernel(inputs=(), outputs=target.coords,
-                                  matrix=np.zeros((len(target.coords), 0)),
-                                  offset=offset, cov=cov)
-    if close(pushed.offset, law2.mean, tol) and close(pushed.cov, law2.cov, tol):
+    _raise_first_fault("kernel covariance", _cov_faults(cov))
+    if close(offset, law2.mean, tol) and close(cov, law2.cov, tol):
         reports.append(CheckReport(check="distributional", passed=True))
     else:
         reports.append(CheckReport(
             check="distributional", passed=False,
             witness=Witness(message=(
-                f"pushed law mean {pushed.offset} cov diag {np.diag(pushed.cov)} "
+                f"pushed law mean {offset} cov diag {np.diag(cov)} "
                 f"vs target mean {law2.mean} cov diag {np.diag(law2.cov)}"))))
 
     tgt_pos = {n: i for i, n in enumerate(target.coords)}
