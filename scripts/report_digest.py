@@ -56,8 +56,13 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/report_digest.py
 
-On a mismatch both digests go to stderr.  A change that alters a report on
-purpose updates ``scripts/report_digest.expected`` and says why.
+``report_digest.expected`` holds the total digest on its first line, then
+one ``<section> <sha256>`` line per section, in the order above.  On a
+mismatch both totals go to stderr, with the name of each section whose
+digest differs.  A change that alters a report on purpose rewrites the
+file and says why:
+
+    PYTHONPATH=src:scripts python3 -c "import report_digest as r; print(*r.digests(), sep=chr(10))" > scripts/report_digest.expected
 """
 
 from __future__ import annotations
@@ -480,20 +485,39 @@ def gaussian_section():
         yield guarded(f"fault {label}", lambda: report_text(build()))
 
 
+SECTIONS = (("lemma", lemma_section), ("corpus", corpus_section),
+            ("space", space_section), ("event", event_section),
+            ("cli_event", cli_event_section), ("product", product_section),
+            ("rows", rows_section), ("gaussian", gaussian_section))
+
+
+def digests() -> list[str]:
+    """The total digest, then one ``<section> <sha256>`` line per section."""
+    total = hashlib.sha256()
+    lines = []
+    for name, section in SECTIONS:
+        digest = hashlib.sha256()
+        for text in section():
+            data = text.encode("utf-8")
+            total.update(data)
+            digest.update(data)
+        lines.append(f"{name} {digest.hexdigest()}")
+    return [total.hexdigest()] + lines
+
+
 def main() -> int:
-    digest = hashlib.sha256()
-    for section in (lemma_section(), corpus_section(), space_section(),
-                    event_section(), cli_event_section(), product_section(),
-                    rows_section(), gaussian_section()):
-        for text in section:
-            digest.update(text.encode("utf-8"))
-    value = digest.hexdigest()
-    print(value)
-    expected = EXPECTED.read_text(encoding="utf-8").strip()
-    if value != expected:
-        print(f"digest mismatch: computed {value}, expected {expected}", file=sys.stderr)
-        return 1
-    return 0
+    computed = digests()
+    print(computed[0])
+    expected = EXPECTED.read_text(encoding="utf-8").splitlines()
+    if computed == expected:
+        return 0
+    if computed[0] != expected[0]:
+        print(f"digest mismatch: computed {computed[0]}, expected {expected[0]}",
+              file=sys.stderr)
+    for line in computed[1:]:
+        if line not in expected[1:]:
+            print(f"section {line.split()[0]} differs", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
