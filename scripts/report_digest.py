@@ -41,6 +41,10 @@ by the digests they print.  The digest covers, in this order:
   noise value put first on every variable) build, with the
   ``validate_causal_space`` and ``check_all`` reports of what they build
   and the text of any error they raise;
+- the tampered section: ``check_all`` on the rows section's
+  ``_random_abstraction`` instances with their pushforward target tampered
+  as ``_trial_pushforward_uniqueness`` tampers it, so that failing
+  interventional reports and their witnesses are covered;
 - the Gaussian section: the reports of ``check_linear_transform`` on
   seeded models at d = 2-10 against their diagonal rescaling and against a
   perturbed twin, on wide models (coefficients N(0, 3^2), covariance
@@ -80,7 +84,8 @@ import numpy as np
 
 import causalkit as ck
 from causalkit import cli, examples
-from causalkit.oracle import _random_abstraction, _random_scm, _random_weights
+from causalkit.oracle import (_random_abstraction, _random_scm, _random_weights,
+                              _tampered)
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "causalkit" / "corpus"
 EXPECTED = Path(__file__).resolve().with_suffix(".expected")
@@ -333,6 +338,31 @@ def rows_section():
                          ck.compile_scm(with_null_noise(scm)))
 
 
+def tampered_section():
+    """``check_all`` on each rows-section abstraction whose pushforward target
+    is tampered as the pushforward-uniqueness trial tampers it: at the first
+    nonempty subset and atom whose fiber has two or more outcomes."""
+    for seed in ROW_SEEDS:
+        inst = _random_abstraction(Random(seed))
+        target = inst.target
+        site = next(((subset, a, fiber) for subset in ck.subsets_of(target.space.names)
+                     if subset
+                     for a, fiber in enumerate(ck.atoms(target.space, subset))
+                     if len(list(fiber.indices())) > 1), None)
+        if site is None:
+            continue
+        subset, a, fiber = site
+        inside = list(fiber.indices())
+        w = target.kernel(subset).rows[a].weights
+        src = next(i for i, x in enumerate(w) if x > 0)
+        moved = next((i for i in inside if w[i] == 0), None)
+        if moved is None:
+            moved = next(i for i in inside if i != src)
+        t = ck.Transformation(inst.source, _tampered(target, subset, a, src, moved),
+                              inst.t.rho, outcome_map=inst.t.outcome_map)
+        yield f"tampered({seed}) S={subset} atom={a}\n" + report_text(ck.check_all(t))
+
+
 def gauss_model(rng, names) -> ck.LinearGaussianSCM:
     d = len(names)
     b = np.tril(rng.normal(0.0, 1.0, (d, d)), -1) * (rng.random((d, d)) < 0.6)
@@ -488,7 +518,8 @@ def gaussian_section():
 SECTIONS = (("lemma", lemma_section), ("corpus", corpus_section),
             ("space", space_section), ("event", event_section),
             ("cli_event", cli_event_section), ("product", product_section),
-            ("rows", rows_section), ("gaussian", gaussian_section))
+            ("rows", rows_section), ("tampered", tampered_section),
+            ("gaussian", gaussian_section))
 
 
 def digests() -> list[str]:
