@@ -25,6 +25,7 @@ import numpy as np
 from .causal import subsets_of
 from .errors import SingularConditioningError, SpaceError
 from .report import CheckReport, Witness, _deferred_witness, combine
+from .transform import IndexMap
 
 DEFAULT_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -58,6 +59,18 @@ def _as_vector(x, n: int, what: str) -> np.ndarray:
 
 def _finite(*arrays: np.ndarray) -> bool:
     return all(np.isfinite(x).all() for x in arrays)
+
+
+def _distinct(names: tuple[str, ...]) -> None:
+    if len(set(names)) != len(names):
+        raise SpaceError(f"duplicate coordinate names: {names}")
+
+
+def _position(coords: tuple[str, ...], name: str) -> int:
+    try:
+        return coords.index(name)
+    except ValueError:
+        raise SpaceError(f"unknown coordinate {name!r}") from None
 
 
 def _cov_faults(cov: np.ndarray) -> np.ndarray:
@@ -151,13 +164,14 @@ class GaussianLaw:
     cov: np.ndarray
 
     def __post_init__(self):
+        _distinct(self.coords)
         d = len(self.coords)
         object.__setattr__(self, "mean", _as_vector(self.mean, d, "mean"))
         object.__setattr__(self, "cov", _as_matrix(self.cov, d, d, "cov"))
         _raise_first_fault("covariance", _cov_faults(self.cov))
 
     def marginal(self, names: Iterable[str]) -> "GaussianLaw":
-        idx = [self.coords.index(n) for n in names]
+        idx = [_position(self.coords, n) for n in names]
         return GaussianLaw(tuple(self.coords[i] for i in idx),
                            self.mean[idx], self.cov[np.ix_(idx, idx)])
 
@@ -184,6 +198,8 @@ class AffineGaussianKernel:
     cov: np.ndarray
 
     def __post_init__(self):
+        _distinct(self.inputs)
+        _distinct(self.outputs)
         din, dout = len(self.inputs), len(self.outputs)
         object.__setattr__(self, "matrix", _as_matrix(self.matrix, dout, din, "matrix"))
         object.__setattr__(self, "offset", _as_vector(self.offset, dout, "offset"))
@@ -214,9 +230,8 @@ class LinearGaussianSCM:
     noise_means: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        _distinct(self.coords)
         d = len(self.coords)
-        if len(set(self.coords)) != d:
-            raise SpaceError(f"duplicate coordinate names: {self.coords}")
         b = _as_matrix(self.coefficients, d, d, "coefficients")
         if not np.all(np.isfinite(b)):
             raise SpaceError("coefficients must be a finite matrix")
@@ -235,10 +250,7 @@ class LinearGaussianSCM:
         object.__setattr__(self, "noise_means", m)
 
     def index(self, name: str) -> int:
-        try:
-            return self.coords.index(name)
-        except ValueError:
-            raise SpaceError(f"unknown coordinate {name!r}") from None
+        return _position(self.coords, name)
 
 
 def observational_law(scm: LinearGaussianSCM) -> GaussianLaw:
@@ -304,7 +316,7 @@ def conditional_kernel(law: GaussianLaw, given: Iterable[str],
     """
     check_tolerance(tol)
     g = tuple(given)
-    g_idx = [law.coords.index(n) for n in g]
+    g_idx = [_position(law.coords, n) for n in g]
     r_idx = [i for i in range(len(law.coords)) if i not in g_idx]
     sgg = law.cov[np.ix_(g_idx, g_idx)]
     if len(g_idx) == 0:
@@ -337,8 +349,8 @@ def compose_affine(first: AffineGaussianKernel, second: AffineGaussianKernel
     the composed law at x is second applied to the Gaussian image of x.
     """
     try:
-        sel_idx = [first.outputs.index(n) for n in second.inputs]
-    except ValueError as exc:
+        sel_idx = [_position(first.outputs, n) for n in second.inputs]
+    except SpaceError as exc:
         raise SpaceError(f"composition inputs missing from outputs: {exc}") from None
     sel = np.zeros((len(second.inputs), len(first.outputs)))
     for row, i in enumerate(sel_idx):
@@ -472,24 +484,14 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     Before any of that work the inputs are checked, in this order, and
     the first failure raises ``SpaceError``: ``tol`` must be finite and at
     least 0 (0 asks for exact equality); the kernel must map the source
-    coordinates to the target's; rho must be defined on every source
-    coordinate and on nothing else; and each of its targets must be a
-    target coordinate (the error names the first unknown one in sorted
-    order).  A covariance fault is raised only after all of these pass.
+    coordinates to the target's; and rho must pass ``IndexMap``'s rule,
+    the one check of rho at both scales.  A covariance fault is raised
+    only after all of these pass.
     """
     check_tolerance(tol)
     if kernel.inputs != source.coords or kernel.outputs != target.coords:
         raise SpaceError("kernel does not match source and target coordinates")
-    missing = set(source.coords) - set(rho)
-    if missing:
-        raise SpaceError(f"rho undefined on {sorted(missing)}")
-    extra = set(rho) - set(source.coords)
-    if extra:
-        raise SpaceError(f"rho defined on unknown coordinates {sorted(extra)}")
-    image = frozenset(rho[n] for n in source.coords)
-    unknown = sorted(image - set(target.coords))
-    if unknown:
-        raise SpaceError(f"unknown coordinate {unknown[0]!r}")
+    image = IndexMap(source.coords, target.coords, rho).image()
     img = np.array([i for i, n in enumerate(target.coords) if n in image], dtype=np.intp)
 
     reports = [affine_admissible(kernel, rho, image)]

@@ -206,8 +206,11 @@ def pin(scm: FiniteSCM, assignment: Mapping[str, int]) -> FiniteSCM:
     parents = dict(scm.parents)
     noises = dict(scm.noises)
     mechanisms = dict(scm.mechanisms)
+    cards = scm.cards
     for var, value in assignment.items():
-        if not 0 <= value < scm.cards[var]:
+        if var not in cards:
+            raise SpaceError(f"unknown variable {var!r}")
+        if not 0 <= value < cards[var]:
             raise SpaceError(f"pinned value {value} out of range for {var!r}")
         parents[var] = ()
         noises[var] = (ONE,)

@@ -72,7 +72,10 @@ class GaussianTransform:
 
     ``matrix`` (and the optional ``offset`` / ``cov``) define the kernel
     row-major over target-by-source coordinates; the default offset and
-    covariance are zero, i.e. a deterministic linear map.
+    covariance are zero, i.e. a deterministic linear map.  The kernel is
+    built, and so checked, once, here, before rho is checked as an
+    ``IndexMap``; ``matrix``, ``offset`` and ``cov`` are the kernel's
+    checked arrays.
     """
 
     source: LinearGaussianSCM
@@ -81,38 +84,24 @@ class GaussianTransform:
     matrix: np.ndarray
     offset: np.ndarray = field(default=None)
     cov: np.ndarray = field(default=None)
+    kernel: AffineGaussianKernel = field(init=False, repr=False)
 
     def __post_init__(self):
-        d_out, d_in = len(self.target.coords), len(self.source.coords)
-        m = np.asarray(self.matrix, float)
-        if m.shape != (d_out, d_in):
-            raise SpecError(f"transform matrix must have shape ({d_out}, {d_in})")
-        object.__setattr__(self, "matrix", m)
-        off = (np.zeros(d_out) if self.offset is None
-               else np.asarray(self.offset, float))
-        if off.shape != (d_out,):
-            raise SpecError(f"transform offset must have shape ({d_out},)")
-        object.__setattr__(self, "offset", off)
-        cov = (np.zeros((d_out, d_out)) if self.cov is None
-               else np.asarray(self.cov, float))
-        if cov.shape != (d_out, d_out):
-            raise SpecError(f"transform covariance must have shape ({d_out}, {d_out})")
-        object.__setattr__(self, "cov", cov)
-        missing = set(self.source.coords) - set(self.rho)
-        if missing:
-            raise SpecError(f"rho undefined on {sorted(missing)}")
-
-    def kernel(self) -> AffineGaussianKernel:
-        return AffineGaussianKernel(
+        d_out = len(self.target.coords)
+        kernel = AffineGaussianKernel(
             inputs=self.source.coords,
             outputs=self.target.coords,
             matrix=self.matrix,
-            offset=self.offset,
-            cov=self.cov,
+            offset=np.zeros(d_out) if self.offset is None else self.offset,
+            cov=np.zeros((d_out, d_out)) if self.cov is None else self.cov,
         )
+        IndexMap(self.source.coords, self.target.coords, self.rho)
+        object.__setattr__(self, "kernel", kernel)
+        for name in ("matrix", "offset", "cov"):
+            object.__setattr__(self, name, getattr(kernel, name))
 
     def check(self, tol: float = DEFAULT_TOL) -> CheckReport:
-        return check_affine_transform(self.source, self.target, self.kernel(),
+        return check_affine_transform(self.source, self.target, self.kernel,
                                       dict(self.rho), tol)
 
 
@@ -405,16 +394,15 @@ def _transformation_from_doc(doc: Mapping) -> Union[Transformation, GaussianTran
         source = _gaussian_from_doc(src_doc)
         target = _gaussian_from_doc(tgt_doc)
         d_out, d_in = len(target.coords), len(source.coords)
-        return GaussianTransform(
-            source=source,
-            target=target,
-            rho=rho,
-            matrix=_float_matrix(body["matrix"], (d_out, d_in), "map matrix"),
-            offset=(_float_vector(body["offset"], d_out, "map offset")
-                    if "offset" in body else None),
-            cov=(_float_matrix(body["cov"], (d_out, d_out), "map cov")
-                 if "cov" in body else None),
-        )
+        matrix = _float_matrix(body["matrix"], (d_out, d_in), "map matrix")
+        offset = (_float_vector(body["offset"], d_out, "map offset")
+                  if "offset" in body else None)
+        cov = (_float_matrix(body["cov"], (d_out, d_out), "map cov")
+               if "cov" in body else None)
+        # a document names its faults in this order: the map's arrays, rho,
+        # then the map as a kernel (its covariance)
+        IndexMap(source.coords, target.coords, rho)
+        return GaussianTransform(source, target, rho, matrix, offset, cov)
 
     endpoints = []
     for part, name in ((src_doc, "source"), (tgt_doc, "target")):

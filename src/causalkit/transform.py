@@ -58,7 +58,12 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class IndexMap:
-    """Total map between coordinate index sets."""
+    """Total map rho between coordinate index sets, at either scale.
+
+    It is the one check of rho: defined on every source coordinate, on
+    nothing else, and into the target coordinates (the error names the
+    first unknown target in sorted order), tested in that order.
+    """
 
     source: tuple[str, ...]
     target: tuple[str, ...]
@@ -67,13 +72,13 @@ class IndexMap:
     def __post_init__(self):
         missing = set(self.source) - set(self.mapping)
         if missing:
-            raise SpaceError(f"index map undefined on {sorted(missing)}")
+            raise SpaceError(f"rho undefined on {sorted(missing)}")
         extra = set(self.mapping) - set(self.source)
         if extra:
-            raise SpaceError(f"index map defined on unknown coordinates {sorted(extra)}")
-        bad = set(self.mapping.values()) - set(self.target)
-        if bad:
-            raise SpaceError(f"index map hits unknown targets {sorted(bad)}")
+            raise SpaceError(f"rho defined on unknown coordinates {sorted(extra)}")
+        unknown = sorted(set(self.mapping.values()) - set(self.target))
+        if unknown:
+            raise SpaceError(f"unknown coordinate {unknown[0]!r}")
 
     def __call__(self, name: str) -> str:
         return self.mapping[name]
@@ -205,15 +210,12 @@ def check_interventional(t: Transformation) -> CheckReport:
     for A an atom of the image sigma-algebra (atoms suffice: both sides are
     measures in A).  No outcome is exempted, including null ones.
 
-    Both routes are evaluated as measures on the image atoms.  The source
-    route depends on omega only through its rho^-1(S)-atom, so it is mixed
-    once per kernel row from the rows kappa(omega', .) on the image atoms;
-    the target route depends on omega only through kappa(omega, .) on the
-    S-atoms, where K^2_S is constant.  So each distinct (rho^-1(S)-atom,
-    kappa on S-atoms) pair is compared once, at its first outcome in index
-    order: a later outcome with the same pair would compare the same two
-    measures, and the first failing outcome, hence the witness, is the one
-    a per-outcome scan finds.
+    Both routes are evaluated as measures on the image atoms, at every
+    source outcome in index order, so the first failing outcome gives the
+    witness.  The source route depends on omega only through its
+    rho^-1(S)-atom, so it is mixed once per kernel row from the rows
+    kappa(omega', .) on the image atoms; the target route mixes, over
+    kappa(omega, .), the image row of K^2_S at each target outcome's S-atom.
     """
     src = t.source.space
     on_image = t.rho.image()
@@ -226,16 +228,11 @@ def check_interventional(t: Transformation) -> CheckReport:
         k2 = t.target.kernel(subset)
         source_route = [_mixture(image.sub, row, kappa_image) for row in k1.rows]
         k2_image = [project(row, on_image) for row in k2.rows]
+        k2_at = [k2_image[s] for s in t.target.space.projector(subset).index]
         pre_of = src.projector(pre).index
-        seen = set()
         for i in range(src.n_outcomes):
-            on_s = project(kappa[i], subset)
-            key = (pre_of[i], on_s)
-            if key in seen:
-                continue
-            seen.add(key)
             left = source_route[pre_of[i]]
-            right = _mixture(image.sub, on_s, k2_image)
+            right = _mixture(image.sub, kappa[i], k2_at)
             if left != right:
                 a = _first_difference(left, right)
                 return CheckReport(

@@ -243,6 +243,21 @@ def test_unknown_gaussian_rho_key_exits_2(capsys, tmp_path, corpus_dir):
     assert err == "error: rho defined on unknown coordinates ['Bogus']\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["map"].__setitem__("cov", [[1.0, 0.5], [0.0, 1.0]]),
+     "kernel covariance is not symmetric"),
+    (lambda d: d["map"].__setitem__("cov", [[1.0, 0.0], [0.0, -1.0]]),
+     "kernel covariance is not positive semi-definite"),
+    (lambda d: d["rho"].__setitem__("X1", "Q"), "unknown coordinate 'Q'"),
+], ids=["asymmetric-cov", "negative-cov", "unknown-rho-target"])
+def test_validate_rejects_the_gaussian_maps_check_transform_rejects(
+        capsys, tmp_path, corpus_dir, edit, message):
+    # a Gaussian transformation is checked where it is built, so by both commands
+    path = gaussian_document(tmp_path, corpus_dir, edit)
+    for command in ("validate", "check-transform"):
+        assert run(capsys, command, path) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_bad_tolerance_exits_2(capsys, tmp_path, corpus_dir, tol):
     # a failing transformation: no tolerance may turn it into a pass

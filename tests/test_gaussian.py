@@ -237,8 +237,10 @@ def test_compose_affine_selects_inputs_by_name():
         matrix=[[1.0]], offset=[0.0], cov=[[0.0]])
     k = ck.compose_affine(k1, k2)
     assert np.allclose(k.matrix, [[2.0]], atol=TOL)
-    with pytest.raises(ck.SpaceError):
-        ck.compose_affine(k2, k1)  # k1 needs input "A", not an output of k2
+    # k1 needs input "A", not an output of k2
+    with pytest.raises(ck.SpaceError, match="^composition inputs missing from outputs: "
+                                            "unknown coordinate 'A'$"):
+        ck.compose_affine(k2, k1)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -612,6 +614,31 @@ def test_gaussian_law_marginal():
     assert m.coords == ("C", "A")
     assert np.allclose(m.mean, [3.0, 1.0], atol=TOL)
     assert np.allclose(m.cov, np.diag([9.0, 1.0]), atol=TOL)
+
+
+def test_a_marginal_names_an_unknown_coordinate():
+    law = ck.GaussianLaw(("A", "B"), [0.0, 0.0], np.eye(2))
+    with pytest.raises(ck.SpaceError, match="^unknown coordinate 'Q'$"):
+        law.marginal(["A", "Q"])
+
+
+def test_conditioning_names_an_unknown_coordinate():
+    law = ck.GaussianLaw(("A", "B"), [0.0, 0.0], np.eye(2))
+    with pytest.raises(ck.SpaceError, match="^unknown coordinate 'Q'$"):
+        ck.conditional_kernel(law, ["Q"])
+
+
+def test_a_law_rejects_duplicate_coordinates():
+    with pytest.raises(ck.SpaceError, match=r"^duplicate coordinate names: \('A', 'A'\)$"):
+        ck.GaussianLaw(("A", "A"), [0.0, 0.0], np.eye(2))
+
+
+@pytest.mark.parametrize("inputs, outputs", [(("A",), ("B", "B")), (("A", "A"), ("B",))],
+                         ids=["outputs", "inputs"])
+def test_a_kernel_rejects_duplicate_coordinates(inputs, outputs):
+    with pytest.raises(ck.SpaceError, match="^duplicate coordinate names: "):
+        ck.AffineGaussianKernel(inputs, outputs, np.ones((len(outputs), len(inputs))),
+                                np.zeros(len(outputs)), np.eye(len(outputs)))
 
 
 # ---------------------------------------------------------------------------

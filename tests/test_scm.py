@@ -279,7 +279,7 @@ def test_pin_validates_values():
     scm = examples.xor_scm()
     with pytest.raises(ck.SpaceError):
         ck.pin(scm, {"X": 5})
-    with pytest.raises(KeyError):
+    with pytest.raises(ck.SpaceError, match="^unknown variable 'Nope'$"):
         ck.pin(scm, {"Nope": 0})
 
 

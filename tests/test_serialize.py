@@ -302,14 +302,17 @@ def test_transformation_table_entries_validated(xor):
 
 
 def test_gaussian_transform_validates_shapes():
+    # the kernel's rule, then IndexMap's: a shape fault comes before a rho fault
     source, target, matrix, rho = examples.abstraction_gaussian_pair()
-    with pytest.raises(ck.SpecError):
-        ck.GaussianTransform(source=source, target=target, rho=rho,
+    with pytest.raises(ck.SpaceError,
+                       match=r"^matrix must have shape \(2, 4\), got \(2, 2\)$"):
+        ck.GaussianTransform(source=source, target=target, rho={"X1": "X"},
                              matrix=matrix[:, :2])
-    with pytest.raises(ck.SpecError):
+    with pytest.raises(ck.SpaceError, match=r"^rho undefined on \['X2', 'Y1', 'Y2'\]$"):
         ck.GaussianTransform(source=source, target=target, rho={"X1": "X"},
                              matrix=matrix)
-    with pytest.raises(ck.SpecError):
+    with pytest.raises(ck.SpaceError,
+                       match=r"^cov must have shape \(2, 2\), got \(3, 3\)$"):
         ck.GaussianTransform(source=source, target=target, rho=rho,
                              matrix=matrix, cov=np.zeros((3, 3)))
 

@@ -47,6 +47,17 @@ def drop_y_transform(xor):
 # the three checks
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ({"X": "A"}, r"^rho undefined on \['Y'\]$"),
+    ({"X": "A", "Y": "B", "W": "A", "V": "B"},
+     r"^rho defined on unknown coordinates \['V', 'W'\]$"),
+    ({"X": "Z", "Y": "Q"}, "^unknown coordinate 'Q'$"),
+], ids=["undefined", "extra", "unknown-target"])
+def test_index_map_names_its_fault(mapping, message):
+    with pytest.raises(ck.SpaceError, match=message):
+        ck.IndexMap(source=("X", "Y"), target=("A", "B"), mapping=mapping)
+
+
 def test_identity_passes_everything(xor):
     t = identity_transform(xor)
     report = ck.check_all(t)
