@@ -206,11 +206,10 @@ def pin(scm: FiniteSCM, assignment: Mapping[str, int]) -> FiniteSCM:
     parents = dict(scm.parents)
     noises = dict(scm.noises)
     mechanisms = dict(scm.mechanisms)
-    cards = scm.cards
     for var, value in assignment.items():
-        if var not in cards:
+        if var not in scm.cards:
             raise SpaceError(f"unknown variable {var!r}")
-        if not 0 <= value < cards[var]:
+        if not 0 <= value < scm.cards[var]:
             raise SpaceError(f"pinned value {value} out of range for {var!r}")
         parents[var] = ()
         noises[var] = (ONE,)
