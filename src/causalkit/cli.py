@@ -108,6 +108,9 @@ def cmd_validate(args) -> int:
             validate_causal_space(artifact.target),
         ])
     else:  # a GaussianTransform, the last kind load_document admits
+        # a law that overflows raises, as in check-transform: the source's first
+        observational_law(artifact.source)
+        observational_law(artifact.target)
         report = CheckReport(
             check="transformation-endpoints",
             passed=True,

@@ -258,6 +258,26 @@ def test_validate_rejects_the_gaussian_maps_check_transform_rejects(
         assert run(capsys, command, path) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("model, cells", [
+    ("source", ((2, 0), (2, 1))),  # Y1 = 1e200 X1 + 1e200 X2 + N
+    ("target", ((1, 0),)),  # Y = 1e200 X + N
+])
+def test_validate_computes_both_endpoint_laws_as_check_transform_does(
+        capsys, tmp_path, corpus_dir, model, cells):
+    # every entry is finite, so the document loads; one endpoint's law is not
+    def edit(doc):
+        for i, j in cells:
+            doc[model]["coefficients"][i][j] = 1e200
+
+    path = gaussian_document(tmp_path, corpus_dir, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("validate", "check-transform"):
+            assert run(capsys, command, path) == (
+                2, "", "error: observational law overflows: its mean or covariance is "
+                       "not finite\n")
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_bad_tolerance_exits_2(capsys, tmp_path, corpus_dir, tol):
     # a failing transformation: no tolerance may turn it into a pass
