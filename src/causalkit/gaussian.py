@@ -32,7 +32,7 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
 # subsets, of any sizes, per stacked block of the interventional scan: the
 # block's arrays are what the scan holds in memory, whatever the image size
-_BLOCK = 32
+_BLOCK = 128
 _COV_FAULTS = ("valid", "not symmetric", "not positive semi-definite")
 _U = np.finfo(float).eps / 2  # unit roundoff
 # eigvalsh's eigenvalues of a symmetric m x m matrix S are taken to be
@@ -139,6 +139,24 @@ def _raise_first_fault(what: str, *faults: np.ndarray) -> None:
     bad = np.flatnonzero(flat)
     if bad.size:
         raise SpaceError(f"{what} is {_COV_FAULTS[flat[bad[0]]]}")
+
+
+def _agree(lhs: tuple[np.ndarray, ...], rhs: tuple[np.ndarray, ...], tol: float) -> np.ndarray:
+    """The items, along the leading axis, at which every stack of ``lhs`` is
+    within ``tol`` of the matching stack of ``rhs``, part by part.
+
+    The rule is ``np.isclose``'s with ``tol`` as both tolerances,
+    |x - y| <= tol + tol |y|, which on finite stacks is all of it: x - y
+    and tol |y| may overflow to inf, but no NaN arises.
+    """
+    agree = np.ones(len(lhs[0]), dtype=bool)
+    with np.errstate(over="ignore"):
+        for x, y in zip(lhs, rhs):
+            bound = np.abs(y)
+            bound *= tol
+            bound += tol
+            agree &= (np.abs(x - y) <= bound).all(axis=tuple(range(1, x.ndim)))
+    return agree
 
 
 def check_tolerance(tol: float) -> None:
@@ -383,18 +401,16 @@ def _pinned_stack(scm: LinearGaussianSCM, pinned: np.ndarray
     of I - B~: if it fails, or a result is not finite, ``SpaceError`` names
     the overflow, without numpy warnings.
     """
-    n, d = pinned.shape
-    b = np.repeat(scm.coefficients[None], n, axis=0)
-    b[pinned] = 0.0
+    eye = np.eye(pinned.shape[1])
     means = np.where(pinned, 0.0, scm.noise_means)
-    diag = np.eye(d) * np.where(pinned, 0.0, scm.noise_variances)[:, None, :]
+    diag = eye * np.where(pinned, 0.0, scm.noise_variances)[:, None, :]
     overflow = ("interventional kernel overflows: its matrix, offset or covariance is not "
                 "finite" if pinned.any() else
                 "observational law overflows: its mean or covariance is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             # I - B~ is unit lower triangular, so inv fails only on overflow
-            a = np.linalg.inv(np.eye(d) - b)
+            a = np.linalg.inv(np.where(pinned[:, :, None], eye, eye - scm.coefficients))
         except np.linalg.LinAlgError:
             raise SpaceError(overflow) from None
         stack = (np.where(pinned[:, None, :], a, 0.0), (a @ means[:, :, None])[:, :, 0],
@@ -450,20 +466,28 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     comparisons use ``tol`` absolute-plus-relative.
 
     The 2^|image| interventional sub-checks run in blocks: the canonical
-    subset order is cut into runs of at most ``_BLOCK`` subsets, of any
-    sizes, and a block's mutilated solves (one per side), compositions,
-    covariance validations and comparisons are stacked numpy calls.  The
-    kernels K_S come from ``_pinned_stack``, as they do in
-    ``interventional_kernel``, and the compositions keep the shapes and
-    the operation order of ``compose_affine``, so verdicts and witness
-    strings are those of the one-subset-at-a-time chain.
+    subset order is cut into runs of at most ``_BLOCK`` (128) subsets, of
+    any sizes, and a block's mutilated solves (one per side),
+    compositions, covariance validations and comparisons are stacked
+    numpy calls, a fixed number per block besides one product per pin
+    count of the source route.  The kernels K_S come from
+    ``_pinned_stack``, as they do in ``interventional_kernel``, and the
+    compositions keep the shapes and the operation order of
+    ``compose_affine``, so verdicts and witness strings are those of the
+    one-subset-at-a-time chain.  The routes agree where ``np.isclose``
+    holds with ``tol`` as both tolerances, compared part by part (matrix,
+    offset, covariance).  When the image is every target coordinate (any
+    bijective rho), the routes are compared through views of themselves,
+    not image-slice copies.
 
     A law, K_S, pushed law or route that is not finite has overflowed
     (every input is finite), and ``SpaceError`` names it.  A block that
     raises is scanned again one subset at a time, so the error is the
     first subset's, whatever ``_BLOCK`` is.  Within a subset, overflows
     (K^1, K^2, the routes) come before covariance faults (K^1, source
-    route, K^2, target route, the routes' image slices).
+    route, K^2, target route, the routes' image slices).  A full image's
+    slices are the routes themselves, so they are not validated again:
+    the first fault and its text are those of the route checks.
 
     Those derived covariances (K^1, K^2, both routes and the routes'
     image slices) are held to the constructors' rule, symmetry within
@@ -492,7 +516,11 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     if kernel.inputs != source.coords or kernel.outputs != target.coords:
         raise SpaceError("kernel does not match source and target coordinates")
     image = IndexMap(source.coords, target.coords, rho).image()
-    img = np.array([i for i, n in enumerate(target.coords) if n in image], dtype=np.intp)
+    ds, dt = len(source.coords), len(target.coords)
+    # a full image takes the routes as they are, through views
+    full = len(image) == dt
+    img = slice(None) if full else np.array(
+        [i for i, n in enumerate(target.coords) if n in image], dtype=np.intp)
 
     reports = [affine_admissible(kernel, rho, image)]
 
@@ -534,7 +562,6 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     # rounding of its congruence, carried by ||m2||_F^2, and K^2's Gram
     # bound.  The image slices are principal submatrices: the same bounds
     # hold summed over their own rows (Cauchy's interlacing for kappa).
-    ds, dt = len(source.coords), len(target.coords)
     k_cov = kernel.cov
     k_skew = np.abs(k_cov - k_cov.T).max(initial=0.0)
     k_norm = math.sqrt(float((k_cov * k_cov).sum()))
@@ -550,7 +577,10 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     rhs_gram = _gamma(dt + 2) / (1.0 - _gamma(dt + 1))
     rhs_kernel = dt * k_skew / 2 + 2 * _gamma(2 * dt + 1) * k_norm
 
-    def scan(block: list[tuple[str, ...]]) -> Iterator[CheckReport]:
+    rows1 = np.arange(ds)[:, None]
+    rows2 = np.arange(dt)[:, None]
+
+    def scan(block: list[tuple[str, ...]]) -> list[CheckReport]:
         n = len(block)
         s2 = [tuple(sorted(subset, key=tgt_pos.__getitem__)) for subset in block]
         pinned2 = np.zeros((n, dt), dtype=bool)
@@ -566,11 +596,10 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
             # widened to all source inputs, in compose_affine's shapes per size
             lhs_matrix = np.zeros((n, dt, ds))
             sizes = pinned1.sum(axis=1)
-            for size in sorted(set(sizes.tolist())):
-                at = np.flatnonzero(sizes == size)
-                cols = np.nonzero(pinned1[at])[1].reshape(len(at), size)
-                pulled = np.take_along_axis(matrix1[at], cols[:, None, :], axis=2)
-                lhs_matrix.transpose(0, 2, 1)[at[:, None], cols] = (m1 @ pulled).transpose(0, 2, 1)
+            for size in sorted(set(sizes.tolist()) - {0}):
+                at = np.flatnonzero(sizes == size)[:, None, None]
+                cols = np.nonzero(pinned1[at[:, 0, 0]])[1].reshape(len(at), 1, size)
+                lhs_matrix[at, rows2, cols] = m1 @ matrix1[at, rows1, cols]
             lhs_offset = (m1 @ offset1[:, :, None])[:, :, 0] + kernel.offset
             lhs_cov = m1 @ cov1 @ m1.T + kernel.cov
 
@@ -591,32 +620,28 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
         err2 = gram2 * diag2.sum(axis=1)
         lhs_rows = lhs_gain * (np.sqrt(diag1) @ m1_abs) ** 2
         lhs_err = lhs_rows.sum(axis=1) + lhs_kernel
-        lhs_img_err = lhs_rows[:, img].sum(axis=1) + lhs_kernel
         m2_rows = np.einsum("nij,nij->ni", m2, m2)
         rhs_rows = rhs_kernel * m2_rows + rhs_gram * diag2
         rhs_low = k_floor * m2_rows - rhs_rows
-        _raise_first_fault(
-            "kernel covariance",
-            _certified_faults(cov1, -err1, 2 * err1),
-            _certified_faults(lhs_cov, k_floor - lhs_err, k_skew + 2 * lhs_err),
-            _certified_faults(cov2, -err2, 2 * err2),
-            _certified_faults(rhs_cov, rhs_low.sum(axis=1), 2 * rhs_rows.sum(axis=1)),
-            _certified_faults(lhs_img[2], k_floor - lhs_img_err, k_skew + 2 * lhs_img_err),
-            _certified_faults(rhs_img[2], rhs_low[:, img].sum(axis=1),
-                              2 * rhs_rows[:, img].sum(axis=1)))
-        agree = np.isclose(np.concatenate([x.reshape(n, -1) for x in lhs_img], axis=1),
-                           np.concatenate([x.reshape(n, -1) for x in rhs_img], axis=1),
-                           rtol=tol, atol=tol).all(axis=1)
+        faults = [_certified_faults(cov1, -err1, 2 * err1),
+                  _certified_faults(lhs_cov, k_floor - lhs_err, k_skew + 2 * lhs_err),
+                  _certified_faults(cov2, -err2, 2 * err2),
+                  _certified_faults(rhs_cov, rhs_low.sum(axis=1), 2 * rhs_rows.sum(axis=1))]
+        if not full:  # a full image's slices are the routes, checked just above
+            lhs_img_err = lhs_rows[:, img].sum(axis=1) + lhs_kernel
+            faults += [
+                _certified_faults(lhs_img[2], k_floor - lhs_img_err, k_skew + 2 * lhs_img_err),
+                _certified_faults(rhs_img[2], rhs_low[:, img].sum(axis=1),
+                                  2 * rhs_rows[:, img].sum(axis=1))]
+        _raise_first_fault("kernel covariance", *faults)
+        agree = _agree(lhs_img, rhs_img, tol)
         # the failing subsets' rows, copied once for their deferred witnesses
         failing = () if agree.all() else tuple(x[~agree] for x in (*lhs_img, *rhs_img))
+        checks = ["interventional S={" + ",".join(s) + "}" for s in s2]
         row = count()
-        for i, s in enumerate(s2):
-            check = "interventional S={" + ",".join(s) + "}"
-            if agree[i]:
-                yield CheckReport(check=check, passed=True)
-            else:
-                yield CheckReport(check=check, passed=False, witness=_deferred_witness(
+        return [CheckReport(check=check, passed=ok, witness=None if ok else _deferred_witness(
                     s, _route_message, s, failing, next(row)))
+                for check, s, ok in zip(checks, s2, agree.tolist())]
 
     inter: list[CheckReport] = []
     for block in _blocks(image):

@@ -15,7 +15,8 @@ from importlib.resources import files
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import causalkit as ck
 from causalkit import examples
@@ -543,7 +544,8 @@ def test_overflow_in_the_transformation_check_is_named():
             ck.check_affine_transform(pinned, pinned, unit, {"X": "X", "Y": "Y"})
 
 
-@pytest.mark.parametrize("block", [1, 32, 64])
+# 128 is the default; a block of 1000 holds the whole 64-subset lattice
+@pytest.mark.parametrize("block", [1, 32, 64, 128, 1000])
 def test_a_fault_before_an_overflow_in_one_block_is_raised(monkeypatch, block):
     # the kernel's A-B asymmetry faults the target route at S={A,B}, the
     # eighth subset (as in the stretched-asymmetry test below); Y = 1e154 W
@@ -988,7 +990,8 @@ def test_scan_formats_nothing_until_read_and_each_message_once(monkeypatch):
                         lambda *args: calls.append(args[0]) or real(*args))
     report = ck.check_linear_transform(*_perturbed_twin(1, 8))
     witnesses = _failing_witnesses(report)
-    assert len(witnesses) > 32  # more than one scan block fails
+    # more than one scan block fails: the witnesses hold two copies of rows
+    assert len({id(vars(w)["_pending"][1][1]) for w in witnesses}) > 1
     assert calls == []
     first = _interventional(report).witness.message
     assert calls == [witnesses[0].subset]
@@ -1017,3 +1020,104 @@ def test_deferred_witnesses_share_one_copy_of_their_rows_and_drop_it():
         assert isinstance(vars(w)["message"], str)
         assert vars(w)["_pending"] is None
         assert not any(isinstance(v, np.ndarray) for v in vars(w).values())
+
+
+def _block_cases():
+    """Seeded transformations on a full image (bijective rho) and a partial
+    one (rho onto part of the target), each passing and failing."""
+    for d in range(2, 9):
+        rng = np.random.default_rng([7, d])
+        source, target, matrix, rho = _perturbed_twin(d, d)
+        scale = np.diag(matrix)
+        rescaled = ck.LinearGaussianSCM(target.coords,
+                                        scale[:, None] * source.coefficients / scale,
+                                        target.noise_variances)
+        linear = ck.AffineGaussianKernel(source.coords, target.coords, matrix, np.zeros(d),
+                                         np.zeros((d, d)))
+        yield source, rescaled, linear, rho  # passing
+        yield source, target, linear, rho  # failing
+        # the rescaling beside a target coordinate Z outside the image, with
+        # no parents or children, which the kernel draws from Z's own law
+        names = target.coords + ("Z",)
+        b = np.zeros((d + 1, d + 1))
+        b[:d, :d] = rescaled.coefficients
+        widened = ck.LinearGaussianSCM(names, b, np.append(rescaled.noise_variances, 2.0))
+        cov = np.zeros((d + 1, d + 1))
+        cov[d, d] = 2.0
+        yield source, widened, ck.AffineGaussianKernel(
+            source.coords, names, np.vstack([matrix, np.zeros(d)]), np.zeros(d + 1), cov), rho
+        # a random kernel, and rho onto fewer target coordinates than there
+        # are source coordinates
+        root = rng.normal(0.0, 1.0, (d + 1, d + 1))
+        image = names[:max(1, d - 1)]
+        yield source, widened, ck.AffineGaussianKernel(
+            source.coords, names, rng.normal(0.0, 1.0, (d + 1, d)),
+            rng.normal(0.0, 1.0, d + 1), root @ root.T), {
+                x: image[i % len(image)] for i, x in enumerate(source.coords)}
+
+
+def test_scan_output_does_not_depend_on_the_block_size(monkeypatch):
+    cases = list(_block_cases())
+
+    def outputs():
+        # render() and to_dict() read every deferred witness
+        return [(report.render(), report.to_dict())
+                for source, target, kernel, rho in cases for tol in (0.0, 1e-9, 0.5)
+                for report in [ck.check_affine_transform(source, target, kernel, rho, tol)]]
+
+    default = outputs()
+    monkeypatch.setattr(ck.gaussian, "_BLOCK", 1)
+    assert outputs() == default
+    # both verdicts of the interventional check, on a full and a partial image
+    assert {(len(set(rho.values())) == len(target.coords),
+             _interventional(ck.check_affine_transform(source, target, kernel, rho)).passed)
+            for source, target, kernel, rho in cases} == {
+        (True, True), (True, False), (False, True), (False, False)}
+
+
+@st.composite
+def _agreement_case(draw):
+    # n items of a matrix, an offset and a covariance, as the scan compares
+    n = draw(st.integers(1, 4))
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    shapes = ((a, b), (a,), (a, a))
+    big = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)
+    lhs = tuple(draw(hnp.arrays(np.float64, (n, *shape), elements=big)) for shape in shapes)
+    # the right side near the left one, anywhere, or at the far end of the range
+    nudge = st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 0.5, 1.0])
+    with np.errstate(over="ignore"):  # an overflow is filtered out below
+        rhs = tuple(np.where(draw(hnp.arrays(bool, x.shape)),
+                             x * (1.0 + draw(hnp.arrays(np.float64, x.shape, elements=nudge))),
+                             draw(hnp.arrays(np.float64, x.shape,
+                                             elements=st.one_of(big, st.sampled_from(
+                                                 [1e308, -1e308, 0.0, -0.0])))))
+                    for x in lhs)
+    return lhs, rhs
+
+
+@given(_agreement_case(), st.one_of(st.sampled_from([0.0, 1e-9, 0.5, 1e300]),
+                                    st.floats(0.0, 1e300)))
+@settings(max_examples=200, deadline=None)
+def test_scan_agreement_rule_is_isclose(case, tol):
+    lhs, rhs = case
+    assume(ck.gaussian._finite(*lhs, *rhs))
+    n = len(lhs[0])
+    with np.errstate(over="ignore"):  # x - y may overflow to inf
+        want = np.isclose(np.concatenate([x.reshape(n, -1) for x in lhs], axis=1),
+                          np.concatenate([y.reshape(n, -1) for y in rhs], axis=1),
+                          rtol=tol, atol=tol).all(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ck.gaussian._agree(lhs, rhs, tol)
+    assert got.dtype == bool and got.tolist() == want.tolist()
+
+
+def test_scan_agreement_rule_overflows_quietly():
+    # x - y overflows to inf, and so does tol |y|: inf <= inf agrees
+    lhs = (np.array([[1e308, 0.0]]),)
+    rhs = (np.array([[-1e308, 0.0]]),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ck.gaussian._agree(lhs, rhs, 0.5).tolist() == [False]
+        assert ck.gaussian._agree(lhs, rhs, 1e300).tolist() == [True]
+        assert ck.gaussian._agree(lhs, lhs, 0.0).tolist() == [True]
