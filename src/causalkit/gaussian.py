@@ -145,9 +145,10 @@ def _agree(lhs: tuple[np.ndarray, ...], rhs: tuple[np.ndarray, ...], tol: float)
     """The items, along the leading axis, at which every stack of ``lhs`` is
     within ``tol`` of the matching stack of ``rhs``, part by part.
 
-    The rule is ``np.isclose``'s with ``tol`` as both tolerances,
-    |x - y| <= tol + tol |y|, which on finite stacks is all of it: x - y
-    and tol |y| may overflow to inf, but no NaN arises.
+    The rule is ``np.isclose``'s with ``tol`` as both tolerances:
+    |x - y| <= tol + tol |y|.  On finite stacks that inequality is the
+    whole rule, since x - y and tol |y| may overflow to inf but never give
+    NaN, and it holds wherever x == y.
     """
     agree = np.ones(len(lhs[0]), dtype=bool)
     with np.errstate(over="ignore"):
@@ -577,6 +578,8 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     rhs_gram = _gamma(dt + 2) / (1.0 - _gamma(dt + 1))
     rhs_kernel = dt * k_skew / 2 + 2 * _gamma(2 * dt + 1) * k_norm
 
+    # row indices which, beside (k, 1, size) column indices, gather or
+    # scatter a (k, rows, size) stack in one fancy index
     rows1 = np.arange(ds)[:, None]
     rows2 = np.arange(dt)[:, None]
 
@@ -594,6 +597,7 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
         with np.errstate(over="ignore", invalid="ignore"):
             # source route compose_affine(K^1_{rho^-1(S)}, kappa), its mean map
             # widened to all source inputs, in compose_affine's shapes per size
+            # (a subset that pins no source coordinate leaves it zero)
             lhs_matrix = np.zeros((n, dt, ds))
             sizes = pinned1.sum(axis=1)
             for size in sorted(set(sizes.tolist()) - {0}):
