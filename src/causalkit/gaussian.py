@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count, islice
-from typing import Iterable, Iterator, Mapping, Union
+from itertools import count
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
 from .causal import subsets_of
 from .errors import SingularConditioningError, SpaceError
-from .report import CheckReport, Witness, _deferred_witness, combine
+from .report import CheckReport, Witness, _deferred_witness, _report, combine
 from .transform import IndexMap
 
 DEFAULT_TOL = 1e-9
@@ -384,13 +384,6 @@ def compose_affine(first: AffineGaussianKernel, second: AffineGaussianKernel
     )
 
 
-def _blocks(names: Iterable[str]) -> Iterator[list[tuple[str, ...]]]:
-    """All subsets in the canonical order, in runs of at most _BLOCK."""
-    subsets = subsets_of(names)
-    while block := list(islice(subsets, _BLOCK)):
-        yield block
-
-
 def _pinned_stack(scm: LinearGaussianSCM, pinned: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Matrices, offsets and covariances of a stack of K_S: the mutilated solve.
@@ -401,6 +394,11 @@ def _pinned_stack(scm: LinearGaussianSCM, pinned: np.ndarray
     unpinned row is the observational law.  This is the layer's one inverse
     of I - B~: if it fails, or a result is not finite, ``SpaceError`` names
     the overflow, without numpy warnings.
+
+    Pinning a coordinate with no parents replaces only its noise: its row
+    of B is zero, so I - B~ is that of the same pins without it.  A run of
+    consecutive rows that pin the same coordinates with parents shares one
+    inverse, bit for bit the one a row of its own would get.
     """
     eye = np.eye(pinned.shape[1])
     means = np.where(pinned, 0.0, scm.noise_means)
@@ -408,12 +406,18 @@ def _pinned_stack(scm: LinearGaussianSCM, pinned: np.ndarray
     overflow = ("interventional kernel overflows: its matrix, offset or covariance is not "
                 "finite" if pinned.any() else
                 "observational law overflows: its mean or covariance is not finite")
+    # the first row of each run; a -0.0 coefficient counts as no parent,
+    # since eye - -0.0 is eye
+    held = pinned[:, (scm.coefficients != 0).any(axis=1)]
+    first = np.ones(len(pinned), dtype=bool)
+    first[1:] = (held[1:] != held[:-1]).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             # I - B~ is unit lower triangular, so inv fails only on overflow
-            a = np.linalg.inv(np.where(pinned[:, :, None], eye, eye - scm.coefficients))
+            a = np.linalg.inv(np.where(pinned[first][:, :, None], eye, eye - scm.coefficients))
         except np.linalg.LinAlgError:
             raise SpaceError(overflow) from None
+        a = a[np.cumsum(first) - 1]
         stack = (np.where(pinned[:, None, :], a, 0.0), (a @ means[:, :, None])[:, :, 0],
                  a @ diag @ a.transpose(0, 2, 1))
     if not _finite(*stack):
@@ -466,13 +470,20 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     sigma-algebra the consistency identity quantifies over.  Parameter
     comparisons use ``tol`` absolute-plus-relative.
 
-    The 2^|image| interventional sub-checks run in blocks: the canonical
-    subset order is cut into runs of at most ``_BLOCK`` (128) subsets, of
-    any sizes, and a block's mutilated solves (one per side),
-    compositions, covariance validations and comparisons are stacked
-    numpy calls, a fixed number per block besides one product per pin
-    count of the source route.  The kernels K_S come from
-    ``_pinned_stack``, as they do in ``interventional_kernel``, and the
+    The 2^|image| interventional sub-checks run in blocks of at most
+    ``_BLOCK`` subsets, of any sizes, cut from the lattice in structure
+    order: the subsets sorted stably by S & K, where K holds the image
+    coordinates whose pin changes I - B~ on either side (the target's
+    coordinates with parents, and rho's image of the source's), so the
+    canonical ``subsets_of`` order is kept within each group.  Pinning a
+    root replaces only its noise, so the subsets of a group that meet in
+    one block share one inverse per side.  Each report is put back at its
+    canonical position: the combined report and every witness are in
+    ``subsets_of`` order, whatever the blocks were.  A block's mutilated
+    solves (one per side), compositions, covariance validations and
+    comparisons are stacked numpy calls, a fixed number per block besides
+    one product per pin count of the source route.  The kernels K_S come
+    from ``_pinned_stack``, as they do in ``interventional_kernel``, and the
     compositions keep the shapes and the operation order of
     ``compose_affine``, so verdicts and witness strings are those of the
     one-subset-at-a-time chain.  The routes agree where ``np.isclose``
@@ -483,8 +494,9 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
 
     A law, K_S, pushed law or route that is not finite has overflowed
     (every input is finite), and ``SpaceError`` names it.  A block that
-    raises is scanned again one subset at a time, so the error is the
-    first subset's, whatever ``_BLOCK`` is.  Within a subset, overflows
+    raises is scanned again one subset at a time, and once every block is
+    done the error raised is that of the first failing subset in the
+    canonical order, whatever ``_BLOCK`` is.  Within a subset, overflows
     (K^1, K^2, the routes) come before covariance faults (K^1, source
     route, K^2, target route, the routes' image slices).  A full image's
     slices are the routes themselves, so they are not validated again:
@@ -504,7 +516,8 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     A failing subset's witness text is formatted the first time its
     message is read; until then the report holds that subset's rows of
     both routes on the image (copied once per block), and afterwards the
-    text alone.
+    text alone.  Beside the reports, the scan keeps one pin mask (an
+    int64, bit j for the j-th image coordinate) and one rank per subset.
 
     Before any of that work the inputs are checked, in this order, and
     the first failure raises ``SpaceError``: ``tol`` must be finite and at
@@ -520,8 +533,8 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     ds, dt = len(source.coords), len(target.coords)
     # a full image takes the routes as they are, through views
     full = len(image) == dt
-    img = slice(None) if full else np.array(
-        [i for i, n in enumerate(target.coords) if n in image], dtype=np.intp)
+    img_pos = [i for i, n in enumerate(target.coords) if n in image]
+    img = slice(None) if full else np.array(img_pos, dtype=np.intp)
 
     reports = [affine_admissible(kernel, rho, image)]
 
@@ -547,6 +560,19 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     rho_pos = np.array([tgt_pos[rho[n]] for n in source.coords], dtype=np.intp)
     # compose_affine(K^1, kappa) selects every source output, in order
     m1 = kernel.matrix @ np.eye(len(source.coords))
+
+    # the lattice: the k-th subset of the canonical order as a pin mask, bit
+    # j pinning the j-th image coordinate in target order
+    bit = {target.coords[i]: 1 << j for j, i in enumerate(img_pos)}
+    lattice = np.fromiter((sum(map(bit.__getitem__, s)) for s in subsets_of(image)),
+                          dtype=np.int64, count=1 << len(image))
+    # structure order: grouped by the pins that change I - B~ on either side,
+    # the target's coordinates with parents and the images of the source's,
+    # and canonical within a group, so that a group's K_S share their inverses
+    moves = (target.coefficients != 0).any(axis=1)
+    moves[rho_pos[(source.coefficients != 0).any(axis=1)]] = True
+    order = np.argsort(lattice & sum(1 << j for j, i in enumerate(img_pos) if moves[i]),
+                       kind="stable")
 
     # Rounding bounds for the covariances the scan derives (Higham, Accuracy
     # and Stability of Numerical Algorithms, 2nd ed., 3.5); sym(C) is the
@@ -583,12 +609,15 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
     rows1 = np.arange(ds)[:, None]
     rows2 = np.arange(dt)[:, None]
 
-    def scan(block: list[tuple[str, ...]]) -> list[CheckReport]:
+    def scan(block: np.ndarray) -> None:
+        """Report the subsets of these canonical ranks, each at its rank in ``inter``."""
         n = len(block)
-        s2 = [tuple(sorted(subset, key=tgt_pos.__getitem__)) for subset in block]
         pinned2 = np.zeros((n, dt), dtype=bool)
-        pinned2[np.repeat(np.arange(n), [len(s) for s in s2]),
-                [tgt_pos[x] for s in s2 for x in s]] = True
+        pinned2[:, img_pos] = lattice[block, None] >> np.arange(len(img_pos)) & 1
+        # each subset's names in target order, sliced from one flat list
+        names = [target.coords[j] for j in np.nonzero(pinned2)[1].tolist()]
+        ends = np.cumsum(pinned2.sum(axis=1)).tolist()
+        s2 = [tuple(names[a:b]) for a, b in zip([0, *ends], ends)]
         # the source coordinates pinned by K^1_{rho^-1(S)}
         pinned1 = pinned2[:, rho_pos]
         matrix1, offset1, cov1 = _pinned_stack(source, pinned1)
@@ -641,19 +670,30 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
         agree = _agree(lhs_img, rhs_img, tol)
         # the failing subsets' rows, copied once for their deferred witnesses
         failing = () if agree.all() else tuple(x[~agree] for x in (*lhs_img, *rhs_img))
-        checks = ["interventional S={" + ",".join(s) + "}" for s in s2]
         row = count()
-        return [CheckReport(check=check, passed=ok, witness=None if ok else _deferred_witness(
-                    s, _route_message, s, failing, next(row)))
-                for check, s, ok in zip(checks, s2, agree.tolist())]
+        for rank, s, ok in zip(block.tolist(), s2, agree.tolist()):
+            inter[rank] = _report("interventional S={" + ",".join(s) + "}", ok,
+                                  None if ok else _deferred_witness(
+                                      s, _route_message, s, failing, next(row)))
 
-    inter: list[CheckReport] = []
-    for block in _blocks(image):
+    inter = [None] * len(lattice)  # the reports in canonical order
+    failed = None  # the canonical rank and error of the first subset that raises
+    for start in range(0, len(order), _BLOCK):
+        block = order[start:start + _BLOCK]
+        if failed is not None:  # only an earlier subset's error can be named
+            block = block[block < failed[0]]
         try:
-            inter.extend(scan(block))
-        except SpaceError:  # raised for the whole block: find the first subset's
-            for subset in block:
-                inter.extend(scan([subset]))
+            if block.size:
+                scan(block)
+        except SpaceError:  # raised for the whole block: scan it a subset at a time
+            for rank in block.tolist():
+                try:
+                    scan(np.array([rank]))
+                except SpaceError as exc:
+                    if failed is None or rank < failed[0]:
+                        failed = (rank, exc)
+    if failed is not None:
+        raise failed[1]
     reports.append(combine("interventional", inter))
     return combine("causal-transformation", reports)
 

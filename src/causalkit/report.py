@@ -103,6 +103,24 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def _report(check: str, passed: bool, witness: Optional[Witness]) -> CheckReport:
+    """``CheckReport(check, passed, witness)`` without the frozen dataclass's
+    ``__init__``, for a scan that makes one report per subset.
+
+    The fields are stored in declaration order, as ``__init__`` stores
+    them, so the report equals the plain one in every field, ``==``,
+    hash, ``repr`` and pickle.
+    """
+    report = object.__new__(CheckReport)
+    fields = report.__dict__
+    fields["check"] = check
+    fields["passed"] = passed
+    fields["witness"] = witness
+    fields["details"] = ()
+    fields["subreports"] = ()
+    return report
+
+
 def combine(check: str, reports: list[CheckReport], details: tuple[str, ...] = ()) -> CheckReport:
     """Aggregate sub-reports; the combined witness is the first failing one."""
     passed = all(r.passed for r in reports)

@@ -570,6 +570,32 @@ def test_a_fault_before_an_overflow_in_one_block_is_raised(monkeypatch, block):
             ck.check_affine_transform(scm, scm, kernel, rho)
 
 
+# 128 is the default; a block of 1000 holds the whole 64-subset lattice
+@pytest.mark.parametrize("block", [1, 128, 1000])
+def test_the_canonical_first_error_is_raised_whatever_the_scan_meets_first(monkeypatch, block):
+    # C = 1e154 Y and the kernel's variance 1e10 on Y overflow the target
+    # route at S={Y}, the sixth subset, where Y has a parent.  The kernel's
+    # A-B asymmetry faults it at S={A,B}, the eighth, which pins only roots:
+    # the scan groups it with S={} and meets it first
+    monkeypatch.setattr(ck.gaussian, "_BLOCK", block)
+    coords = ("A", "B", "Z", "W", "Y", "C")
+    b = np.zeros((6, 6))
+    b[2, 0], b[4, 3], b[5, 4] = 4.0, 1.0, 1e154
+    scm = ck.LinearGaussianSCM(coords, b, np.zeros(6))
+    cov = np.diag([0.0, 1.0, 0.0, 0.0, 1e10, 0.0])
+    cov[0, 1] = 0.9 * ck.gaussian.SYMMETRY_TOL
+    kernel = ck.AffineGaussianKernel(coords, coords, np.eye(6), np.zeros(6), cov)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ck.SpaceError, match="^interventional routes overflow: a matrix, "
+                                                "offset or covariance is not finite$"):
+            ck.check_affine_transform(scm, scm, kernel, {n: n for n in coords})
+        # with the image cut to the roots, S={A,B} is the first subset to fail
+        image = {"A": "A", "B": "B", "Z": "A", "W": "W", "Y": "W", "C": "W"}
+        with pytest.raises(ck.SpaceError, match="^kernel covariance is not symmetric$"):
+            ck.check_affine_transform(scm, scm, kernel, image)
+
+
 def test_a_kernel_matrix_and_offset_are_finite():
     source, target, matrix, _ = examples.abstraction_gaussian_pair()
     for bad_matrix, offset in ((matrix, [np.inf, 0.0]), (np.where(matrix, np.nan, 0.0), [0, 0])):
@@ -983,6 +1009,27 @@ def test_deferred_witnesses_behave_as_eager_ones(seed, d):
     assert inter.witness.message == _interventional(eager_report).witness.message
 
 
+@pytest.mark.parametrize("view", [
+    pytest.param(lambda r: r, id="=="),
+    pytest.param(hash, id="hash"),
+    pytest.param(repr, id="repr"),
+    pytest.param(lambda r: (pickle.dumps(r), pickle.loads(pickle.dumps(r))), id="pickle"),
+    pytest.param(lambda r: ([(f.name, getattr(r, f.name)) for f in dataclasses.fields(r)],
+                            list(vars(r))), id="fields"),
+])
+def test_scan_reports_behave_as_constructed_ones(view):
+    witness = ck.Witness("at S={A}: routes differ", ("A",))
+    made = [(ck.report._report(check, passed, w), ck.CheckReport(check, passed, w))
+            for check, passed, w in (("interventional S={}", True, None),
+                                     ("interventional S={A}", False, witness))]
+    scanned = _interventional(ck.check_linear_transform(*_perturbed_twin(0, 3))).subreports
+    made += [(r, ck.CheckReport(r.check, r.passed, r.witness)) for r in scanned]
+    assert {r.passed for r, _ in made} == {True, False}
+    for fast, plain in made:
+        assert type(fast) is ck.CheckReport
+        assert view(fast) == view(plain)
+
+
 def test_scan_formats_nothing_until_read_and_each_message_once(monkeypatch):
     calls = []
     real = ck.gaussian._route_message
@@ -1008,9 +1055,9 @@ def test_deferred_witnesses_share_one_copy_of_their_rows_and_drop_it():
     witnesses = _failing_witnesses(report)
     pending = [vars(w)["_pending"] for w in witnesses]
     # one copy of the failing rows per scan block, six arrays, one row for
-    # each of the block's failing subsets
+    # each of the block's failing subsets; the 2^8 subsets make two blocks
     blocks = {id(rows): rows for _, (_, rows, _) in pending}
-    assert len(blocks) <= len(list(ck.gaussian._blocks(twin[0].coords))) < len(witnesses)
+    assert len(blocks) <= -(-2 ** len(twin[0].coords) // ck.gaussian._BLOCK) < len(witnesses)
     assert all(len(rows) == 6 for rows in blocks.values())
     assert sum(len(rows[0]) for rows in blocks.values()) == len(witnesses)
     assert sorted((id(rows), j) for _, (_, rows, j) in pending) == sorted(
@@ -1054,6 +1101,17 @@ def _block_cases():
             source.coords, names, rng.normal(0.0, 1.0, (d + 1, d)),
             rng.normal(0.0, 1.0, d + 1), root @ root.T), {
                 x: image[i % len(image)] for i, x in enumerate(source.coords)}
+        # every odd coordinate a root on both sides, X1's row -0.0: the scan's
+        # structure order then differs from the canonical one (from d = 3)
+        b = np.tril(rng.normal(0.0, 0.5, (d, d)), -1)
+        b[1::2] = 0.0
+        b[1, 0] = -0.0
+        rooted = ck.LinearGaussianSCM(source.coords, b, source.noise_variances)
+        moved = scale[:, None] * b / scale
+        yield rooted, ck.LinearGaussianSCM(target.coords, moved, target.noise_variances), \
+            linear, rho  # passing
+        yield rooted, ck.LinearGaussianSCM(target.coords, moved + np.eye(d, k=-d + 1) / 2,
+                                           target.noise_variances), linear, rho  # failing
 
 
 def test_scan_output_does_not_depend_on_the_block_size(monkeypatch):
@@ -1073,6 +1131,31 @@ def test_scan_output_does_not_depend_on_the_block_size(monkeypatch):
              _interventional(ck.check_affine_transform(source, target, kernel, rho)).passed)
             for source, target, kernel, rho in cases} == {
         (True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_rows_that_differ_in_pinned_roots_share_an_inverse_bit_for_bit(monkeypatch, d):
+    rng = np.random.default_rng([22, d])
+    b = np.tril(rng.normal(0.0, 1.0, (d, d)), -1) * (rng.random((d, d)) < 0.5)
+    roots = rng.random(d) < 0.5
+    # zeros of either sign: a -0.0 row is a root's
+    b[roots] = np.copysign(0.0, rng.normal(0.0, 1.0, (roots.sum(), d)))
+    roots = ~b.any(axis=1)
+    scm = ck.LinearGaussianSCM(tuple(f"X{i}" for i in range(d)), b,
+                               rng.uniform(0.5, 2.0, d), rng.normal(0.0, 1.0, d))
+    # runs of four rows that differ only in the pinned roots
+    pinned = np.repeat(rng.random((6, d)) < 0.5, 4, axis=0)
+    pinned[:, roots] = rng.random((24, roots.sum())) < 0.5
+    inverted = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or real(a))
+    stack = ck.gaussian._pinned_stack(scm, pinned)
+    held = pinned[:, ~roots]
+    assert inverted == [1 + int((held[1:] != held[:-1]).any(axis=1).sum())]
+    for i, row in enumerate(pinned):
+        one = ck.gaussian._pinned_stack(scm, row[None])
+        # tobytes compares the signs of zeros too
+        assert [x[i].tobytes() for x in stack] == [x[0].tobytes() for x in one]
 
 
 @st.composite
