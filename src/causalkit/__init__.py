@@ -82,21 +82,7 @@ from .transform import (
     pushforward_space,
     rigidity_check,
 )
-from .gaussian import (
-    DEFAULT_TOL,
-    AffineGaussianKernel,
-    GaussianLaw,
-    LinearGaussianSCM,
-    affine_admissible,
-    check_affine_transform,
-    check_linear_transform,
-    compose_affine,
-    conditional_kernel,
-    faithfulness_demo,
-    interventional_kernel,
-    linear_pushforward,
-    observational_law,
-)
+from .tolerance import DEFAULT_TOL
 from .oracle import (
     LEMMA_IDS,
     full_event_check,
@@ -116,6 +102,37 @@ from .serialize import (
     parse_event_spec,
     parse_rational,
 )
+
+# the ``gaussian`` re-exports, resolved on first access (PEP 562) so that
+# importing the package, and every finite check, leaves numpy unloaded
+_GAUSSIAN = (
+    "AffineGaussianKernel",
+    "GaussianLaw",
+    "LinearGaussianSCM",
+    "affine_admissible",
+    "check_affine_transform",
+    "check_linear_transform",
+    "compose_affine",
+    "conditional_kernel",
+    "faithfulness_demo",
+    "interventional_kernel",
+    "linear_pushforward",
+    "observational_law",
+)
+
+
+def __getattr__(name: str):
+    if name not in _GAUSSIAN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import gaussian
+
+    globals().update((n, getattr(gaussian, n)) for n in _GAUSSIAN)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_GAUSSIAN})
+
 
 __version__ = "0.1.0"
 

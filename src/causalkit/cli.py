@@ -16,8 +16,6 @@ import sys
 from functools import cache
 from typing import Optional, Union
 
-import numpy as np
-
 from . import serialize
 from .causal import (
     FiniteCausalSpace,
@@ -31,12 +29,12 @@ from .causal import (
     validate_causal_space,
 )
 from .errors import CausalKitError, SpecError
-from .gaussian import DEFAULT_TOL, LinearGaussianSCM, check_tolerance, observational_law
 from .oracle import LEMMA_IDS, lemma_suite
 from .report import CheckReport, Witness, combine
 from .scm import FiniteSCM, compile_scm
 from .serialize import GaussianTransform, parse_event_spec, parse_json, parse_rho
 from .spaces import CoordinateSpace, Event, FiniteMeasure
+from .tolerance import DEFAULT_TOL, check_tolerance
 from .transform import IndexMap, Transformation, check_all, compose, pushforward_space
 
 
@@ -85,17 +83,6 @@ def cmd_validate(args) -> int:
     artifact = serialize.load(args.path)
     if isinstance(artifact, (FiniteCausalSpace, FiniteSCM)):
         report = validate_causal_space(_as_space(artifact, args.path))
-    elif isinstance(artifact, LinearGaussianSCM):
-        law = observational_law(artifact)
-        report = CheckReport(
-            check="gaussian-model",
-            passed=True,
-            details=(
-                f"coordinates: {', '.join(artifact.coords)}",
-                f"observational mean {law.mean.tolist()}",
-                f"observational variance diagonal {np.diag(law.cov).tolist()}",
-            ),
-        )
     elif isinstance(artifact, FiniteMeasure):
         report = CheckReport(
             check="finite-measure",
@@ -107,7 +94,9 @@ def cmd_validate(args) -> int:
             validate_causal_space(artifact.source),
             validate_causal_space(artifact.target),
         ])
-    else:  # a GaussianTransform, the last kind load_document admits
+    elif isinstance(artifact, GaussianTransform):
+        from .gaussian import observational_law
+
         # a law that overflows raises, as in check-transform: the source's first
         observational_law(artifact.source)
         observational_law(artifact.target)
@@ -115,6 +104,19 @@ def cmd_validate(args) -> int:
             check="transformation-endpoints",
             passed=True,
             details=("both endpoint models are well formed",),
+        )
+    else:  # a LinearGaussianSCM, the last kind load_document admits
+        from .gaussian import observational_law
+
+        law = observational_law(artifact)
+        report = CheckReport(
+            check="gaussian-model",
+            passed=True,
+            details=(
+                f"coordinates: {', '.join(artifact.coords)}",
+                f"observational mean {law.mean.tolist()}",
+                f"observational variance diagonal {law.cov.diagonal().tolist()}",
+            ),
         )
     return _emit(args, report)
 

@@ -25,9 +25,9 @@ import numpy as np
 from .causal import subsets_of
 from .errors import SingularConditioningError, SpaceError
 from .report import CheckReport, Witness, _deferred_witness, _report, combine
+from .tolerance import DEFAULT_TOL, check_tolerance
 from .transform import IndexMap
 
-DEFAULT_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
 # subsets, of any sizes, per stacked block of the interventional scan: the
@@ -43,15 +43,23 @@ _U = np.finfo(float).eps / 2  # unit roundoff
 _EIG_BACKWARD = 64
 
 
+def _frozen(x) -> np.ndarray:
+    """A read-only float copy: editing the caller's array afterwards cannot
+    change a checked law, kernel or model."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def _as_matrix(x, rows: int, cols: int, what: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+    a = _frozen(x)
     if a.shape != (rows, cols):
         raise SpaceError(f"{what} must have shape {(rows, cols)}, got {a.shape}")
     return a
 
 
 def _as_vector(x, n: int, what: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+    a = _frozen(x)
     if a.shape != (n,):
         raise SpaceError(f"{what} must have shape ({n},)")
     return a
@@ -112,7 +120,9 @@ def _certified_faults(cov: np.ndarray, floor: np.ndarray, skew: np.ndarray) -> n
     entry and after ``eigvalsh``'s own backward error, passes the rule of
     ``_cov_faults`` for certain; only the others are sent through it.  The
     factor 2 covers the rounding of the bounds themselves, and underflow,
-    whose absolute errors are far below tolerances of at least 1e-12.
+    whose absolute errors are far below tolerances of at least 1e-12.  A
+    bound or sum that overflowed, to inf or NaN, clears nothing; callers
+    run it under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     m = cov.shape[-1]
     diag = np.diagonal(cov, axis1=1, axis2=2)
@@ -158,13 +168,6 @@ def _agree(lhs: tuple[np.ndarray, ...], rhs: tuple[np.ndarray, ...], tol: float)
             bound += tol
             agree &= (np.abs(x - y) <= bound).all(axis=tuple(range(1, x.ndim)))
     return agree
-
-
-def check_tolerance(tol: float) -> None:
-    """Raise ``SpaceError`` unless ``tol`` is finite and at least 0 (0 asks
-    for exact equality)."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise SpaceError(f"tolerance must be finite and at least 0, got {tol}")
 
 
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -258,7 +261,7 @@ class LinearGaussianSCM:
             raise SpaceError("coefficients must be strictly lower triangular "
                              "in the declared coordinate order")
         object.__setattr__(self, "coefficients", b)
-        v = np.asarray(self.noise_variances, float)
+        v = _frozen(self.noise_variances)
         if v.shape != (d,) or not np.all(np.isfinite(v) & (v >= 0)):
             raise SpaceError("noise variances must be a finite nonnegative vector")
         object.__setattr__(self, "noise_variances", v)
@@ -649,23 +652,28 @@ def check_affine_transform(source: LinearGaussianSCM, target: LinearGaussianSCM,
         rhs_img = (rhs_matrix[:, img], rhs_offset[:, img], rhs_cov[:, img][:, :, img])
         diag1 = np.diagonal(cov1, axis1=1, axis2=2)
         diag2 = np.diagonal(cov2, axis1=1, axis2=2)
-        err1 = gram1 * diag1.sum(axis=1)
-        err2 = gram2 * diag2.sum(axis=1)
-        lhs_rows = lhs_gain * (np.sqrt(diag1) @ m1_abs) ** 2
-        lhs_err = lhs_rows.sum(axis=1) + lhs_kernel
-        m2_rows = np.einsum("nij,nij->ni", m2, m2)
-        rhs_rows = rhs_kernel * m2_rows + rhs_gram * diag2
-        rhs_low = k_floor * m2_rows - rhs_rows
-        faults = [_certified_faults(cov1, -err1, 2 * err1),
-                  _certified_faults(lhs_cov, k_floor - lhs_err, k_skew + 2 * lhs_err),
-                  _certified_faults(cov2, -err2, 2 * err2),
-                  _certified_faults(rhs_cov, rhs_low.sum(axis=1), 2 * rhs_rows.sum(axis=1))]
-        if not full:  # a full image's slices are the routes, checked just above
-            lhs_img_err = lhs_rows[:, img].sum(axis=1) + lhs_kernel
-            faults += [
-                _certified_faults(lhs_img[2], k_floor - lhs_img_err, k_skew + 2 * lhs_img_err),
-                _certified_faults(rhs_img[2], rhs_low[:, img].sum(axis=1),
-                                  2 * rhs_rows[:, img].sum(axis=1))]
+        # a bound whose sums pass the largest float reads inf, or NaN beside a
+        # zero factor; it clears no matrix, which then goes to the exact rule
+        with np.errstate(over="ignore", invalid="ignore"):
+            err1 = gram1 * diag1.sum(axis=1)
+            err2 = gram2 * diag2.sum(axis=1)
+            lhs_rows = lhs_gain * (np.sqrt(diag1) @ m1_abs) ** 2
+            lhs_err = lhs_rows.sum(axis=1) + lhs_kernel
+            m2_rows = np.einsum("nij,nij->ni", m2, m2)
+            rhs_rows = rhs_kernel * m2_rows + rhs_gram * diag2
+            rhs_low = k_floor * m2_rows - rhs_rows
+            faults = [
+                _certified_faults(cov1, -err1, 2 * err1),
+                _certified_faults(lhs_cov, k_floor - lhs_err, k_skew + 2 * lhs_err),
+                _certified_faults(cov2, -err2, 2 * err2),
+                _certified_faults(rhs_cov, rhs_low.sum(axis=1), 2 * rhs_rows.sum(axis=1))]
+            if not full:  # a full image's slices are the routes, checked just above
+                lhs_img_err = lhs_rows[:, img].sum(axis=1) + lhs_kernel
+                faults += [
+                    _certified_faults(lhs_img[2], k_floor - lhs_img_err,
+                                      k_skew + 2 * lhs_img_err),
+                    _certified_faults(rhs_img[2], rhs_low[:, img].sum(axis=1),
+                                      2 * rhs_rows[:, img].sum(axis=1))]
         _raise_first_fault("kernel covariance", *faults)
         agree = _agree(lhs_img, rhs_img, tol)
         # the failing subsets' rows, copied once for their deferred witnesses

@@ -23,8 +23,6 @@ from math import lcm
 from random import Random
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from .causal import (
     FiniteCausalSpace,
     causally_independent_on,
@@ -109,6 +107,8 @@ def _oracle_axioms(c: FiniteCausalSpace) -> tuple[bool, str]:
     for every subset S, every atom row, every A in H_S and every event B,
     via integer subset sums over each row.
     """
+    import numpy as np
+
     _guard(c.space)
     every = np.arange(1 << c.space.n_outcomes, dtype=np.int64)
     k0, p = _scaled([c.kernel(()).rows[0].weights, c.P.weights])

@@ -43,22 +43,20 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Union
 
 from .causal import FiniteCausalSpace, subsets_of
 from .errors import SpecError
-from .gaussian import (
-    DEFAULT_TOL,
-    AffineGaussianKernel,
-    LinearGaussianSCM,
-    check_affine_transform,
-)
 from .report import CheckReport
 from .scm import FiniteSCM, compile_scm
 from .spaces import CoordinateSpace, Event, FiniteMeasure, StochKernel
+from .tolerance import DEFAULT_TOL
 from .transform import IndexMap, Transformation
+
+if TYPE_CHECKING:  # the Gaussian readers and writers import these when they run
+    import numpy as np
+
+    from .gaussian import AffineGaussianKernel, LinearGaussianSCM
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -75,7 +73,8 @@ class GaussianTransform:
     covariance are zero, i.e. a deterministic linear map.  The kernel is
     built, and so checked, once, here, before rho is checked as an
     ``IndexMap``; ``matrix``, ``offset`` and ``cov`` are the kernel's
-    checked arrays.
+    checked arrays.  The annotations name numpy and ``gaussian`` types that
+    this module imports only when a Gaussian document is read or written.
     """
 
     source: LinearGaussianSCM
@@ -87,6 +86,10 @@ class GaussianTransform:
     kernel: AffineGaussianKernel = field(init=False, repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
+        from .gaussian import AffineGaussianKernel
+
         d_out = len(self.target.coords)
         kernel = AffineGaussianKernel(
             inputs=self.source.coords,
@@ -101,12 +104,14 @@ class GaussianTransform:
             object.__setattr__(self, name, getattr(kernel, name))
 
     def check(self, tol: float = DEFAULT_TOL) -> CheckReport:
+        from .gaussian import check_affine_transform
+
         return check_affine_transform(self.source, self.target, self.kernel,
                                       dict(self.rho), tol)
 
 
 Artifact = Union[FiniteCausalSpace, FiniteMeasure, FiniteSCM,
-                 LinearGaussianSCM, Transformation, GaussianTransform]
+                 "LinearGaussianSCM", Transformation, GaussianTransform]
 
 
 # ----------------------------------------------------------------- helpers
@@ -155,6 +160,8 @@ def _weight_row(doc: Any, length: int, what: str) -> tuple[Fraction, ...]:
 
 
 def _float_matrix(doc: Any, shape: tuple[int, int], what: str) -> np.ndarray:
+    import numpy as np
+
     try:
         m = np.asarray(doc, float)
     except (TypeError, ValueError):
@@ -167,6 +174,8 @@ def _float_matrix(doc: Any, shape: tuple[int, int], what: str) -> np.ndarray:
 
 
 def _float_vector(doc: Any, length: int, what: str) -> np.ndarray:
+    import numpy as np
+
     try:
         v = np.asarray(doc, float)
     except (TypeError, ValueError):
@@ -316,6 +325,8 @@ def _scm_to_doc(scm: FiniteSCM) -> dict:
 # ------------------------------------------------------------ gaussian-scm
 
 def _gaussian_from_doc(doc: Mapping) -> LinearGaussianSCM:
+    from .gaussian import LinearGaussianSCM
+
     _require(doc, ("kind", "coordinates", "coefficients", "noise_variances"),
              "gaussian-scm", optional=("noise_means",))
     coords = doc["coordinates"]
@@ -339,7 +350,7 @@ def _gaussian_to_doc(scm: LinearGaussianSCM) -> dict:
         "coefficients": _floats(scm.coefficients),
         "noise_variances": _floats(scm.noise_variances),
     }
-    if np.any(scm.noise_means != 0):
+    if (scm.noise_means != 0).any():
         doc["noise_means"] = _floats(scm.noise_means)
     return doc
 
@@ -451,9 +462,9 @@ def _transformation_to_doc(t: Transformation) -> dict:
 
 def _gaussian_transform_to_doc(t: GaussianTransform) -> dict:
     body = {"type": "matrix", "matrix": _floats(t.matrix)}
-    if np.any(t.offset != 0):
+    if (t.offset != 0).any():
         body["offset"] = _floats(t.offset)
-    if np.any(t.cov != 0):
+    if (t.cov != 0).any():
         body["cov"] = _floats(t.cov)
     return {
         "kind": "transformation",
@@ -493,12 +504,14 @@ def document(obj: Artifact) -> dict:
         return _measure_to_doc(obj)
     if isinstance(obj, FiniteSCM):
         return _scm_to_doc(obj)
-    if isinstance(obj, LinearGaussianSCM):
-        return _gaussian_to_doc(obj)
     if isinstance(obj, Transformation):
         return _transformation_to_doc(obj)
     if isinstance(obj, GaussianTransform):
         return _gaussian_transform_to_doc(obj)
+    from .gaussian import LinearGaussianSCM
+
+    if isinstance(obj, LinearGaussianSCM):
+        return _gaussian_to_doc(obj)
     raise SpecError(f"cannot serialize {type(obj).__name__}")
 
 

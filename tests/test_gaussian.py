@@ -610,6 +610,43 @@ def test_large_finite_law_is_not_an_overflow():
     assert law.cov[1, 1] == 1e308
 
 
+@pytest.mark.parametrize("coefficient, variances", [
+    (0.0, [9.75e307, 9.75e307]),  # finite diagonals whose sums pass the largest float
+    (1e160, [0.0, 1.0]),  # K^2's row norm overflows beside the map's zero covariance
+])
+def test_rounding_bounds_that_overflow_raise_no_warning(coefficient, variances):
+    b = [[0.0, 0.0], [coefficient, 0.0]]
+    source = ck.LinearGaussianSCM(("A", "B"), b, variances)
+    target = ck.LinearGaussianSCM(("C", "D"), b, variances)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ck.check_linear_transform(source, target, np.eye(2), {"A": "C", "B": "D"})
+    assert report.passed
+
+
+def test_models_laws_and_kernels_keep_read_only_copies_of_their_arrays():
+    b, variances, means = np.zeros((2, 2)), np.ones(2), np.zeros(2)
+    scm = ck.LinearGaussianSCM(("A", "B"), b, variances, means)
+    # an upper-triangular coefficient, which the constructor rejects, once
+    # gave cov [[26, 5], [5, 1]]
+    b[0, 1], variances[0], means[0] = 5.0, 4.0, 3.0
+    law = ck.observational_law(scm)
+    assert (law.mean.tolist(), law.cov.tolist()) == ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    mean, cov, matrix, offset = np.zeros(2), np.eye(2), np.eye(2), np.zeros(2)
+    law = ck.GaussianLaw(("A", "B"), mean, cov)
+    kernel = ck.AffineGaussianKernel(("A", "B"), ("A", "B"), matrix, offset, cov)
+    for array in (mean, cov, matrix, offset):
+        array[0] = 7.0
+    assert (law.mean.tolist(), law.cov.tolist()) == ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    assert (kernel.matrix.tolist(), kernel.offset.tolist(), kernel.cov.tolist()) == (
+        [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    for obj, fields in ((scm, ("coefficients", "noise_variances", "noise_means")),
+                        (law, ("mean", "cov")), (kernel, ("matrix", "offset", "cov"))):
+        for name in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obj, name)[0] = 1.0
+
+
 def test_a_marginal_is_held_to_its_own_scale():
     # -1e-7 is within PSD_TOL at the scale 1e6 of the whole covariance, not
     # at the scale 1 of B's own

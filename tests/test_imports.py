@@ -8,6 +8,9 @@ oracle's ``_oracle_*`` functions read no fast-path checker.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +129,116 @@ def test_a_fast_path_read_in_the_oracle_is_reported():
     assert sorted(fast_path_reads(tree)) == [
         ("_oracle_a", "_tensor"), ("_oracle_a", "validate_causal_space"),
         ("_oracle_b", "classify_effect_on"), ("_oracle_b", "project")]
+
+
+# numpy is the Gaussian scale's alone: a finite import or check never loads it
+NUMPY_MODULES = {"gaussian", "examples"}
+
+
+def _type_checking(test) -> bool:
+    return ((isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+            or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"))
+
+
+def import_time_imports(tree):
+    """(module, line) of each import that runs when the module is imported:
+    outside functions and ``if TYPE_CHECKING:`` blocks.  A package module is
+    named without its package (``from .gaussian import x`` and ``from .
+    import gaussian`` give ``gaussian``), any other by its top-level name."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.name.split(".")
+                yield (name[1] if name[0] == "causalkit" and len(name) > 1
+                       else name[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0 and parts[0] != "causalkit":
+                yield parts[0], node.lineno
+            else:  # from .m import x, from . import m, from causalkit.m import x
+                inner = parts[1:] if node.level == 0 else parts
+                for target in inner[:1] or [alias.name for alias in node.names]:
+                    yield target, node.lineno
+        elif isinstance(node, ast.If) and _type_checking(node.test):
+            todo += node.orelse
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo += [child for child in ast.iter_child_nodes(node)
+                     if isinstance(child, (ast.stmt, ast.excepthandler))]
+
+
+def numpy_at_import(trees):
+    """Module name -> (import, line) by which importing it loads numpy,
+    directly or through another module of ``trees``."""
+    loads = {}
+    grew = True
+    while grew:
+        grew = False
+        for name, tree in trees.items():
+            if name not in loads:
+                for target, line in import_time_imports(tree):
+                    if target == "numpy" or target in loads:
+                        loads[name] = (target, line)
+                        grew = True
+                        break
+    return loads
+
+
+def test_only_the_gaussian_modules_import_numpy_when_imported():
+    package = Path(causalkit.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in package.glob("*.py")}
+    loads = numpy_at_import(trees)
+    assert "gaussian" in loads
+    assert {m: why for m, why in loads.items() if m not in NUMPY_MODULES} == {}
+
+
+def test_an_import_time_numpy_import_is_reported():
+    trees = {name: ast.parse(text) for name, text in {
+        "gaussian": "import numpy as np\n",
+        "direct": "import json\ntry:\n    from numpy import linalg\nexcept ImportError:\n"
+                  "    pass\n",
+        "through": "from typing import TYPE_CHECKING\nfrom . import report, gaussian\n",
+        "absolute": "class A:\n    import causalkit.through\n",
+        "deferred": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+                    "    import numpy as np\n    from .gaussian import x\n"
+                    "def f():\n    import numpy\n    from .gaussian import x\n",
+        "report": "from dataclasses import dataclass\n",
+    }.items()}
+    assert numpy_at_import(trees) == {"gaussian": ("numpy", 1), "direct": ("numpy", 3),
+                                      "through": ("gaussian", 2),
+                                      "absolute": ("through", 2)}
+
+
+FINITE_COMMANDS = """
+import contextlib, io, sys
+import causalkit, causalkit.cli
+fork = sys.argv[1]
+commands = [["validate", fork, "--json"], ["classify", fork, "--on", "X", "--target", "Y1"],
+            ["source", fork, "--on", "X", "--target", "Y1"],
+            ["independence", fork, "--on", "X", "--first", "Y1", "--second", "Y2"]]
+commands += [["lemma", lemma_id, "--trials", "1"] for lemma_id in causalkit.LEMMA_IDS]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = causalkit.cli.main(argv)
+    print(argv[0], code, "numpy" in sys.modules)
+causalkit.check_linear_transform
+print("gaussian", "numpy" in sys.modules)
+print(sorted(n for n in causalkit.__all__ if getattr(causalkit, n, None) is None))
+print(sorted(set(causalkit.__all__) - set(dir(causalkit))))
+"""
+
+
+def test_finite_commands_leave_numpy_unloaded_and_gaussian_names_load_it():
+    # a fresh interpreter: this test process has loaded numpy already
+    package = Path(causalkit.__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(package.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", FINITE_COMMANDS,
+                           str(package / "corpus" / "fork.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:-3] == ["validate 0 False", "classify 0 False", "source 0 False",
+                          "independence 0 False"] + ["lemma 0 False"] * len(causalkit.LEMMA_IDS)
+    assert lines[-3:] == ["gaussian True", "[]", "[]"]
