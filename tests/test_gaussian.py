@@ -627,8 +627,9 @@ def test_rounding_bounds_that_overflow_raise_no_warning(coefficient, variances):
 def test_models_laws_and_kernels_keep_read_only_copies_of_their_arrays():
     b, variances, means = np.zeros((2, 2)), np.ones(2), np.zeros(2)
     scm = ck.LinearGaussianSCM(("A", "B"), b, variances, means)
-    # an upper-triangular coefficient, which the constructor rejects, once
-    # gave cov [[26, 5], [5, 1]]
+    # sharing the caller's arrays, the law read mean [3, 0] and cov
+    # [[29, 5], [5, 1]], from an upper-triangular coefficient the
+    # constructor rejects
     b[0, 1], variances[0], means[0] = 5.0, 4.0, 3.0
     law = ck.observational_law(scm)
     assert (law.mean.tolist(), law.cov.tolist()) == ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
