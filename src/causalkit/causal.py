@@ -415,7 +415,7 @@ def is_source(c: FiniteCausalSpace, on: Iterable[str],
     k_u = c.kernel(U)
     v_proj = c.space.projector(target)
     to_u, to_v = c.space.projector(U).index, v_proj.index
-    nv = len(v_proj.masks)
+    nv = v_proj.sub.n_outcomes
     flat, _ = _part_sums(c.P, [u * nv + v for u, v in zip(to_u, to_v)],
                          k_u.domain.n_outcomes * nv)
     exempt = []
@@ -499,7 +499,7 @@ def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
     pa = c.space.projector(first)
     pb = c.space.projector(second)
     k_u = c.kernel(frozenset(on))
-    return _first_failing_row(k_u, pa.index, len(pa.masks), pb.index, len(pb.masks)) is None
+    return _first_failing_row(k_u, pa.index, pa.sub.n_outcomes, pb.index, pb.sub.n_outcomes) is None
 
 
 def product(c1: FiniteCausalSpace, c2: FiniteCausalSpace) -> FiniteCausalSpace:

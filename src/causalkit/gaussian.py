@@ -95,8 +95,11 @@ def _cov_faults(cov: np.ndarray) -> np.ndarray:
     flat = cov.reshape(-1, n, n)
     faults = np.zeros(len(flat), dtype=np.intp)
     scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
-    asym = ~np.all(np.abs(flat - flat.transpose(0, 2, 1))
-                   <= (SYMMETRY_TOL * scale)[:, None, None], axis=(1, 2))
+    # a difference past the largest float is inf, one of infinite entries
+    # may be NaN: either fails the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = np.abs(flat - flat.transpose(0, 2, 1))
+    asym = ~np.all(skew <= (SYMMETRY_TOL * scale)[:, None, None], axis=(1, 2))
     faults[asym] = 1
     sym = ~asym
     if sym.any():
@@ -173,8 +176,9 @@ def _agree(lhs: tuple[np.ndarray, ...], rhs: tuple[np.ndarray, ...], tol: float)
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise comparison with absolute and relative tolerance."""
     check_tolerance(tol)
-    return bool(np.allclose(np.asarray(a, float), np.asarray(b, float),
-                            rtol=tol, atol=tol))
+    with np.errstate(over="ignore"):  # a difference past the largest float is inf
+        return bool(np.allclose(np.asarray(a, float), np.asarray(b, float),
+                                rtol=tol, atol=tol))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ variables outside S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -27,6 +27,7 @@ from .spaces import (
     FiniteMeasure,
     StochKernel,
     _integer_row,
+    _shift,
     project,
 )
 
@@ -45,12 +46,16 @@ class FiniteSCM:
     parents: Mapping[str, tuple[str, ...]]
     noises: Mapping[str, tuple[Fraction, ...]]
     mechanisms: Mapping[str, tuple[int, ...]]
+    _noise_rows: Mapping[str, tuple[list[int], int]] = field(
+        init=False, compare=False, repr=False)
+    """Each noise's checked ``(numerators, denominator)`` row."""
 
     def __post_init__(self):
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise SpaceError(f"duplicate variable names: {names}")
         cards = {v.name: v.cardinality for v in self.variables}
+        rows = {}
         for v in names:
             for key, table in (("parents", self.parents), ("noises", self.noises),
                                ("mechanisms", self.mechanisms)):
@@ -64,7 +69,7 @@ class FiniteSCM:
             if not all(isinstance(w, Fraction) for w in weights):
                 raise SpaceError(f"noise weights of {v!r} must be Fractions")
             try:
-                _integer_row(weights)
+                rows[v] = _integer_row(weights)
             except SpaceError:
                 raise SpaceError(f"noise weights of {v!r} are not a probability vector") from None
             size = len(weights)
@@ -75,6 +80,7 @@ class FiniteSCM:
             if any(not 0 <= x < cards[v] for x in self.mechanisms[v]):
                 raise SpaceError(f"mechanism table of {v!r} has out-of-range values")
         self.topo_order()
+        self.__dict__["_noise_rows"] = rows
 
     @classmethod
     def build(cls, variables: Iterable[tuple[str, int]],
@@ -138,7 +144,7 @@ def _conditional_tables(scm: FiniteSCM, space: CoordinateSpace,
     for v in order:
         parents = scm.parents[v]
         proj = space.projector(parents)
-        noise, den = _integer_row(scm.noises[v])
+        noise, den = scm._noise_rows[v]
         mechanism, k = scm.mechanisms[v], len(noise)
         rows = []
         for values in proj.sub.outcomes():
@@ -187,6 +193,12 @@ def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
     K_S at an atom is the law of the mutilated system with S pinned; the
     empty subset reproduces the observational law exactly.  The conditional
     tables are built once per model and shared by every kernel.
+
+    Only the pinned variables R that some free variable reads reach a free
+    variable's table lookup.  So the law at an atom is the law at the atom
+    with the same R-values and zero on the other pinned variables, shifted
+    by the difference of their outcome indices: the same numerators in the
+    same order.  K_S builds one law per R-assignment and shifts it.
     """
     space = scm.space()
     tables = _conditional_tables(scm, space, scm.topo_order())
@@ -195,8 +207,16 @@ def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
     def make(subset: frozenset) -> StochKernel:
         pin = space.projector(subset)
         free = [t for t in tables if t[0] not in subset]
-        rows = tuple(_mutilated_law(space, free, rep) for rep in pin.lowest)
-        return StochKernel(pin.sub, space, rows)
+        read = subset & {p for t in free for p in scm.parents[t[0]]}
+        # an atom's lowest outcome is its R-atom's plus its unread atom's
+        unread = space.projector(subset - read).lowest
+        at = {}
+        for rep in space.projector(read).lowest:
+            law = _mutilated_law(space, free, rep)
+            at[rep] = law
+            for offset in unread[1:]:
+                at[rep + offset] = _shift(law, offset)
+        return StochKernel(pin.sub, space, tuple(map(at.__getitem__, pin.lowest)))
 
     return FiniteCausalSpace.lazy(space, base, make)
 

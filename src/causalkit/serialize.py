@@ -49,7 +49,7 @@ from .causal import FiniteCausalSpace, subsets_of
 from .errors import SpecError
 from .report import CheckReport
 from .scm import FiniteSCM, compile_scm
-from .spaces import CoordinateSpace, Event, FiniteMeasure, StochKernel
+from .spaces import Coordinate, CoordinateSpace, Event, FiniteMeasure, StochKernel
 from .tolerance import DEFAULT_TOL
 from .transform import IndexMap, Transformation
 
@@ -308,7 +308,8 @@ def _scm_from_doc(doc: Mapping) -> FiniteSCM:
                 or any(not isinstance(x, int) or isinstance(x, bool) for x in table)):
             raise SpecError(f"finite-scm: mechanism of {v!r} must be a list of integers")
         mechanisms[v] = tuple(table)
-    return FiniteSCM.build(pairs, parents, noises, mechanisms)
+    # the noise weights are Fractions already, so build would only copy them
+    return FiniteSCM(tuple(Coordinate(n, k) for n, k in pairs), parents, noises, mechanisms)
 
 
 def _scm_to_doc(scm: FiniteSCM) -> dict:

@@ -16,7 +16,9 @@ of kernel rows, pushforwards) has one constructor, ``FiniteMeasure._sparse``,
 which checks and reduces it, fed by private row primitives: ``_part_sums``
 sums a measure onto the parts of an outcome map, ``_push`` forms the image
 measure under one, ``_mixture`` mixes rows by the weights of a measure and
-``_tensor`` forms a product.  Each walks only supports.  Callers get
+``_tensor`` forms a product.  ``_shift`` alone skips the check: it moves a
+checked row along its space, which changes no numerator.  Each walks only
+supports.  Callers get
 ``(numerators, denominator)`` pairs or measures from these primitives and
 compare values by cross-multiplication; only this module reads a measure's
 integer row.
@@ -176,34 +178,49 @@ class Projector:
 
     ``index[i]`` is the outcome index in ``sub`` of the projection of full
     outcome ``i``; ``masks[a]`` is the bitset of the full outcomes in atom
-    ``a`` of the sub-sigma-algebra, in the index order of ``sub``.
+    ``a`` of the sub-sigma-algebra, in the index order of ``sub``.  Both are
+    as long as the space or wider, so each is built on its first read.
     """
 
     sub: CoordinateSpace
-    index: tuple[int, ...]
     lowest: tuple[int, ...]
     """Each atom's lowest full outcome: its values on the subset, zero off it.
     Those of atoms on disjoint subsets add; they rise with the atom index."""
-    masks: tuple[int, ...]
+    layout: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
+    """``(cardinality, stride, stride in sub)`` of each coordinate of the
+    space, the first most significant; the last is 0 off the subset."""
 
     @classmethod
     def build(cls, space: CoordinateSpace, subset: Iterable[str]) -> "Projector":
         pos = space.positions(subset)
         sub = CoordinateSpace._sub(space, pos)
         step = dict(zip(pos, sub.strides))
-        # one pass over the coordinates, the first most significant: a
-        # coordinate on the subset moves the sub-index and the atoms' lowest
-        # outcomes, one off it spreads atom 0, whose other atoms are shifts
-        index, lowest, first = [0], [0], 1
-        for p, (card, stride) in enumerate(zip(space.cards, space.strides)):
-            if p in step:
-                moves = [v * step[p] for v in range(card)]
-                lowest = [a + v * stride for a in lowest for v in range(card)]
-            else:
-                moves = [0] * card
-                first = sum(first << v * stride for v in range(card))
+        lowest = [0]
+        for p in pos:
+            lowest = [a + v * space.strides[p] for a in lowest for v in range(space.cards[p])]
+        layout = tuple((card, stride, step.get(p, 0))
+                       for p, (card, stride) in enumerate(zip(space.cards, space.strides)))
+        return cls(sub, tuple(lowest), layout)
+
+    @cached_property
+    def index(self) -> tuple[int, ...]:
+        # one pass over the coordinates: one on the subset moves the
+        # sub-index, one off it leaves it
+        index = [0]
+        for card, _, step in self.layout:
+            moves = [v * step for v in range(card)]
             index = [a + m for a in index for m in moves]
-        return cls(sub, tuple(index), tuple(lowest), tuple(first << a for a in lowest))
+        return tuple(index)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        # the coordinates off the subset spread atom 0, whose other atoms
+        # are shifts of it
+        first = 1
+        for card, stride, step in self.layout:
+            if not step:
+                first = sum(first << v * stride for v in range(card))
+        return tuple(first << a for a in self.lowest)
 
 
 def product_space(a: CoordinateSpace, b: CoordinateSpace) -> CoordinateSpace:
@@ -516,6 +533,15 @@ def _mixture(space: CoordinateSpace, weights: FiniteMeasure,
     return FiniteMeasure._sparse(space, out, weights._den * den)
 
 
+def _shift(measure: FiniteMeasure, offset: int) -> FiniteMeasure:
+    """``measure`` moved ``offset`` outcomes up its space: the same numerators
+    at shifted outcomes over the same denominator, so the row is checked and
+    reduced already.  Every outcome of the support plus ``offset`` must be an
+    outcome of the space."""
+    return _measure(measure.space, {i + offset: v for i, v in measure._nums.items()},
+                    measure._den)
+
+
 def _tensor(space: CoordinateSpace, a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
     """Product measure of ``a`` and ``b`` on ``space``, their product space,
     built over both supports."""
@@ -548,7 +574,7 @@ class StochKernel:
         if len(self.rows) != self.domain.n_outcomes:
             raise SpaceError("kernel row count mismatch")
         for row in self.rows:
-            if row.space != self.codomain:
+            if row.space is not self.codomain and row.space != self.codomain:
                 raise SpaceError("kernel row on wrong space")
 
     @classmethod

@@ -376,7 +376,7 @@ def _push_kernels(kernel: KernelSource, table: tuple[int, ...], rho: IndexMap,
         pre = rho.preimage(subset)
         pushed = [_push(target_space, r, table) for r in kernel(pre).rows]
         cells = target_space.projector(subset)
-        first: list[Optional[tuple]] = [None] * len(cells.masks)  # (outcome, pushed row)
+        first: list[Optional[tuple]] = [None] * cells.sub.n_outcomes  # (outcome, pushed row)
         for row, i in zip(pushed, source_space.projector(pre).lowest):
             cell = cells.index[table[i]]
             if first[cell] is None:

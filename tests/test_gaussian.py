@@ -848,6 +848,19 @@ def test_tolerance_must_be_finite_and_not_negative(tol):
             call()
 
 
+def test_differences_past_the_largest_float_give_verdicts_without_warnings():
+    # 1e308 - (-1e308) overflows to inf, which is neither symmetric nor close
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ck.SpaceError, match="^covariance is not symmetric$"):
+            ck.GaussianLaw(("A", "B"), [0, 0], [[1, 1e308], [-1e308, 1]])
+        assert not ck.gaussian.close([1e308], [-1e308])
+        assert not ck.gaussian.close([-1e308], [1e308])
+        assert ck.gaussian.close([1e308], [1e308])
+        # an infinite entry gives inf - inf = NaN, which fails the symmetry test
+        assert ck.gaussian._cov_faults(np.array([[1.0, np.inf], [np.inf, 1.0]])) == 1
+
+
 def test_zero_tolerance_compares_exactly():
     source, target, matrix, rho = examples.abstraction_gaussian_pair()
     assert ck.check_linear_transform(source, target, matrix, rho, 0.0).passed

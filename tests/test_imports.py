@@ -3,8 +3,9 @@
 ``__init__.py`` is exempt, because its imports are the package's
 re-exports.  A name counts as used when it is read anywhere in the module,
 including inside a string annotation such as ``-> "CoordinateSpace"``.
-The CLI reads input only through public ``serialize`` names, the
-oracle's ``_oracle_*`` functions read no fast-path checker, and only
+The CLI reads input only through public ``serialize`` names, only
+``spaces`` reads a measure's integer row, the oracle's ``_oracle_*``
+functions read no fast-path checker, and only
 ``gaussian`` and ``examples`` load numpy when they are imported.
 """
 
@@ -93,6 +94,34 @@ def test_a_private_serialize_import_is_reported():
                      "from . import serialize\nserialize._outcome_table\n")
     assert list(private_serialize_names(tree)) == [
         "_require", "_coord_list", "_outcome_table"]
+
+
+# a measure's integer row is spaces.py's alone: every other module gets
+# (numerators, denominator) pairs or measures from its row primitives
+ROW_FIELDS = {"_nums", "_den"}
+
+
+def row_field_reads(tree):
+    """(field, line) of each read of a measure's integer row, as an attribute
+    or as a string such as a ``getattr`` or ``__dict__`` key."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ROW_FIELDS:
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and node.value in ROW_FIELDS:
+            yield node.value, node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "spaces.py"],
+                         ids=lambda p: p.name)
+def test_only_spaces_reads_a_measures_integer_row(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(row_field_reads(tree)) == []
+
+
+def test_an_integer_row_read_is_reported():
+    tree = ast.parse("def f(m, den):\n    return m._nums, den, m.space\n"
+                     "n = getattr(m, '_den')\n_nums = 1\n")
+    assert sorted(row_field_reads(tree)) == [("_den", 3), ("_nums", 2)]
 
 
 # the brute-force oracle shares no checking code with the fast path: its

@@ -5,7 +5,9 @@ pinned variables, whose draws are then ignored), which is a different
 code path from the compiler's free-variable enumeration.
 """
 
+import json
 from fractions import Fraction
+from importlib.resources import files
 from itertools import product as iproduct
 
 import pytest
@@ -155,6 +157,66 @@ def test_compiled_kernels_match_enumeration_oracle_on_random_models(scm):
         for a in range(k.domain.n_outcomes):
             pinned = dict(zip(k.domain.names, k.domain.outcome(a)))
             assert k.rows[a].weights == law_oracle(scm, pinned)
+
+
+@given(finite_scms())
+@settings(max_examples=30)
+def test_shifted_rows_are_the_laws_built_at_their_own_atoms(scm):
+    # each row of K_S, shifted or not, has the numerators, in the order and
+    # over the denominator, of the law the system gives at its own atom
+    from causalkit.scm import _conditional_tables, _mutilated_law
+
+    c = ck.compile_scm(scm)
+    tables = _conditional_tables(scm, c.space, scm.topo_order())
+    for subset in ck.subsets_of(c.space.names):
+        free = [t for t in tables if t[0] not in subset]
+        k = c.kernel(subset)
+        for rep, row in zip(c.space.projector(subset).lowest, k.rows):
+            law = _mutilated_law(c.space, free, rep)
+            assert list(row._nums.items()) == list(law._nums.items())
+            assert row._den == law._den
+
+
+def test_compile_builds_one_law_per_read_pinned_assignment(monkeypatch):
+    # A -> B -> C -> D: pinning A and D leaves B and C free, which read A
+    # only; pinning C and D leaves A and B, which read neither
+    scm = ck.FiniteSCM.build(
+        variables=[("A", 3), ("B", 2), ("C", 2), ("D", 2)],
+        parents={"A": (), "B": ("A",), "C": ("B",), "D": ("C",)},
+        noises={v: (F(1, 3), F(2, 3)) for v in "ABCD"},
+        mechanisms={"A": (0, 2), "B": (0, 1, 1, 0, 0, 0), "C": (0, 1, 1, 1),
+                    "D": (1, 0, 0, 1)})
+    from causalkit import scm as scm_module
+
+    law, calls = scm_module._mutilated_law, []
+    monkeypatch.setattr(scm_module, "_mutilated_law",
+                        lambda *args: calls.append(args[2]) or law(*args))
+    c = ck.compile_scm(scm)
+    expected = {("A", "D"): 3, ("C", "D"): 1, ("A", "C"): 3 * 2, ("D",): 1, ("A",): 3,
+                ("A", "B", "C", "D"): 1, ("B", "D"): 2}
+    for subset, count in expected.items():
+        del calls[:]
+        k = c.kernel(subset)
+        assert len(calls) == count, subset
+        # each law is built at the lowest atom with its read values
+        assert calls == sorted(calls)
+        assert [row.weights for row in k.rows] == [
+            law_oracle(scm, dict(zip(k.domain.names, k.domain.outcome(a))))
+            for a in range(k.domain.n_outcomes)]
+
+
+def test_load_and_compile_check_each_noise_row_once(monkeypatch):
+    from causalkit import scm as scm_module
+    from causalkit import spaces
+
+    doc = json.loads((files("causalkit") / "corpus" / "fork.json").read_text(encoding="utf-8"))
+    checked = []
+    monkeypatch.setattr(scm_module, "_integer_row",
+                        lambda weights: checked.append(weights) or spaces._integer_row(weights))
+    model = ck.loads(json.dumps(doc))
+    ck.compile_scm(model)
+    assert sorted(checked) == sorted(model.noises.values())
+    assert len(checked) == len(model.names)
 
 
 def test_float_noise_weights_are_rejected_at_construction():

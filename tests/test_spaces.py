@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import causalkit as ck
+from causalkit import examples
 from conftest import coordinate_spaces, events, kernels, measures
 
 F = Fraction
@@ -87,6 +88,38 @@ def test_projector_is_built_once_per_subset():
         space.projector(("D",))
     with pytest.raises(ck.SpaceError):
         space.project_index(space.n_outcomes, ("A",))
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
+def test_lazy_projection_tables_match_the_outcome_definitions(cards, data):
+    # cardinality-1 coordinates included; the empty and the full subset are
+    # checked on every space
+    space = ck.CoordinateSpace.make([(f"V{i}", c) for i, c in enumerate(cards)])
+    drawn = data.draw(st.sets(st.sampled_from(space.names)))
+    for subset in {frozenset(drawn), frozenset(), frozenset(space.names)}:
+        proj = space.projector(subset)
+        assert "index" not in vars(proj) and "masks" not in vars(proj)
+        pos = space.positions(subset)
+        index = tuple(proj.sub.index(tuple(space.outcome(i)[p] for p in pos))
+                      for i in range(space.n_outcomes))
+        assert proj.index == index
+        assert proj.masks == tuple(sum(1 << i for i, a in enumerate(index) if a == b)
+                                   for b in range(proj.sub.n_outcomes))
+        assert space.projector(subset).index is proj.index
+        assert space.projector(subset).masks is proj.masks
+
+
+def test_compile_and_validate_build_no_index_but_the_parent_sets():
+    # the conditional tables read the parent sets' indexes; compiling every
+    # kernel and validating reads no other subset's
+    for scm in (examples.fork_scm(), examples.mediator_confounder_scm(),
+                examples.composition_scm()):
+        c = ck.compile_scm(scm)
+        assert ck.validate_causal_space(c).passed
+        projectors = c.space._projectors
+        assert len(projectors) == 2 ** len(scm.names)
+        built = {key for key, proj in projectors.items() if "index" in vars(proj)}
+        assert built == {frozenset(scm.parents[v]) for v in scm.names}
 
 
 @given(coordinate_spaces())
