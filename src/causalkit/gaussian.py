@@ -95,8 +95,8 @@ def _cov_faults(cov: np.ndarray) -> np.ndarray:
     flat = cov.reshape(-1, n, n)
     faults = np.zeros(len(flat), dtype=np.intp)
     scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
-    # a difference past the largest float is inf, one of infinite entries
-    # may be NaN: either fails the test below
+    # a difference past the largest float is inf, and one of two infinite
+    # entries may be NaN: either fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
         skew = np.abs(flat - flat.transpose(0, 2, 1))
     asym = ~np.all(skew <= (SYMMETRY_TOL * scale)[:, None, None], axis=(1, 2))

@@ -213,7 +213,7 @@ def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
         at = {}
         for rep in space.projector(read).lowest:
             law = _mutilated_law(space, free, rep)
-            at[rep] = law
+            at[rep] = law  # the first unread atom's lowest outcome is 0
             for offset in unread[1:]:
                 at[rep + offset] = _shift(law, offset)
         return StochKernel(pin.sub, space, tuple(map(at.__getitem__, pin.lowest)))

@@ -18,10 +18,9 @@ sums a measure onto the parts of an outcome map, ``_push`` forms the image
 measure under one, ``_mixture`` mixes rows by the weights of a measure and
 ``_tensor`` forms a product.  ``_shift`` alone skips the check: it moves a
 checked row along its space, which changes no numerator.  Each walks only
-supports.  Callers get
-``(numerators, denominator)`` pairs or measures from these primitives and
-compare values by cross-multiplication; only this module reads a measure's
-integer row.
+supports.  Callers get ``(numerators, denominator)`` pairs or measures from
+these primitives and compare values by cross-multiplication; only this
+module reads a measure's integer row.
 """
 
 from __future__ import annotations
@@ -197,7 +196,8 @@ class Projector:
         step = dict(zip(pos, sub.strides))
         lowest = [0]
         for p in pos:
-            lowest = [a + v * space.strides[p] for a in lowest for v in range(space.cards[p])]
+            card, stride = space.cards[p], space.strides[p]
+            lowest = [a + v * stride for a in lowest for v in range(card)]
         layout = tuple((card, stride, step.get(p, 0))
                        for p, (card, stride) in enumerate(zip(space.cards, space.strides)))
         return cls(sub, tuple(lowest), layout)
