@@ -56,9 +56,10 @@ by the digests they print.  The digest covers, in this order:
   covariances whose smallest eigenvalue or asymmetry is 0.9 and 1.1 times
   its tolerance.
 
-Run from the repository root:
+Run from the repository root (the script puts the checkout's ``src``
+first on ``sys.path``):
 
-    PYTHONPATH=src python3 scripts/report_digest.py
+    python3 scripts/report_digest.py
 
 ``report_digest.expected`` holds the total digest on its first line, then
 one ``<section> <sha256>`` line per section, in the order above.  On a
@@ -66,7 +67,7 @@ mismatch both totals go to stderr, with the name of each section whose
 digest differs.  A change that alters a report on purpose rewrites the
 file and says why:
 
-    PYTHONPATH=src:scripts python3 -c "import report_digest as r; print(*r.digests(), sep=chr(10))" > scripts/report_digest.expected
+    PYTHONPATH=scripts python3 -c "import report_digest as r; print(*r.digests(), sep=chr(10))" > scripts/report_digest.expected
 """
 
 from __future__ import annotations
@@ -80,11 +81,14 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-import numpy as np
+# the checkout's own package, whatever else is installed or on PYTHONPATH
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import causalkit as ck
-from causalkit import cli, examples
-from causalkit.oracle import (_random_abstraction, _random_scm, _random_weights,
+import numpy as np  # noqa: E402
+
+import causalkit as ck  # noqa: E402
+from causalkit import cli, examples  # noqa: E402
+from causalkit.oracle import (_random_abstraction, _random_scm, _random_weights,  # noqa: E402
                               _tampered)
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "causalkit" / "corpus"
