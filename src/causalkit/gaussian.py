@@ -99,7 +99,10 @@ def _cov_faults(cov: np.ndarray) -> np.ndarray:
     # entries may be NaN: either fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
         skew = np.abs(flat - flat.transpose(0, 2, 1))
-    asym = ~np.all(skew <= (SYMMETRY_TOL * scale)[:, None, None], axis=(1, 2))
+    # a NaN or infinite entry makes the scale NaN or inf, and the tolerance
+    # with it, so it is marked before the tolerance test
+    asym = ~np.isfinite(scale) | ~np.all(skew <= (SYMMETRY_TOL * scale)[:, None, None],
+                                         axis=(1, 2))
     faults[asym] = 1
     sym = ~asym
     if sym.any():

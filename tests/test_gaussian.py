@@ -861,6 +861,20 @@ def test_differences_past_the_largest_float_give_verdicts_without_warnings():
         assert ck.gaussian._cov_faults(np.array([[1.0, np.inf], [np.inf, 1.0]])) == 1
 
 
+@pytest.mark.parametrize("cov", [[[1, np.inf], [-np.inf, 1]], [[np.inf, 0], [0, 1]],
+                                 [[1, np.nan], [np.nan, 1]]],
+                         ids=["opposite-infinities", "infinite-variance", "nan"])
+def test_a_covariance_with_a_non_finite_entry_is_not_symmetric(cov):
+    # |inf - (-inf)| = inf passes a tolerance scaled by max |C| = inf, so a
+    # non-finite entry is marked before the tolerance test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ck.SpaceError, match="^covariance is not symmetric$"):
+            ck.GaussianLaw(("A", "B"), [0, 0], cov)
+        stack = np.array([cov, [[2.0, 1.0], [1.0, 2.0]]], dtype=float)
+        assert ck.gaussian._cov_faults(stack).tolist() == [1, 0]
+
+
 def test_zero_tolerance_compares_exactly():
     source, target, matrix, rho = examples.abstraction_gaussian_pair()
     assert ck.check_linear_transform(source, target, matrix, rho, 0.0).passed
