@@ -29,6 +29,7 @@ from .spaces import (
     FiniteMeasure,
     StochKernel,
     _first_difference,
+    _kernel_part_sums,
     _mixture,
     _part_sums,
     _push,
@@ -126,11 +127,21 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
     Axiom (ii): each row of K_S is supported inside its own H_S-atom
     (equivalently K_S(omega_S, atom(omega_S)) = 1), which is the atom form
     of K_S(omega, A & B) = 1_A(omega) K_S(omega, B) for A in H_S.  It is
-    one test of each row's support bitmask against its atom's; the witness
-    is the lowest outcome outside the atom.
+    one test of a support bitmask against an atom's; the witness is the
+    lowest outcome outside the atom.
+
+    Only each law of K_S is tested, at its own atom, whose mask is
+    ``first << lowest[atom]`` from the S-projector.  Every other atom
+    reads a law at offset = lowest(atom) - lowest(law's atom) > 0, so its
+    mask is the law's atom's mask shifted by the offset, as is its row's
+    support: the row leaves its atom exactly when the law leaves the
+    law's, at outcomes moved by the offset.  The laws are numbered in the
+    order of their atoms, so the lowest failing atom is the atom of the
+    first failing law, and the verdict and witness are those of a scan of
+    every row in atom order.
     """
     empty = c.kernel(())
-    base_row = empty.rows[0]
+    base_row = empty.laws[0]
     if base_row != c.P:
         diff = _first_difference(base_row, c.P)
         return CheckReport(
@@ -148,9 +159,13 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
         if not subset:
             continue
         k = c.kernel(subset)
-        for a, atom in enumerate(c.space.projector(subset).masks):
-            row = k.rows[a]
-            outside = row.support_mask & ~atom
+        proj = c.space.projector(subset)
+        first, lowest = proj.first, proj.lowest
+        for a, (j, offset) in enumerate(k.picks):
+            if offset:
+                continue
+            law = k.laws[j]
+            outside = law.support_mask & ~(first << lowest[a])
             if outside:
                 # the lowest outcome is the one an index-order scan meets first
                 i = (outside & -outside).bit_length() - 1
@@ -159,7 +174,7 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
                     passed=False,
                     witness=Witness(
                         message=(f"K_{{{','.join(subset)}}} at atom {k.domain.outcome(a)} "
-                                 f"puts mass {row.weights[i]} on outcome {c.space.outcome(i)} "
+                                 f"puts mass {law.weights[i]} on outcome {c.space.outcome(i)} "
                                  "outside the atom"),
                         subset=subset,
                         outcome=k.domain.outcome(a),
@@ -303,7 +318,7 @@ def _classify(c: FiniteCausalSpace, U: frozenset, index, masks) -> EffectClass:
     def row_sums(subset: frozenset, k: StochKernel) -> list[tuple[list[int], int]]:
         got = sums.get(subset)
         if got is None:
-            got = sums[subset] = [_part_sums(r, index, n_ev + 1) for r in k.rows]
+            got = sums[subset] = _kernel_part_sums(k, index, n_ev + 1)
         return got
 
     base, base_den = _part_sums(c.P, index, n_ev + 1)
@@ -403,8 +418,8 @@ def is_source(c: FiniteCausalSpace, on: Iterable[str],
     exempted and listed in the report.  With V the full coordinate set this
     is the global-source check.
 
-    One pass of P fills the table of (U-atom, V-atom) cell masses, and the
-    K_U row of each U-atom of positive mass is summed onto the V-atoms once.
+    One pass of P fills the table of (U-atom, V-atom) cell masses, and one
+    pass over K_U's laws sums each of its rows onto the V-atoms.
     On a U-atom of mass z the conditional of a cell is cell / z, where P's
     denominator cancels, and it is compared with the K_U row's mass by
     cross-multiplication.  U-atoms are scanned by index and V-atoms by index
@@ -419,13 +434,12 @@ def is_source(c: FiniteCausalSpace, on: Iterable[str],
     flat, _ = _part_sums(c.P, [u * nv + v for u, v in zip(to_u, to_v)],
                          k_u.domain.n_outcomes * nv)
     exempt = []
-    for a in range(k_u.domain.n_outcomes):
+    for a, (row, den) in enumerate(_kernel_part_sums(k_u, to_v, nv)):
         joint = flat[a * nv:(a + 1) * nv]
         z = sum(joint)
         if z == 0:
             exempt.append(f"null atom {k_u.domain.outcome(a)} of H_{{{','.join(U)}}} exempted")
             continue
-        row, den = _part_sums(k_u.rows[a], to_v, nv)
         for j, (lhs, cell) in enumerate(zip(row, joint)):
             if lhs * z != cell * den:
                 return CheckReport(
@@ -457,8 +471,7 @@ def _first_failing_row(k_u: StochKernel, to_a, na: int, to_b, nb: int) -> Option
     D * cell == row_mass[a] * col_mass[b].
     """
     to_cell = [a * nb + b for a, b in zip(to_a, to_b)]
-    for r, row in enumerate(k_u.rows):
-        flat, denom = _part_sums(row, to_cell, na * nb)
+    for r, (flat, denom) in enumerate(_kernel_part_sums(k_u, to_cell, na * nb)):
         cells = [flat[a * nb:(a + 1) * nb] for a in range(na)]
         col_mass = [sum(col) for col in zip(*cells)]
         for cell_row in cells:

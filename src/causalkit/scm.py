@@ -27,7 +27,6 @@ from .spaces import (
     FiniteMeasure,
     StochKernel,
     _integer_row,
-    _shift,
     project,
 )
 
@@ -198,7 +197,8 @@ def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
     variable's table lookup.  So the law at an atom is the law at the atom
     with the same R-values and zero on the other pinned variables, shifted
     by the difference of their outcome indices: the same numerators in the
-    same order.  K_S builds one law per R-assignment and shifts it.
+    same order.  K_S holds one law per R-assignment and picks, for each
+    atom, its law and that offset; no shifted row is built here.
     """
     space = scm.space()
     tables = _conditional_tables(scm, space, scm.topo_order())
@@ -208,15 +208,17 @@ def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
         pin = space.projector(subset)
         free = [t for t in tables if t[0] not in subset]
         read = subset & {p for t in free for p in scm.parents[t[0]]}
-        # an atom's lowest outcome is its R-atom's plus its unread atom's
-        unread = space.projector(subset - read).lowest
-        at = {}
-        for rep in space.projector(read).lowest:
-            law = _mutilated_law(space, free, rep)
-            at[rep] = law  # the first unread atom's lowest outcome is 0
-            for offset in unread[1:]:
-                at[rep + offset] = _shift(law, offset)
-        return StochKernel(pin.sub, space, tuple(map(at.__getitem__, pin.lowest)))
+        # atoms in index order: a read coordinate moves the law and its
+        # lowest outcome, an unread one the offset
+        reps, picks = [0], [(0, 0)]
+        for name, card, stride in zip(space.names, space.cards, space.strides):
+            if name in read:
+                reps = [rep + v * stride for rep in reps for v in range(card)]
+                picks = [(j * card + v, offset) for j, offset in picks for v in range(card)]
+            elif name in subset:
+                picks = [(j, offset + v * stride) for j, offset in picks for v in range(card)]
+        laws = tuple(_mutilated_law(space, free, rep) for rep in reps)
+        return StochKernel(pin.sub, space, laws, picks)
 
     return FiniteCausalSpace.lazy(space, base, make)
 

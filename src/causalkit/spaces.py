@@ -5,11 +5,18 @@ outcome is a tuple of coordinate values and is addressed by its mixed-radix
 index (first coordinate most significant, so ``itertools.product`` order
 agrees with index order).  Events are bitsets over outcome indices, measures
 are sparse rows of integer numerators over one reduced positive denominator,
-and kernels are row tables indexed by the atoms of a coordinate subset.  All
+and kernels are indexed by the atoms of a coordinate subset.  All
 arithmetic is exact and on integers; ``Fraction``s appear only where weights
 come in from outside and where they are rendered (``FiniteMeasure.weights``,
 ``mass``, witness text).  Equality of measures means equality of every
 weight.
+
+A kernel is its distinct laws plus one ``(law, offset)`` pick per atom: the
+atom's row is the law moved ``offset`` outcomes up the codomain.  A kernel
+built from rows gives each atom its own law at offset 0; a compiled model
+reuses one law across the atoms that differ only on pinned coordinates that
+nothing reads.  Checks read the laws: ``_kernel_part_sums`` sums every row
+of a kernel onto the parts of an outcome map over its law's support.
 
 Every row the algebra derives (products, marginals, conditionals, mixtures
 of kernel rows, pushforwards) has one constructor, ``FiniteMeasure._sparse``,
@@ -17,20 +24,21 @@ which checks and reduces it, fed by private row primitives: ``_part_sums``
 sums a measure onto the parts of an outcome map, ``_push`` forms the image
 measure under one, ``_mixture`` mixes rows by the weights of a measure and
 ``_tensor`` forms a product.  ``_shift`` alone skips the check: it moves a
-checked row along its space, which changes no numerator.  Each walks only
-supports.  Callers get ``(numerators, denominator)`` pairs or measures from
-these primitives and compare values by cross-multiplication; only this
-module reads a measure's integer row.
+checked law along its space, which changes no numerator, and it only
+materialises a kernel's row when a caller reads ``StochKernel.rows``.  Each
+walks only supports.  Callers get ``(numerators, denominator)`` pairs or
+measures from these primitives and compare values by cross-multiplication;
+only this module reads a measure's integer row.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import OutcomeCapError, SpaceError
 
@@ -178,7 +186,9 @@ class Projector:
     ``index[i]`` is the outcome index in ``sub`` of the projection of full
     outcome ``i``; ``masks[a]`` is the bitset of the full outcomes in atom
     ``a`` of the sub-sigma-algebra, in the index order of ``sub``.  Both are
-    as long as the space or wider, so each is built on its first read.
+    as long as the space or wider, so each is built on its first read; a
+    scan over atoms can shift ``first`` by ``lowest`` instead of reading
+    ``masks``.
     """
 
     sub: CoordinateSpace
@@ -213,13 +223,18 @@ class Projector:
         return tuple(index)
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        # the coordinates off the subset spread atom 0, whose other atoms
-        # are shifts of it
+    def first(self) -> int:
+        """The mask of atom 0, spread over the coordinates off the subset; atom
+        ``a``'s mask is ``first << lowest[a]``."""
         first = 1
         for card, stride, step in self.layout:
             if not step:
                 first = sum(first << v * stride for v in range(card))
+        return first
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        first = self.first
         return tuple(first << a for a in self.lowest)
 
 
@@ -558,24 +573,145 @@ def project(measure: FiniteMeasure, subset: Iterable[str]) -> FiniteMeasure:
     return _push(proj.sub, measure, proj.index)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _own_picks(n: int) -> tuple[tuple[int, int], ...]:
+    """The picks of a kernel with one law per atom: atom a reads law a."""
+    return tuple((a, 0) for a in range(n))
+
+
+def _check_picks(domain: CoordinateSpace, codomain: CoordinateSpace,
+                 laws: tuple[FiniteMeasure, ...], picks: tuple[tuple[int, int], ...]) -> None:
+    """Raise ``SpaceError`` unless picks that reuse laws keep ``StochKernel``'s
+    invariant and move every law only to outcomes of the codomain."""
+    proj = codomain.projector(domain.names)
+    if proj.sub != domain:
+        raise SpaceError("a kernel that reuses its laws needs the codomain restricted "
+                         "to its domain")
+    home: dict[int, int] = {}  # each law -> the lowest outcome of its first atom
+    first = home.setdefault
+    for (j, offset), low in zip(picks, proj.lowest):
+        if offset != low - first(j, low):
+            raise SpaceError(f"pick {(j, offset)} is not its atom's offset from the "
+                             "first atom of its law")
+    if list(home) != list(range(len(laws))):
+        raise SpaceError("kernel laws are not picked, each, in the order of their first atoms")
+    # a law's last pick has its largest offset
+    for j, offset in dict(picks).items():
+        if offset and max(laws[j]._nums) + offset >= codomain.n_outcomes:
+            raise SpaceError(f"kernel law {j} shifted by {offset} leaves the codomain")
+
+
+class _ShiftedRows(Sequence):
+    """The rows of a kernel that reuses its laws, each built by ``_shift`` on
+    its first read and kept."""
+
+    def __init__(self, laws: tuple[FiniteMeasure, ...], picks: tuple[tuple[int, int], ...]):
+        self._laws = laws
+        self._picks = picks
+        self._built: list = [None] * len(picks)
+
+    def __len__(self) -> int:
+        return len(self._picks)
+
+    def __getitem__(self, a):
+        if isinstance(a, slice):
+            return tuple(self[i] for i in range(*a.indices(len(self))))
+        row = self._built[a]
+        if row is None:
+            j, offset = self._picks[a]
+            law = self._laws[j]
+            row = self._built[a] = _shift(law, offset) if offset else law
+        return row
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 class StochKernel:
     """Markov kernel from the atoms of a coordinate subset to a target space.
 
     ``domain`` is the restricted space whose outcomes index the rows; each
-    row is a probability measure on ``codomain``.
+    row is a probability measure on ``codomain``.  A kernel holds its
+    distinct ``laws`` and one pick ``(law, offset)`` per atom: the atom's
+    row is that law moved ``offset`` outcomes up the codomain.
+    ``StochKernel(domain, codomain, rows)`` gives each atom its own row as
+    its law, at offset 0.  Picks that reuse a law need ``domain`` to be the
+    codomain restricted to its names, and keep an invariant that is checked
+    here: the laws are numbered in the order of their first picks, each
+    law's first pick has offset 0, and every offset is the atom's lowest
+    outcome less that of the law's first atom.  An atom's mask is then its
+    law's atom's mask moved by the same offset.
+
+    ``rows`` is the public sequence of rows: the laws themselves when each
+    atom has its own, else a view that builds a row on its first read.
+    Equality, hash and pickle go by the rows, so a kernel equals, and
+    hashes as, the kernel built from its materialised rows.
     """
 
     domain: CoordinateSpace
     codomain: CoordinateSpace
-    rows: tuple[FiniteMeasure, ...]
+    laws: tuple[FiniteMeasure, ...]
+    picks: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if len(self.rows) != self.domain.n_outcomes:
+    def __init__(self, domain: CoordinateSpace, codomain: CoordinateSpace,
+                 laws: Iterable[FiniteMeasure],
+                 picks: Iterable[tuple[int, int]] | None = None):
+        laws = tuple(laws)
+        n = domain.n_outcomes
+        own = _own_picks(n)
+        picks = own if picks is None else tuple(picks)
+        if len(picks) != n or (picks is own and len(laws) != n):
             raise SpaceError("kernel row count mismatch")
-        for row in self.rows:
-            if row.space is not self.codomain and row.space != self.codomain:
+        for law in laws:
+            if law.space is not codomain and law.space != codomain:
                 raise SpaceError("kernel row on wrong space")
+        if len(laws) != n:
+            _check_picks(domain, codomain, laws, picks)
+        elif picks is not own and picks != own:
+            raise SpaceError("a kernel with one law per atom reads each at its own atom")
+        self.__dict__.update(domain=domain, codomain=codomain, laws=laws, picks=picks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def rows(self) -> Sequence[FiniteMeasure]:
+        """The row of each atom; only a reused law's rows are built, each once."""
+        if len(self.laws) == len(self.picks):
+            return self.laws
+        return _ShiftedRows(self.laws, self.picks)
+
+    def __eq__(self, other):
+        if not isinstance(other, StochKernel):
+            return NotImplemented
+        if self.domain != other.domain or self.codomain != other.codomain:
+            return False
+        if self.picks == other.picks:  # a shift is one-to-one
+            return self.laws == other.laws
+        return self.rows == other.rows
+
+    def __hash__(self):
+        laws = self.laws
+        return hash((self.domain, self.codomain,
+                     tuple((laws[j]._den, laws[j].support_mask << offset)
+                           for j, offset in self.picks)))
+
+    def __reduce__(self):
+        return StochKernel, (self.domain, self.codomain, self.laws, self.picks)
+
+    def __repr__(self):
+        return (f"StochKernel(domain={self.domain!r}, codomain={self.codomain!r}, "
+                f"rows={tuple(self.rows)!r})")
 
     @classmethod
     def from_rows(cls, domain: CoordinateSpace, codomain: CoordinateSpace,
@@ -600,6 +736,28 @@ class StochKernel:
 
     def value(self, row_index: int, event: Event) -> Fraction:
         return self.rows[row_index].mass(event)
+
+
+def _kernel_part_sums(kernel: StochKernel, index: Sequence[int],
+                      n: int) -> list[tuple[list[int], int]]:
+    """``_part_sums`` of every row of a kernel, in atom order, in one call.
+
+    A row is its law shifted by its offset, so it is summed over the law's
+    support at ``index[i + offset]``; no shifted row is built.
+    """
+    laws = kernel.laws
+    out = []
+    for j, offset in kernel.picks:
+        law = laws[j]
+        sums = [0] * n
+        if offset:
+            for i, v in law._nums.items():
+                sums[index[i + offset]] += v
+        else:
+            for i, v in law._nums.items():
+                sums[index[i]] += v
+        out.append((sums, law._den))
+    return out
 
 
 def kernel_compose(first: StochKernel, second: StochKernel) -> StochKernel:

@@ -87,6 +87,99 @@ def test_axiom_ii_witness_is_the_lowest_outside_outcome(xor):
     assert report.witness.event == (2,)
 
 
+def row_scan_witness(c):
+    """Axiom (ii) by reading every row of every kernel against its atom's
+    mask: (subset, atom values, outcome, mass) of the first outside outcome."""
+    for subset in c.subsets():
+        k = c.kernel(subset)
+        for a, mask in enumerate(c.space.projector(subset).masks):
+            outside = k.rows[a].support_mask & ~mask
+            if subset and outside:
+                i = (outside & -outside).bit_length() - 1
+                return subset, k.domain.outcome(a), i, k.rows[a].weights[i]
+    return None
+
+
+@pytest.mark.parametrize("law, moved_to", [(1, 0), (1, 1), (1, 2), (1, 3), (0, 4), (0, 6)])
+def test_a_failing_shared_law_gives_the_witness_of_a_row_scan(law, moved_to):
+    # K_{A,C} of a pinning space on A, B, C, rebuilt from two laws, those of
+    # the atoms with C = 0, which the atoms with C = 1 read shifted by 1; one
+    # law moves half its mass outside its atom, so its shifted row leaves too
+    space = ck.CoordinateSpace.make([("A", 2), ("B", 2), ("C", 2)])
+    full = ck.independent_pinning_space(ck.FiniteMeasure.uniform(space)).materialize()
+    table = {frozenset(s): full.kernel(s) for s in full.subsets()}
+    k = table[frozenset("AC")]
+    laws = [k.rows[0], k.rows[2]]
+    w = list(laws[law].weights)
+    w[law * 4 + 2] -= F(1, 2)
+    w[moved_to] += F(1, 2)
+    laws[law] = ck.FiniteMeasure(space, w)
+    table[frozenset("AC")] = ck.StochKernel(k.domain, space, laws,
+                                            ((0, 0), (0, 1), (1, 0), (1, 1)))
+    c = ck.FiniteCausalSpace.tabulated(space, full.P, table)
+    shifted = c.kernel(("A", "C")).rows[law * 2 + 1]
+    assert shifted.support_mask & ~c.space.projector(("A", "C")).masks[law * 2 + 1]
+    subset, atom, outcome, mass = row_scan_witness(c)
+    report = ck.validate_causal_space(c)
+    assert not report.passed
+    assert (report.witness.subset, report.witness.outcome, report.witness.event) == (
+        subset, atom, (outcome,))
+    assert report.witness.message == (
+        f"K_{{{','.join(subset)}}} at atom {atom} puts mass {mass} on outcome "
+        f"{space.outcome(outcome)} outside the atom")
+    assert (subset, atom) == (("A", "C"), (law, 0))
+
+
+def test_compile_and_validate_shift_no_row_and_build_no_mask(monkeypatch):
+    from causalkit import spaces
+
+    shifts, shift = [], spaces._shift
+    monkeypatch.setattr(spaces, "_shift",
+                        lambda law, offset: shifts.append(offset) or shift(law, offset))
+    names = [f"V{i}" for i in range(5)]
+    chain = ck.FiniteSCM.build(
+        variables=[(v, 2) for v in names],
+        parents={v: (names[i - 1],) if i else () for i, v in enumerate(names)},
+        noises={v: (F(1, 3), F(2, 3)) for v in names},
+        mechanisms={v: (0, 1, 1, 0) if i else (0, 1) for i, v in enumerate(names)})
+    c = ck.compile_scm(chain)
+    assert ck.validate_causal_space(c).passed
+    assert shifts == []
+    assert all("masks" not in vars(proj) for proj in c.space._projectors.values())
+    # not vacuous: nothing reads the leaf V4, so K_{V1,V4} reuses its laws,
+    # and reading its rows shifts them
+    k = c.kernel(("V1", "V4"))
+    assert len(k.laws) < len(k.picks)
+    list(k.rows)
+    assert shifts == [1, 1]
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(), st.data())
+@settings(max_examples=20)
+def test_law_kernels_give_the_verdicts_of_their_materialised_rows(seed, shifted, data):
+    from random import Random
+
+    from causalkit.oracle import _random_scm
+
+    c = ck.compile_scm(_random_scm(Random(seed), "V", shifted=shifted))
+    rows = ck.FiniteCausalSpace.tabulated(c.space, c.P, {
+        s: ck.StochKernel(c.kernel(s).domain, c.space, tuple(c.kernel(s).rows))
+        for s in c.subsets()})
+    subsets = list(c.subsets())
+    on, target, other = (data.draw(st.sampled_from(subsets)) for _ in range(3))
+    event = data.draw(events(c.space))
+    for check in (lambda x: ck.validate_causal_space(x),
+                  lambda x: ck.classify_effect_on(x, on, target),
+                  lambda x: ck.classify_effect(x, on, event),
+                  lambda x: ck.is_source(x, on, target),
+                  lambda x: ck.causally_independent_on(x, on, target, other),
+                  lambda x: ck.causally_independent(x, on, event, event.complement())):
+        got, expected = check(c), check(rows)
+        assert got == expected
+        if hasattr(got, "to_dict"):
+            assert got.to_dict() == expected.to_dict()
+
+
 def test_missing_kernel_raises(xor):
     full = xor.materialize()
     table = {frozenset(s): full.kernel(s) for s in full.subsets()}

@@ -4,9 +4,9 @@
 re-exports.  A name counts as used when it is read anywhere in the module,
 including inside a string annotation such as ``-> "CoordinateSpace"``.
 The CLI reads input only through public ``serialize`` names, only
-``spaces`` reads a measure's integer row, the oracle's ``_oracle_*``
-functions read no fast-path checker, and only
-``gaussian`` and ``examples`` load numpy when they are imported.
+``spaces`` reads a measure's integer row or shifts a law, the oracle's
+``_oracle_*`` functions read no fast-path checker, and only ``gaussian``
+and ``examples`` load numpy when they are imported.
 """
 
 import ast
@@ -97,18 +97,25 @@ def test_a_private_serialize_import_is_reported():
 
 
 # a measure's integer row is spaces.py's alone: every other module gets
-# (numerators, denominator) pairs or measures from its row primitives
+# (numerators, denominator) pairs or measures from its row primitives; and
+# only spaces.py shifts a law, when a kernel's rows are read
 ROW_FIELDS = {"_nums", "_den"}
+SHIFT = "_shift"
 
 
 def row_field_reads(tree):
     """(field, line) of each read of a measure's integer row, as an attribute
-    or as a string such as a ``getattr`` or ``__dict__`` key."""
+    or as a string such as a ``getattr`` or ``__dict__`` key, and of each use
+    of ``_shift``: imported, read by name or attribute, or named in a string."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ROW_FIELDS:
+        if isinstance(node, ast.Attribute) and node.attr in ROW_FIELDS | {SHIFT}:
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Constant) and node.value in ROW_FIELDS:
+        elif isinstance(node, ast.Constant) and node.value in ROW_FIELDS | {SHIFT}:
             yield node.value, node.lineno
+        elif isinstance(node, ast.Name) and node.id == SHIFT and isinstance(node.ctx, ast.Load):
+            yield SHIFT, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((SHIFT, node.lineno) for a in node.names if a.name == SHIFT)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "spaces.py"],
@@ -122,6 +129,17 @@ def test_an_integer_row_read_is_reported():
     tree = ast.parse("def f(m, den):\n    return m._nums, den, m.space\n"
                      "n = getattr(m, '_den')\n_nums = 1\n")
     assert sorted(row_field_reads(tree)) == [("_den", 3), ("_nums", 2)]
+
+
+def test_a_shift_outside_spaces_is_reported():
+    tree = ast.parse("from .spaces import _shift as move, project\n"
+                     "from . import spaces\n"
+                     "def f(law, offset):\n    return move(law, offset), spaces._shift(law, 1)\n"
+                     "g = getattr(spaces, '_shift')\n"
+                     "from causalkit.spaces import _shift\nrows = [_shift(m, 2) for m in ms]\n"
+                     "def _shift(m):\n    pass\n")
+    assert sorted(row_field_reads(tree)) == [
+        ("_shift", 1), ("_shift", 4), ("_shift", 5), ("_shift", 6), ("_shift", 7)]
 
 
 # the brute-force oracle shares no checking code with the fast path: its

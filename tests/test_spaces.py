@@ -515,3 +515,107 @@ def test_kernel_constructors():
     assert all(r.weights[3] == 1 for r in const.rows)
     det = ck.StochKernel.deterministic(s, s, tuple((i + 1) % 4 for i in range(4)))
     assert det.rows[0].weights[1] == 1
+
+
+# ---------------------------------------------------------------------------
+# kernels as laws plus offsets
+
+
+def chain_scm(n=4):
+    """V0 -> V1 -> ... binary chain with skewed noises."""
+    names = [f"V{i}" for i in range(n)]
+    return ck.FiniteSCM.build(
+        variables=[(v, 2) for v in names],
+        parents={v: (names[i - 1],) if i else () for i, v in enumerate(names)},
+        noises={v: (F(1, i + 3), F(i + 2, i + 3)) for i, v in enumerate(names)},
+        mechanisms={v: (0, 1, 1, 0) if i else (0, 1) for i, v in enumerate(names)})
+
+
+def shared_law_kernel():
+    """K_{V1,V3} of the chain: V2 reads V1 and nothing reads V3, so the two
+    atoms with V3 = 1 reuse the laws of the atoms with V3 = 0."""
+    k = ck.compile_scm(chain_scm()).kernel(("V1", "V3"))
+    assert k.picks == ((0, 0), (0, 1), (1, 0), (1, 1))
+    return k
+
+
+def count_shifts(monkeypatch):
+    from causalkit import spaces
+
+    calls, shift = [], spaces._shift
+    monkeypatch.setattr(spaces, "_shift",
+                        lambda law, offset: calls.append(offset) or shift(law, offset))
+    return calls
+
+
+def test_kernel_picks_must_keep_the_invariant():
+    space = ck.CoordinateSpace.make([("A", 2), ("B", 2), ("C", 2)])
+    dom = space.restrict(("A", "C"))  # atom lowest outcomes 0, 1, 4, 5
+    low = ck.FiniteMeasure.dirac(space, 0)
+    high = ck.FiniteMeasure.dirac(space, 4)
+    good = ((0, 0), (0, 1), (1, 0), (1, 1))
+    kernel = ck.StochKernel(dom, space, (low, high), good)
+    assert kernel.rows[3] == ck.FiniteMeasure.dirac(space, 5)
+    for picks, message in [
+            (((0, 0), (0, 2), (1, 0), (1, 1)), "not its atom's offset"),
+            (((0, 1), (0, 1), (1, 0), (1, 1)), "not its atom's offset"),  # first pick moved
+            (((0, 0), (0, 1), (0, 4), (0, 5)), "not picked, each"),  # law 1 unread
+            (((1, 0), (1, 1), (0, 0), (0, 1)), "not picked, each"),  # out of order
+            (((0, 0), (0, 1), (2, 0), (2, 1)), "not picked, each"),  # no law 2
+            (((0, 0), (0, 1), (1, 0)), "row count mismatch")]:
+        with pytest.raises(ck.SpaceError, match=message):
+            ck.StochKernel(dom, space, (low, high), picks)
+    # a law outside its atom may not be moved off the space
+    with pytest.raises(ck.SpaceError, match="leaves the codomain"):
+        ck.StochKernel(dom, space, (low, ck.FiniteMeasure.dirac(space, 7)), good)
+    # reused laws need the domain to be the codomain's restriction, in its order
+    with pytest.raises(ck.SpaceError, match="codomain restricted"):
+        ck.StochKernel(ck.CoordinateSpace.make([("C", 2), ("A", 2)]), space,
+                       (low, high), good)
+    # one law per atom reads each at its own atom, at offset 0
+    with pytest.raises(ck.SpaceError, match="its own atom"):
+        ck.StochKernel(dom, space, (low,) * 4, ((0, 0), (1, 0), (3, 0), (2, 0)))
+    assert ck.StochKernel(dom, space, (low,) * 4, good[:1] + ((1, 0), (2, 0), (3, 0))).rows \
+        == (low,) * 4
+
+
+def test_a_law_kernel_equals_hashes_and_pickles_like_its_materialised_twin():
+    import pickle
+
+    k = shared_law_kernel()
+    assert len(k.laws) == 2 and len(k.rows) == 4
+    twin = ck.StochKernel(k.domain, k.codomain, tuple(k.rows))
+    assert twin.laws == tuple(k.rows) and twin.rows is twin.laws
+    assert k == twin and twin == k and k.rows == twin.rows and twin.rows == k.rows
+    assert hash(k) == hash(twin)
+    for kernel in (k, twin):
+        back = pickle.loads(pickle.dumps(kernel))
+        assert back == k and back == twin and hash(back) == hash(twin)
+        assert (back.laws, back.picks) == (kernel.laws, kernel.picks)
+    other = list(k.rows)
+    other[1] = other[0]
+    assert ck.StochKernel(k.domain, k.codomain, tuple(other)) != k
+    assert ck.compile_scm(chain_scm()).kernel(("V1", "V3")) == k
+
+
+def test_reading_rows_shifts_each_reused_law_once_and_len_shifts_none(monkeypatch):
+    calls = count_shifts(monkeypatch)
+    k = shared_law_kernel()
+    assert len(k.rows) == 4 and calls == []
+    assert k.rows[1] is k.rows[1] and calls == [1]
+    assert list(k.rows) == [k.laws[0], k.rows[1], k.laws[1], k.rows[3]]
+    assert calls == [1, 1]
+    assert k.rows[1:] == (k.rows[1], k.laws[1], k.rows[3]) and calls == [1, 1]
+
+
+@given(st.data())
+def test_kernel_part_sums_are_the_part_sums_of_every_row(data):
+    from causalkit.spaces import _kernel_part_sums, _part_sums
+
+    c = ck.compile_scm(chain_scm())
+    subset = data.draw(st.sets(st.sampled_from(c.space.names)))
+    n = data.draw(st.integers(1, 5))
+    index = data.draw(st.lists(st.integers(0, n - 1), min_size=c.space.n_outcomes,
+                               max_size=c.space.n_outcomes))
+    k = c.kernel(subset)
+    assert _kernel_part_sums(k, index, n) == [_part_sums(r, index, n) for r in k.rows]
