@@ -603,12 +603,13 @@ def _check_picks(domain: CoordinateSpace, codomain: CoordinateSpace,
 
 class _ShiftedRows(Sequence):
     """The rows of a kernel that reuses its laws, each built by ``_shift`` on
-    its first read and kept."""
+    its first read and kept; iterating builds every row left."""
 
     def __init__(self, laws: tuple[FiniteMeasure, ...], picks: tuple[tuple[int, int], ...]):
         self._laws = laws
         self._picks = picks
         self._built: list = [None] * len(picks)
+        self._left = len(picks)
 
     def __len__(self) -> int:
         return len(self._picks)
@@ -621,17 +622,19 @@ class _ShiftedRows(Sequence):
             j, offset = self._picks[a]
             law = self._laws[j]
             row = self._built[a] = _shift(law, offset) if offset else law
+            self._left -= 1
         return row
+
+    def __iter__(self):
+        if self._left:
+            for a in range(len(self._built)):
+                self[a]  # builds and keeps the row
+        return iter(self._built)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return repr(tuple(self))
 
 
 class StochKernel:
@@ -659,6 +662,7 @@ class StochKernel:
     codomain: CoordinateSpace
     laws: tuple[FiniteMeasure, ...]
     picks: tuple[tuple[int, int], ...]
+    rows: Sequence[FiniteMeasure]
 
     def __init__(self, domain: CoordinateSpace, codomain: CoordinateSpace,
                  laws: Iterable[FiniteMeasure],
@@ -676,20 +680,16 @@ class StochKernel:
             _check_picks(domain, codomain, laws, picks)
         elif picks is not own and picks != own:
             raise SpaceError("a kernel with one law per atom reads each at its own atom")
-        self.__dict__.update(domain=domain, codomain=codomain, laws=laws, picks=picks)
+        # the rows are the laws when each atom has its own
+        rows = laws if len(laws) == n else _ShiftedRows(laws, picks)
+        self.__dict__.update(domain=domain, codomain=codomain, laws=laws, picks=picks,
+                             rows=rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def rows(self) -> Sequence[FiniteMeasure]:
-        """The row of each atom; only a reused law's rows are built, each once."""
-        if len(self.laws) == len(self.picks):
-            return self.laws
-        return _ShiftedRows(self.laws, self.picks)
 
     def __eq__(self, other):
         if not isinstance(other, StochKernel):
