@@ -584,7 +584,7 @@ def _check_picks(domain: CoordinateSpace, codomain: CoordinateSpace,
     """Raise ``SpaceError`` unless picks that reuse laws keep ``StochKernel``'s
     invariant and move every law only to outcomes of the codomain."""
     proj = codomain.projector(domain.names)
-    if proj.sub != domain:
+    if proj.sub is not domain and proj.sub != domain:
         raise SpaceError("a kernel that reuses its laws needs the codomain restricted "
                          "to its domain")
     home: dict[int, int] = {}  # each law -> the lowest outcome of its first atom
@@ -602,39 +602,32 @@ def _check_picks(domain: CoordinateSpace, codomain: CoordinateSpace,
 
 
 class _ShiftedRows(Sequence):
-    """The rows of a kernel that reuses its laws, each built by ``_shift`` on
-    its first read and kept; iterating builds every row left."""
+    """The rows of a kernel that reuses its laws: the length needs no row,
+    and the first read of a row builds every row, each law moved by
+    ``_shift``, once."""
 
     def __init__(self, laws: tuple[FiniteMeasure, ...], picks: tuple[tuple[int, int], ...]):
         self._laws = laws
         self._picks = picks
-        self._built: list = [None] * len(picks)
-        self._left = len(picks)
+        self._rows: tuple[FiniteMeasure, ...] | None = None
+
+    def _build(self) -> tuple[FiniteMeasure, ...]:
+        laws = self._laws
+        self._rows = tuple([_shift(laws[j], offset) if offset else laws[j]
+                            for j, offset in self._picks])
+        return self._rows
 
     def __len__(self) -> int:
         return len(self._picks)
 
     def __getitem__(self, a):
-        if isinstance(a, slice):
-            return tuple(self[i] for i in range(*a.indices(len(self))))
-        row = self._built[a]
-        if row is None:
-            j, offset = self._picks[a]
-            law = self._laws[j]
-            row = self._built[a] = _shift(law, offset) if offset else law
-            self._left -= 1
-        return row
+        return (self._rows or self._build())[a]
 
     def __iter__(self):
-        if self._left:
-            for a in range(len(self._built)):
-                self[a]  # builds and keeps the row
-        return iter(self._built)
+        return iter(self._rows or self._build())
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+        return (self._rows or self._build()) == other
 
 
 class StochKernel:
@@ -653,7 +646,8 @@ class StochKernel:
     law's atom's mask moved by the same offset.
 
     ``rows`` is the public sequence of rows: the laws themselves when each
-    atom has its own, else a view that builds a row on its first read.
+    atom has its own, else a view whose length needs no row and which
+    builds every row, once, when the first is read.
     Equality, hash and pickle go by the rows, so a kernel equals, and
     hashes as, the kernel built from its materialised rows.
     """
@@ -680,10 +674,8 @@ class StochKernel:
             _check_picks(domain, codomain, laws, picks)
         elif picks is not own and picks != own:
             raise SpaceError("a kernel with one law per atom reads each at its own atom")
-        # the rows are the laws when each atom has its own
-        rows = laws if len(laws) == n else _ShiftedRows(laws, picks)
         self.__dict__.update(domain=domain, codomain=codomain, laws=laws, picks=picks,
-                             rows=rows)
+                             rows=laws if len(laws) == n else _ShiftedRows(laws, picks))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
