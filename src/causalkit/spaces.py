@@ -647,9 +647,9 @@ class StochKernel:
 
     ``rows`` is the public sequence of rows: the laws themselves when each
     atom has its own, else a view whose length needs no row and which
-    builds every row, once, when the first is read.
-    Equality, hash and pickle go by the rows, so a kernel equals, and
-    hashes as, the kernel built from its materialised rows.
+    builds every row, once, when the first is read.  Equality, hash and
+    pickle go by the rows, so a kernel equals, and hashes as, the kernel
+    built from its materialised rows.
     """
 
     domain: CoordinateSpace

@@ -71,6 +71,16 @@ def causal_spaces() -> st.SearchStrategy:
     return st.integers(min_value=0, max_value=10 ** 6).map(ck.random_space)
 
 
+def chain_scm(n=4):
+    """V0 -> V1 -> ... binary chain with skewed noises."""
+    names = [f"V{i}" for i in range(n)]
+    return ck.FiniteSCM.build(
+        variables=[(v, 2) for v in names],
+        parents={v: (names[i - 1],) if i else () for i, v in enumerate(names)},
+        noises={v: (Fraction(1, i + 3), Fraction(i + 2, i + 3)) for i, v in enumerate(names)},
+        mechanisms={v: (0, 1, 1, 0) if i else (0, 1) for i, v in enumerate(names)})
+
+
 def tampered_pinning_space(space, moves):
     """Uniform pinning space with some kernel mass moved between outcomes.
 

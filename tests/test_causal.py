@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import cli, examples
-from conftest import causal_spaces, events, tampered_pinning_space
+from conftest import causal_spaces, chain_scm, events, tampered_pinning_space
 
 F = Fraction
 
@@ -136,13 +136,7 @@ def test_compile_and_validate_shift_no_row_and_build_no_mask(monkeypatch):
     shifts, shift = [], spaces._shift
     monkeypatch.setattr(spaces, "_shift",
                         lambda law, offset: shifts.append(offset) or shift(law, offset))
-    names = [f"V{i}" for i in range(5)]
-    chain = ck.FiniteSCM.build(
-        variables=[(v, 2) for v in names],
-        parents={v: (names[i - 1],) if i else () for i, v in enumerate(names)},
-        noises={v: (F(1, 3), F(2, 3)) for v in names},
-        mechanisms={v: (0, 1, 1, 0) if i else (0, 1) for i, v in enumerate(names)})
-    c = ck.compile_scm(chain)
+    c = ck.compile_scm(chain_scm(5))
     assert ck.validate_causal_space(c).passed
     assert shifts == []
     assert all("masks" not in vars(proj) for proj in c.space._projectors.values())

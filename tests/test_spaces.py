@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import causalkit as ck
 from causalkit import examples
-from conftest import coordinate_spaces, events, kernels, measures
+from conftest import chain_scm, coordinate_spaces, events, kernels, measures
 
 F = Fraction
 
@@ -519,16 +519,6 @@ def test_kernel_constructors():
 
 # ---------------------------------------------------------------------------
 # kernels as laws plus offsets
-
-
-def chain_scm(n=4):
-    """V0 -> V1 -> ... binary chain with skewed noises."""
-    names = [f"V{i}" for i in range(n)]
-    return ck.FiniteSCM.build(
-        variables=[(v, 2) for v in names],
-        parents={v: (names[i - 1],) if i else () for i, v in enumerate(names)},
-        noises={v: (F(1, i + 3), F(i + 2, i + 3)) for i, v in enumerate(names)},
-        mechanisms={v: (0, 1, 1, 0) if i else (0, 1) for i, v in enumerate(names)})
 
 
 def shared_law_kernel():
