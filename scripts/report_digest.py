@@ -41,6 +41,9 @@ by the digests they print.  The digest covers, in this order:
   noise value put first on every variable) build, with the
   ``validate_causal_space`` and ``check_all`` reports of what they build
   and the text of any error they raise;
+- the marginal section: as in the rows section, ``marginal_space`` and
+  ``inclusion_transform`` of the ``MIXED_SCM_SEEDS`` random models, every
+  nonempty kept subset;
 - the tampered section: ``check_all`` on the rows section's
   ``_random_abstraction`` instances with their pushforward target tampered
   as ``_trial_pushforward_uniqueness`` tampers it, so that failing
@@ -76,6 +79,7 @@ import hashlib
 import io
 import json
 import sys
+from collections.abc import Iterator
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -270,6 +274,22 @@ def with_null_noise(scm) -> ck.FiniteSCM:
     return ck.FiniteSCM(scm.variables, scm.parents, noises, mechanisms)
 
 
+def marginal_rows(name: str, scm) -> Iterator[str]:
+    """``marginal_space`` and ``inclusion_transform`` of a model on every
+    nonempty kept subset."""
+    for keep in ck.subsets_of(scm.names):
+        if not keep:
+            continue
+        yield space_rows(f"marginal_space({name}, {keep})", ck.marginal_space(scm, keep))
+
+        def build():
+            t = ck.inclusion_transform(scm, keep)
+            return (f"inclusion_transform({name}, {keep})\n" + kernel_text(t.kernel)
+                    + report_text(ck.check_all(t)))
+
+        yield guarded(f"inclusion_transform({name}, {keep})", build)
+
+
 def rows_section():
     for seed in ROW_SEEDS:
         c = ck.random_space(seed)
@@ -320,18 +340,7 @@ def rows_section():
             yield guarded(label, build)
 
     for name in EXAMPLE_SCMS:
-        scm = getattr(examples, name)()
-        for keep in ck.subsets_of(scm.names):
-            if not keep:
-                continue
-            yield space_rows(f"marginal_space({name}, {keep})", ck.marginal_space(scm, keep))
-
-            def build():
-                t = ck.inclusion_transform(scm, keep)
-                return (f"inclusion_transform({name}, {keep})\n" + kernel_text(t.kernel)
-                        + report_text(ck.check_all(t)))
-
-            yield guarded(f"inclusion_transform({name}, {keep})", build)
+        yield from marginal_rows(name, getattr(examples, name)())
 
     for name in EXAMPLE_SCMS:
         yield space_rows(f"compile_scm({name})", ck.compile_scm(getattr(examples, name)()))
@@ -340,6 +349,11 @@ def rows_section():
         yield space_rows(f"compile_scm(random {seed})", ck.compile_scm(scm))
         yield space_rows(f"compile_scm(random {seed}, null noise)",
                          ck.compile_scm(with_null_noise(scm)))
+
+
+def marginal_section():
+    for seed in MIXED_SCM_SEEDS:
+        yield from marginal_rows(f"random {seed}", _random_scm(Random(seed), "R", n_vars=3))
 
 
 def tampered_section():
@@ -522,7 +536,8 @@ def gaussian_section():
 SECTIONS = (("lemma", lemma_section), ("corpus", corpus_section),
             ("space", space_section), ("event", event_section),
             ("cli_event", cli_event_section), ("product", product_section),
-            ("rows", rows_section), ("tampered", tampered_section),
+            ("rows", rows_section), ("marginal", marginal_section),
+            ("tampered", tampered_section),
             ("gaussian", gaussian_section))
 
 
