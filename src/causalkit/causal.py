@@ -130,15 +130,14 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
     one test of a support bitmask against an atom's; the witness is the
     lowest outcome outside the atom.
 
-    Only each law of K_S is tested, at its own atom, whose mask is
-    ``first << lowest[atom]`` from the S-projector.  Every other atom
-    reads a law at offset = lowest(atom) - lowest(law's atom) > 0, so its
-    mask is the law's atom's mask shifted by the offset, as is its row's
-    support: the row leaves its atom exactly when the law leaves the
-    law's, at outcomes moved by the offset.  The laws are numbered in the
-    order of their atoms, so the lowest failing atom is the atom of the
-    first failing law, and the verdict and witness are those of a scan of
-    every row in atom order.
+    Only each law of K_S is tested, at its own atom: law j's atom is the
+    j-th atom of ``K_S.read`` at 0 off it, with mask ``first << lowest[j]``
+    (``first`` from the S-projector, ``lowest`` from the read one).  Any
+    other atom's row and mask are its law's and its law's atom's mask
+    moved by one offset, so the row leaves its atom exactly when the law
+    leaves the law's, at moved outcomes.  The laws come in the order of
+    their atoms, so the first failing law gives the lowest failing atom,
+    and the verdict and witness are those of a row scan in atom order.
     """
     empty = c.kernel(())
     base_row = empty.laws[0]
@@ -160,15 +159,13 @@ def validate_causal_space(c: FiniteCausalSpace) -> CheckReport:
             continue
         k = c.kernel(subset)
         proj = c.space.projector(subset)
-        first, lowest = proj.first, proj.lowest
-        for a, (j, offset) in enumerate(k.picks):
-            if offset:
-                continue
-            law = k.laws[j]
-            outside = law.support_mask & ~(first << lowest[a])
+        first = proj.first
+        for law, low in zip(k.laws, c.space.projector(k.read).lowest):
+            outside = law.support_mask & ~(first << low)
             if outside:
                 # the lowest outcome is the one an index-order scan meets first
                 i = (outside & -outside).bit_length() - 1
+                a = proj.lowest.index(low)
                 return CheckReport(
                     check="causal-space-axioms",
                     passed=False,

@@ -194,31 +194,20 @@ def compile_scm(scm: FiniteSCM) -> FiniteCausalSpace:
     tables are built once per model and shared by every kernel.
 
     Only the pinned variables R that some free variable reads reach a free
-    variable's table lookup.  So the law at an atom is the law at the atom
-    with the same R-values and zero on the other pinned variables, shifted
-    by the difference of their outcome indices: the same numerators in the
-    same order.  K_S holds one law per R-assignment and picks, for each
-    atom, its law and that offset; no shifted row is built here.
+    variable's table lookup.  So K_S reads R: it holds one law per
+    R-assignment, computed with every other pinned variable at 0, and every
+    atom's row is that law moved by the atom's values off R, which
+    ``StochKernel`` places; no shifted row is built here.
     """
     space = scm.space()
     tables = _conditional_tables(scm, space, scm.topo_order())
     base = _mutilated_law(space, tables, 0)
 
     def make(subset: frozenset) -> StochKernel:
-        pin = space.projector(subset)
         free = [t for t in tables if t[0] not in subset]
         read = subset & {p for t in free for p in scm.parents[t[0]]}
-        # atoms in index order: a read coordinate moves the law and its
-        # lowest outcome, an unread one the offset
-        reps, picks = [0], [(0, 0)]
-        for name, card, stride in zip(space.names, space.cards, space.strides):
-            if name in read:
-                reps = [rep + v * stride for rep in reps for v in range(card)]
-                picks = [(j * card + v, offset) for j, offset in picks for v in range(card)]
-            elif name in subset:
-                picks = [(j, offset + v * stride) for j, offset in picks for v in range(card)]
-        laws = tuple(_mutilated_law(space, free, rep) for rep in reps)
-        return StochKernel(pin.sub, space, laws, picks)
+        laws = tuple(_mutilated_law(space, free, low) for low in space.projector(read).lowest)
+        return StochKernel(space.restrict(subset), space, laws, read)
 
     return FiniteCausalSpace.lazy(space, base, make)
 
@@ -255,10 +244,12 @@ def _marginal(full: FiniteCausalSpace, keep: frozenset) -> FiniteCausalSpace:
     base = project(full.P, keep)
 
     def make(inner: frozenset) -> StochKernel:
-        sub = space.restrict(inner)
+        # big reads inside inner, and its laws are 0 on the pinned
+        # coordinates it does not read, so a projected law moved in the
+        # kept space is the projection of the moved law
         big = full.kernel(inner)
-        rows = tuple(project(r, keep) for r in big.rows)
-        return StochKernel(sub, space, rows)
+        laws = tuple(project(law, keep) for law in big.laws)
+        return StochKernel(space.restrict(inner), space, laws, big.read)
 
     return FiniteCausalSpace.lazy(space, base, make)
 

@@ -11,12 +11,13 @@ come in from outside and where they are rendered (``FiniteMeasure.weights``,
 ``mass``, witness text).  Equality of measures means equality of every
 weight.
 
-A kernel is its distinct laws plus one ``(law, offset)`` pick per atom: the
-atom's row is the law moved ``offset`` outcomes up the codomain.  A kernel
-built from rows gives each atom its own law at offset 0; a compiled model
-reuses one law across the atoms that differ only on pinned coordinates that
-nothing reads.  Checks read the laws: ``_kernel_part_sums`` sums every row
-of a kernel onto the parts of an outcome map over its law's support.
+A kernel is one law per atom of ``read``, a subset of its domain's
+coordinates: an atom's row is its read-atom's law moved up the codomain by
+its values off ``read``, an offset that only ``_law_offsets`` derives.  A
+kernel built from rows reads every coordinate; a compiled K_S reads the
+pinned coordinates that some free variable reads.  Checks read the laws:
+``_kernel_part_sums`` sums every row of a kernel onto the parts of an
+outcome map over its law's support.
 
 Every row the algebra derives (products, marginals, conditionals, mixtures
 of kernel rows, pushforwards) has one constructor, ``FiniteMeasure._sparse``,
@@ -37,8 +38,8 @@ import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd, lcm, prod
 
 from .errors import OutcomeCapError, SpaceError
 
@@ -573,52 +574,41 @@ def project(measure: FiniteMeasure, subset: Iterable[str]) -> FiniteMeasure:
     return _push(proj.sub, measure, proj.index)
 
 
-@lru_cache(maxsize=None)
-def _own_picks(n: int) -> tuple[tuple[int, int], ...]:
-    """The picks of a kernel with one law per atom: atom a reads law a."""
-    return tuple((a, 0) for a in range(n))
-
-
-def _check_picks(domain: CoordinateSpace, codomain: CoordinateSpace,
-                 laws: tuple[FiniteMeasure, ...], picks: tuple[tuple[int, int], ...]) -> None:
-    """Raise ``SpaceError`` unless picks that reuse laws keep ``StochKernel``'s
-    invariant and move every law only to outcomes of the codomain."""
-    proj = codomain.projector(domain.names)
-    if proj.sub is not domain and proj.sub != domain:
-        raise SpaceError("a kernel that reuses its laws needs the codomain restricted "
-                         "to its domain")
-    home: dict[int, int] = {}  # each law -> the lowest outcome of its first atom
-    first = home.setdefault
-    for (j, offset), low in zip(picks, proj.lowest):
-        if offset != low - first(j, low):
-            raise SpaceError(f"pick {(j, offset)} is not its atom's offset from the "
-                             "first atom of its law")
-    if list(home) != list(range(len(laws))):
-        raise SpaceError("kernel laws are not picked, each, in the order of their first atoms")
-    # a law's last pick has its largest offset
-    for j, offset in dict(picks).items():
-        if offset and max(laws[j]._nums) + offset >= codomain.n_outcomes:
-            raise SpaceError(f"kernel law {j} shifted by {offset} leaves the codomain")
+def _law_offsets(domain: CoordinateSpace, codomain: CoordinateSpace,
+                 read: tuple[str, ...]) -> list[tuple[int, int]]:
+    """Each atom's ``(law, offset)``, in atom order: its read-atom's index
+    and its values on the unread coordinates at their codomain strides.  A
+    kernel that reads every coordinate gives atom a law a at offset 0."""
+    pairs = [(0, 0)]
+    for name, card in zip(domain.names, domain.cards):
+        if name in read:
+            pairs = [(j * card + v, offset) for j, offset in pairs for v in range(card)]
+        else:
+            stride = codomain.strides[codomain.position(name)]
+            pairs = [(j, offset + v * stride) for j, offset in pairs for v in range(card)]
+    return pairs
 
 
 class _ShiftedRows(Sequence):
     """The rows of a kernel that reuses its laws: the length needs no row,
     and the first read of a row builds every row, each law moved by
-    ``_shift``, once."""
+    ``_shift``, once.  It holds the laws and what places them, not the
+    kernel."""
 
-    def __init__(self, laws: tuple[FiniteMeasure, ...], picks: tuple[tuple[int, int], ...]):
+    def __init__(self, laws: tuple[FiniteMeasure, ...], domain: CoordinateSpace,
+                 codomain: CoordinateSpace, read: tuple[str, ...]):
         self._laws = laws
-        self._picks = picks
+        self._placing = (domain, codomain, read)
         self._rows: tuple[FiniteMeasure, ...] | None = None
 
     def _build(self) -> tuple[FiniteMeasure, ...]:
         laws = self._laws
         self._rows = tuple([_shift(laws[j], offset) if offset else laws[j]
-                            for j, offset in self._picks])
+                            for j, offset in _law_offsets(*self._placing)])
         return self._rows
 
     def __len__(self) -> int:
-        return len(self._picks)
+        return self._placing[0].n_outcomes
 
     def __getitem__(self, a):
         return (self._rows or self._build())[a]
@@ -634,16 +624,17 @@ class StochKernel:
     """Markov kernel from the atoms of a coordinate subset to a target space.
 
     ``domain`` is the restricted space whose outcomes index the rows; each
-    row is a probability measure on ``codomain``.  A kernel holds its
-    distinct ``laws`` and one pick ``(law, offset)`` per atom: the atom's
-    row is that law moved ``offset`` outcomes up the codomain.
-    ``StochKernel(domain, codomain, rows)`` gives each atom its own row as
-    its law, at offset 0.  Picks that reuse a law need ``domain`` to be the
-    codomain restricted to its names, and keep an invariant that is checked
-    here: the laws are numbered in the order of their first picks, each
-    law's first pick has offset 0, and every offset is the atom's lowest
-    outcome less that of the law's first atom.  An atom's mask is then its
-    law's atom's mask moved by the same offset.
+    row is a probability measure on ``codomain``.  ``laws[j]`` is the law
+    of the j-th atom of ``read``, a subset of the domain's coordinates, and
+    an atom's row is its read-atom's law moved up the codomain by the
+    atom's values on the other domain coordinates.  ``read=None`` reads
+    every coordinate, so ``StochKernel(domain, codomain, rows)`` gives each
+    atom its own row; ``read`` is kept as names in domain order, every name
+    when there are as many laws as atoms.  Laws reused across unread
+    coordinates need ``domain`` to be the codomain restricted to its names
+    and must stay on the codomain when moved, which is checked here.  A
+    law's atom is 0 off ``read``, so laws come in the order of their atoms,
+    and an atom's mask is its law's atom's mask moved as its row is.
 
     ``rows`` is the public sequence of rows: the laws themselves when each
     atom has its own, else a view whose length needs no row and which
@@ -655,27 +646,42 @@ class StochKernel:
     domain: CoordinateSpace
     codomain: CoordinateSpace
     laws: tuple[FiniteMeasure, ...]
-    picks: tuple[tuple[int, int], ...]
+    read: tuple[str, ...]
     rows: Sequence[FiniteMeasure]
 
     def __init__(self, domain: CoordinateSpace, codomain: CoordinateSpace,
-                 laws: Iterable[FiniteMeasure],
-                 picks: Iterable[tuple[int, int]] | None = None):
+                 laws: Iterable[FiniteMeasure], read: Iterable[str] | None = None):
         laws = tuple(laws)
-        n = domain.n_outcomes
-        own = _own_picks(n)
-        picks = own if picks is None else tuple(picks)
-        if len(picks) != n or (picks is own and len(laws) != n):
-            raise SpaceError("kernel row count mismatch")
+        n = n_laws = domain.n_outcomes
+        if read is not None:
+            wanted = set(read)
+            read = tuple([name for name in domain.names if name in wanted])
+            if len(read) != len(wanted):
+                raise SpaceError(f"kernel reads {sorted(wanted.difference(domain.names))} "
+                                 "outside its domain")
+            n_laws = prod([domain.cards[domain.names.index(name)] for name in read])
+        if len(laws) != n_laws:
+            raise SpaceError("kernel row count mismatch" if n_laws == n else
+                             f"kernel has {len(laws)} laws for {n_laws} read atoms")
         for law in laws:
             if law.space is not codomain and law.space != codomain:
                 raise SpaceError("kernel row on wrong space")
-        if len(laws) != n:
-            _check_picks(domain, codomain, laws, picks)
-        elif picks is not own and picks != own:
-            raise SpaceError("a kernel with one law per atom reads each at its own atom")
-        self.__dict__.update(domain=domain, codomain=codomain, laws=laws, picks=picks,
-                             rows=laws if len(laws) == n else _ShiftedRows(laws, picks))
+        if n_laws == n:
+            read = domain.names
+        else:
+            sub = codomain.projector(domain.names).sub
+            if sub is not domain and sub != domain:
+                raise SpaceError("a kernel that reuses its laws needs the codomain "
+                                 "restricted to its domain")
+            largest = sum([(card - 1) * codomain.strides[codomain.position(name)]
+                           for name, card in zip(domain.names, domain.cards)
+                           if name not in wanted])
+            for j, law in enumerate(laws):
+                if max(law._nums) + largest >= codomain.n_outcomes:
+                    raise SpaceError(f"kernel law {j} shifted by {largest} leaves the codomain")
+        self.__dict__.update(domain=domain, codomain=codomain, laws=laws, read=read,
+                             rows=laws if n_laws == n
+                             else _ShiftedRows(laws, domain, codomain, read))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -688,7 +694,7 @@ class StochKernel:
             return NotImplemented
         if self.domain != other.domain or self.codomain != other.codomain:
             return False
-        if self.picks == other.picks:  # a shift is one-to-one
+        if self.read == other.read:  # a shift is one-to-one
             return self.laws == other.laws
         return self.rows == other.rows
 
@@ -696,10 +702,11 @@ class StochKernel:
         laws = self.laws
         return hash((self.domain, self.codomain,
                      tuple((laws[j]._den, laws[j].support_mask << offset)
-                           for j, offset in self.picks)))
+                           for j, offset in _law_offsets(self.domain, self.codomain,
+                                                         self.read))))
 
     def __reduce__(self):
-        return StochKernel, (self.domain, self.codomain, self.laws, self.picks)
+        return StochKernel, (self.domain, self.codomain, self.laws, self.read)
 
     def __repr__(self):
         return (f"StochKernel(domain={self.domain!r}, codomain={self.codomain!r}, "
@@ -738,16 +745,14 @@ def _kernel_part_sums(kernel: StochKernel, index: Sequence[int],
     support at ``index[i + offset]``; no shifted row is built.
     """
     laws = kernel.laws
+    if laws is kernel.rows:
+        return [_part_sums(law, index, n) for law in laws]
     out = []
-    for j, offset in kernel.picks:
+    for j, offset in _law_offsets(kernel.domain, kernel.codomain, kernel.read):
         law = laws[j]
         sums = [0] * n
-        if offset:
-            for i, v in law._nums.items():
-                sums[index[i + offset]] += v
-        else:
-            for i, v in law._nums.items():
-                sums[index[i]] += v
+        for i, v in law._nums.items():
+            sums[index[i + offset]] += v
         out.append((sums, law._den))
     return out
 

@@ -114,8 +114,7 @@ def test_a_failing_shared_law_gives_the_witness_of_a_row_scan(law, moved_to):
     w[law * 4 + 2] -= F(1, 2)
     w[moved_to] += F(1, 2)
     laws[law] = ck.FiniteMeasure(space, w)
-    table[frozenset("AC")] = ck.StochKernel(k.domain, space, laws,
-                                            ((0, 0), (0, 1), (1, 0), (1, 1)))
+    table[frozenset("AC")] = ck.StochKernel(k.domain, space, laws, ("A",))
     c = ck.FiniteCausalSpace.tabulated(space, full.P, table)
     shifted = c.kernel(("A", "C")).rows[law * 2 + 1]
     assert shifted.support_mask & ~c.space.projector(("A", "C")).masks[law * 2 + 1]
@@ -143,7 +142,7 @@ def test_compile_and_validate_shift_no_row_and_build_no_mask(monkeypatch):
     # not vacuous: nothing reads the leaf V4, so K_{V1,V4} reuses its laws,
     # and reading its rows shifts them
     k = c.kernel(("V1", "V4"))
-    assert len(k.laws) < len(k.picks)
+    assert k.read == ("V1",) and len(k.laws) < len(k.rows)
     list(k.rows)
     assert shifts == [1, 1]
 

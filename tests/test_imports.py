@@ -4,9 +4,9 @@
 re-exports.  A name counts as used when it is read anywhere in the module,
 including inside a string annotation such as ``-> "CoordinateSpace"``.
 The CLI reads input only through public ``serialize`` names, only
-``spaces`` reads a measure's integer row or shifts a law, the oracle's
-``_oracle_*`` functions read no fast-path checker, and only ``gaussian``
-and ``examples`` load numpy when they are imported.
+``spaces`` reads a measure's integer row or places a kernel's laws, the
+oracle's ``_oracle_*`` functions read no fast-path checker, and only
+``gaussian`` and ``examples`` load numpy when they are imported.
 """
 
 import ast
@@ -98,24 +98,26 @@ def test_a_private_serialize_import_is_reported():
 
 # a measure's integer row is spaces.py's alone: every other module gets
 # (numerators, denominator) pairs or measures from its row primitives; and
-# only spaces.py shifts a law, when a kernel's rows are read
+# only spaces.py places a kernel's laws, deriving each atom's offset and
+# shifting a law when a kernel's rows are read
 ROW_FIELDS = {"_nums", "_den"}
-SHIFT = "_shift"
+PLACERS = {"_shift", "_law_offsets"}
 
 
 def row_field_reads(tree):
     """(field, line) of each read of a measure's integer row, as an attribute
     or as a string such as a ``getattr`` or ``__dict__`` key, and of each use
-    of ``_shift``: imported, read by name or attribute, or named in a string."""
+    of ``_shift`` or ``_law_offsets``: imported, read by name or attribute,
+    or named in a string."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ROW_FIELDS | {SHIFT}:
+        if isinstance(node, ast.Attribute) and node.attr in ROW_FIELDS | PLACERS:
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Constant) and node.value in ROW_FIELDS | {SHIFT}:
+        elif isinstance(node, ast.Constant) and node.value in ROW_FIELDS | PLACERS:
             yield node.value, node.lineno
-        elif isinstance(node, ast.Name) and node.id == SHIFT and isinstance(node.ctx, ast.Load):
-            yield SHIFT, node.lineno
+        elif isinstance(node, ast.Name) and node.id in PLACERS and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
         elif isinstance(node, ast.ImportFrom):
-            yield from ((SHIFT, node.lineno) for a in node.names if a.name == SHIFT)
+            yield from ((a.name, node.lineno) for a in node.names if a.name in PLACERS)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "spaces.py"],
@@ -140,6 +142,18 @@ def test_a_shift_outside_spaces_is_reported():
                      "def _shift(m):\n    pass\n")
     assert sorted(row_field_reads(tree)) == [
         ("_shift", 1), ("_shift", 4), ("_shift", 5), ("_shift", 6), ("_shift", 7)]
+
+
+def test_an_offset_derivation_outside_spaces_is_reported():
+    tree = ast.parse("from .spaces import StochKernel, _law_offsets as place\n"
+                     "def make(k):\n    return place(k.domain, k.codomain, k.read)\n"
+                     "from . import spaces\npairs = spaces._law_offsets(d, c, r)\n"
+                     "f = getattr(spaces, '_law_offsets')\n"
+                     "from causalkit.spaces import _law_offsets\n"
+                     "n = len(_law_offsets(d, c, r))\n")
+    assert sorted(row_field_reads(tree)) == [
+        ("_law_offsets", 1), ("_law_offsets", 5), ("_law_offsets", 6), ("_law_offsets", 7),
+        ("_law_offsets", 8)]
 
 
 # the brute-force oracle shares no checking code with the fast path: its

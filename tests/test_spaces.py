@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import examples
@@ -518,14 +518,14 @@ def test_kernel_constructors():
 
 
 # ---------------------------------------------------------------------------
-# kernels as laws plus offsets
+# kernels as laws plus the coordinates they read
 
 
 def shared_law_kernel():
     """K_{V1,V3} of the chain: V2 reads V1 and nothing reads V3, so the two
     atoms with V3 = 1 reuse the laws of the atoms with V3 = 0."""
     k = ck.compile_scm(chain_scm()).kernel(("V1", "V3"))
-    assert k.picks == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert k.read == ("V1",) and len(k.laws) == 2
     return k
 
 
@@ -538,35 +538,34 @@ def count_shifts(monkeypatch):
     return calls
 
 
-def test_kernel_picks_must_keep_the_invariant():
+def test_kernel_read_must_place_every_law():
     space = ck.CoordinateSpace.make([("A", 2), ("B", 2), ("C", 2)])
     dom = space.restrict(("A", "C"))  # atom lowest outcomes 0, 1, 4, 5
     low = ck.FiniteMeasure.dirac(space, 0)
     high = ck.FiniteMeasure.dirac(space, 4)
-    good = ((0, 0), (0, 1), (1, 0), (1, 1))
-    kernel = ck.StochKernel(dom, space, (low, high), good)
-    assert kernel.rows[3] == ck.FiniteMeasure.dirac(space, 5)
-    for picks, message in [
-            (((0, 0), (0, 2), (1, 0), (1, 1)), "not its atom's offset"),
-            (((0, 1), (0, 1), (1, 0), (1, 1)), "not its atom's offset"),  # first pick moved
-            (((0, 0), (0, 1), (0, 4), (0, 5)), "not picked, each"),  # law 1 unread
-            (((1, 0), (1, 1), (0, 0), (0, 1)), "not picked, each"),  # out of order
-            (((0, 0), (0, 1), (2, 0), (2, 1)), "not picked, each"),  # no law 2
-            (((0, 0), (0, 1), (1, 0)), "row count mismatch")]:
+    kernel = ck.StochKernel(dom, space, (low, high), ["A"])
+    assert kernel.read == ("A",)
+    assert tuple(kernel.rows) == tuple(ck.FiniteMeasure.dirac(space, i) for i in (0, 1, 4, 5))
+    for laws, read, message in [
+            ((low, high), ("A", "B"), r"kernel reads \['B'\] outside its domain"),
+            ((low, high, low), ("A",), "kernel has 3 laws for 2 read atoms"),
+            ((low,), ("C", "A"), "row count mismatch"),
+            ((low, high, low), None, "row count mismatch"),
+            # a law outside its atom may not be moved off the space
+            ((low, ck.FiniteMeasure.dirac(space, 7)), ("A",), "law 1 shifted by 1 leaves"),
+            ((ck.FiniteMeasure.dirac(space, 5),), (), "law 0 shifted by 5 leaves")]:
         with pytest.raises(ck.SpaceError, match=message):
-            ck.StochKernel(dom, space, (low, high), picks)
-    # a law outside its atom may not be moved off the space
-    with pytest.raises(ck.SpaceError, match="leaves the codomain"):
-        ck.StochKernel(dom, space, (low, ck.FiniteMeasure.dirac(space, 7)), good)
+            ck.StochKernel(dom, space, laws, read)
     # reused laws need the domain to be the codomain's restriction, in its order
     with pytest.raises(ck.SpaceError, match="codomain restricted"):
         ck.StochKernel(ck.CoordinateSpace.make([("C", 2), ("A", 2)]), space,
-                       (low, high), good)
-    # one law per atom reads each at its own atom, at offset 0
-    with pytest.raises(ck.SpaceError, match="its own atom"):
-        ck.StochKernel(dom, space, (low,) * 4, ((0, 0), (1, 0), (3, 0), (2, 0)))
-    assert ck.StochKernel(dom, space, (low,) * 4, good[:1] + ((1, 0), (2, 0), (3, 0))).rows \
-        == (low,) * 4
+                       (low, high), ("A",))
+    # reading every coordinate, or all but one of a single value, gives each
+    # atom its own law, whatever order the names come in
+    assert ck.StochKernel(dom, space, (low,) * 4, ("C", "A")).read == ("A", "C")
+    lone = ck.CoordinateSpace.make([("A", 2), ("D", 1)])
+    own = ck.StochKernel(lone, space, (low, high), ("A",))
+    assert own.read == ("A", "D") and own.rows is own.laws
 
 
 def test_a_law_kernel_equals_hashes_and_pickles_like_its_materialised_twin():
@@ -576,16 +575,24 @@ def test_a_law_kernel_equals_hashes_and_pickles_like_its_materialised_twin():
     assert len(k.laws) == 2 and len(k.rows) == 4
     twin = ck.StochKernel(k.domain, k.codomain, tuple(k.rows))
     assert twin.laws == tuple(k.rows) and twin.rows is twin.laws
+    assert twin.read == k.domain.names != k.read
     assert k == twin and twin == k and k.rows == twin.rows and twin.rows == k.rows
     assert hash(k) == hash(twin)
     for kernel in (k, twin):
         back = pickle.loads(pickle.dumps(kernel))
         assert back == k and back == twin and hash(back) == hash(twin)
-        assert (back.laws, back.picks) == (kernel.laws, kernel.picks)
+        assert (back.laws, back.read) == (kernel.laws, kernel.read)
     other = list(k.rows)
     other[1] = other[0]
     assert ck.StochKernel(k.domain, k.codomain, tuple(other)) != k
     assert ck.compile_scm(chain_scm()).kernel(("V1", "V3")) == k
+    # a constant kernel read through no coordinate is its twin too
+    space, law = k.codomain, k.laws[0]
+    dom = space.restrict(("V3",))
+    lone = ck.StochKernel(dom, space, (law,), ())
+    assert lone.read == () and lone == ck.StochKernel(dom, space, tuple(lone.rows))
+    assert lone != ck.StochKernel(dom, space, (law, law))
+    assert hash(lone) == hash(ck.StochKernel(dom, space, tuple(lone.rows)))
 
 
 def test_reading_rows_shifts_each_reused_law_once_and_len_shifts_none(monkeypatch):
@@ -596,6 +603,39 @@ def test_reading_rows_shifts_each_reused_law_once_and_len_shifts_none(monkeypatc
     assert k.rows[1] is k.rows[1] and calls == [1, 1]
     assert k.rows == (k.laws[0], k.rows[1], k.laws[1], k.rows[3]) == k.rows
     assert list(k.rows) == list(k.rows[:]) and calls == [1, 1]
+    # the view holds the laws and what places them, not the kernel, so a
+    # kernel whose rows are still held is freed without the cycle collector
+    import weakref
+
+    fresh = ck.StochKernel(k.domain, k.codomain, k.laws, k.read)
+    ref, rows = weakref.ref(fresh), fresh.rows
+    del fresh
+    assert ref() is None and len(rows) == 4 and rows == k.rows
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(), st.integers(2, 5))
+@settings(max_examples=30)
+def test_compiled_kernels_place_each_law_at_its_atoms_offset(seed, shifted, n):
+    """Every atom's row is its law moved by lowest(atom) - lowest(the law's
+    first atom), from the subset's own projector, and the laws come in the
+    order of their first atoms."""
+    from random import Random
+
+    from causalkit.oracle import _random_scm
+    from causalkit.spaces import _law_offsets, _shift
+
+    for scm in (_random_scm(Random(seed), "V", shifted=shifted), chain_scm(n)):
+        c = ck.compile_scm(scm)
+        for subset in c.subsets():
+            k = c.kernel(subset)
+            lowest = c.space.projector(subset).lowest
+            home: dict[int, int] = {}  # each law -> the lowest outcome of its first atom
+            pairs = _law_offsets(k.domain, k.codomain, k.read)
+            assert len(pairs) == len(k.rows) == len(lowest)
+            for a, (j, offset) in enumerate(pairs):
+                assert offset == lowest[a] - home.setdefault(j, lowest[a])
+                assert k.rows[a] == (_shift(k.laws[j], offset) if offset else k.laws[j])
+            assert list(home) == list(range(len(k.laws)))
 
 
 @given(st.data())
