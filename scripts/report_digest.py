@@ -44,6 +44,13 @@ by the digests they print.  The digest covers, in this order:
 - the marginal section: as in the rows section, ``marginal_space`` and
   ``inclusion_transform`` of the ``MIXED_SCM_SEEDS`` random models, every
   nonempty kept subset;
+- the constructions section: every row and the ``validate_causal_space``
+  report of the product of a ``random_space`` tampered at either axiom and
+  a renamed random space, in both orders (``CONSTRUCTION_SEEDS``), of
+  ``intervene`` on a few subsets of each such product, of a product of
+  three renamed random spaces, of a rename of a product, and of
+  ``intervene`` on a partial U of a random space with a given compiled
+  mechanism on U (a renamed ``_random_scm`` model);
 - the tampered section: ``check_all`` on the rows section's
   ``_random_abstraction`` instances with their pushforward target tampered
   as ``_trial_pushforward_uniqueness`` tampers it, so that failing
@@ -104,6 +111,7 @@ PRODUCT_SEEDS = range(2)
 ROW_SEEDS = range(40)
 PRODUCT_SPACE_SEEDS = range(20)
 MIXED_SCM_SEEDS = (0, 4, 6, 10, 19)
+CONSTRUCTION_SEEDS = range(6)
 MAX_PRODUCT_OUTCOMES = 72
 GAUSS_DIMS = range(2, 11)
 GAUSS_SEEDS = range(3)
@@ -356,6 +364,54 @@ def marginal_section():
         yield from marginal_rows(f"random {seed}", _random_scm(Random(seed), "R", n_vars=3))
 
 
+def renamed(c, prefix: str):
+    """``c`` with a prefix put on every coordinate name."""
+    return ck.rename(c, {n: prefix + n for n in c.space.names})
+
+
+def small(c) -> bool:
+    return c.space.n_outcomes <= MAX_PRODUCT_OUTCOMES
+
+
+def constructions_section():
+    for seed in CONSTRUCTION_SEEDS:
+        rng = Random(seed)
+        other = renamed(ck.random_space(seed + 1), "W")
+        for perturb in ("axiom-i", "axiom-ii"):
+            tampered = ck.random_space(seed, perturb=perturb)
+            for first, second in ((tampered, other), (other, tampered)):
+                both = ck.product(first, second)
+                if not small(both):
+                    continue
+                label = f"product({seed}, {perturb}, {first.space.names[0]} first)"
+                yield space_rows(label, both)
+                names = both.space.names
+                for U in ((names[0],), (names[-1],), (names[0], names[-1]), names[1:]):
+                    u_space = both.space.restrict(U)
+                    q = ck.FiniteMeasure(u_space, _random_weights(rng, u_space.n_outcomes))
+                    yield space_rows(f"intervene({label}) U={U}", ck.intervene(both, U, q))
+
+        three = ck.product(ck.product(renamed(ck.random_space(seed), "A"),
+                                      renamed(ck.random_space(seed + 1), "B")),
+                           renamed(ck.random_space(seed + 2), "C"))
+        if small(three):
+            yield space_rows(f"product of three({seed})", three)
+        pair = ck.product(ck.random_space(seed), other)
+        if small(pair):
+            yield space_rows(f"rename of product({seed})",
+                             ck.rename(pair, {pair.space.names[-1]: "Z"}))
+
+        c = ck.random_space(seed, n_coords=3)
+        for U in (c.space.names[:1], c.space.names[1:]):
+            u_space = c.space.restrict(U)
+            mechanism = ck.rename(
+                ck.compile_scm(_random_scm(rng, "M", cards=list(u_space.cards))),
+                {f"M{i}": n for i, n in enumerate(u_space.names)})
+            label = f"intervene({seed}) U={U} with a compiled mechanism"
+            yield guarded(label, lambda: space_rows(
+                label, ck.intervene(c, U, mechanism.P, mechanism)))
+
+
 def tampered_section():
     """``check_all`` on each rows-section abstraction whose pushforward target
     is tampered as the pushforward-uniqueness trial tampers it: at the first
@@ -537,7 +593,7 @@ SECTIONS = (("lemma", lemma_section), ("corpus", corpus_section),
             ("space", space_section), ("event", event_section),
             ("cli_event", cli_event_section), ("product", product_section),
             ("rows", rows_section), ("marginal", marginal_section),
-            ("tampered", tampered_section),
+            ("constructions", constructions_section), ("tampered", tampered_section),
             ("gaussian", gaussian_section))
 
 
