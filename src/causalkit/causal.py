@@ -187,18 +187,14 @@ def independent_pinning_space(P: FiniteMeasure) -> FiniteCausalSpace:
     K_S(omega_S, .) = delta_{omega_S} (x) P restricted to the remaining
     coordinates.  This always satisfies both axioms and is the canonical
     mechanism carrying no dependence between coordinates beyond P itself.
+    K_S reads no coordinate: its one law is P on the rest with S at 0.
     """
     space = P.space
 
     def make(subset: frozenset) -> StochKernel:
-        pin = space.projector(subset)
         rest = frozenset(space.names) - subset
-        rest_law = project(P, rest)
-        # an S-atom's lowest outcome plus a rest atom's is their joint outcome
-        rest_lowest = space.projector(rest).lowest
-        rows = tuple(_push(space, rest_law, [base + r for r in rest_lowest])
-                     for base in pin.lowest)
-        return StochKernel(pin.sub, space, rows)
+        law = _push(space, project(P, rest), space.projector(rest).lowest)
+        return StochKernel(space.restrict(subset), space, (law,), ())
 
     return FiniteCausalSpace.lazy(space, P, make)
 
@@ -240,25 +236,31 @@ def intervene(c: FiniteCausalSpace, on: Iterable[str], measure: FiniteMeasure,
 
 def _intervene(c: FiniteCausalSpace, U: frozenset, measure: FiniteMeasure,
                mechanism: FiniteCausalSpace) -> FiniteCausalSpace:
-    """``intervene`` with a mechanism valid by construction: nothing is checked."""
+    """``intervene`` with a mechanism valid by construction: nothing is checked.
+
+    K^do_S reads the coordinates of S that L_{S n U} or K_{S u U} reads: one
+    mixture per read atom, at its lowest outcome.  That is exact.  Take a
+    coordinate of S that neither kernel reads.  Off U, moving omega along it
+    moves K_{S u U}'s row at every u.  In U, it moves L's row in u (a valid
+    L's row is 0 there, so nothing carries), and K_{S u U} does not read it,
+    so its row moves the same way.  Either way the mixture moves as a whole."""
     new_p = _mixture(c.space, measure, c.kernel(U).rows)
     u_reps = c.space.projector(U).lowest
 
     def make(subset: frozenset) -> StochKernel:
         inter = subset & U
-        pin = c.space.projector(subset)
+        l_kernel = mechanism.kernel(inter)
+        k_big = c.kernel(subset | U)
+        read = subset & {*l_kernel.read, *k_big.read}
         free = c.space.projector(subset - U)
         to_inter = c.space.projector(inter).index
         to_big = c.space.projector(subset | U).index
-        l_kernel = mechanism.kernel(inter)
-        k_big = c.kernel(subset | U)
-        rows = []
-        for rep in pin.lowest:
-            l_row = l_kernel.rows[to_inter[rep]]
+        laws = []
+        for rep in c.space.projector(read).lowest:
             base = free.lowest[free.index[rep]]
-            rows.append(_mixture(c.space, l_row,
+            laws.append(_mixture(c.space, l_kernel.rows[to_inter[rep]],
                                  [k_big.rows[to_big[base + u_rep]] for u_rep in u_reps]))
-        return StochKernel(pin.sub, c.space, tuple(rows))
+        return StochKernel(c.space.restrict(subset), c.space, laws, read)
 
     return FiniteCausalSpace.lazy(c.space, new_p, make)
 
@@ -459,13 +461,13 @@ def is_global_source(c: FiniteCausalSpace, on: Iterable[str]) -> CheckReport:
     return is_source(c, on, c.space.names)
 
 
-def _first_failing_row(k_u: StochKernel, to_a, na: int, to_b, nb: int) -> Optional[int]:
+def _first_failing_row(k_u: StochKernel, to_a, na: int, to_b, nb: int) -> Optional[tuple]:
     """First row of K_U that breaks the product identity on a pair of
-    partitions of the outcomes, given as outcome -> part tables, if any.
+    partitions of the outcomes, given as outcome -> part tables, if any:
+    its index, its (A-part, B-part) cell sums and their denominator D.
 
-    Each row is summed once onto the (A-part, B-part) cells, as integers
-    over the row's denominator D, and a cell passes when
-    D * cell == row_mass[a] * col_mass[b].
+    Each row is summed once onto the cells, as integers over D, and a cell
+    passes when D * cell == row_mass[a] * col_mass[b].
     """
     to_cell = [a * nb + b for a, b in zip(to_a, to_b)]
     for r, (flat, denom) in enumerate(_kernel_part_sums(k_u, to_cell, na * nb)):
@@ -474,27 +476,34 @@ def _first_failing_row(k_u: StochKernel, to_a, na: int, to_b, nb: int) -> Option
         for cell_row in cells:
             ra = sum(cell_row)
             if any(cell * denom != ra * cb for cell, cb in zip(cell_row, col_mass)):
-                return r
+                return r, cells, denom
     return None
 
 
-def _first_failing_event_row(c: FiniteCausalSpace, on: Iterable[str],
-                             a: Event, b: Event) -> Optional[int]:
-    """``_first_failing_row`` on the partitions {A, A^c} and {B, B^c}.
-
-    Every row is a probability measure, so its identities on the four
-    cells all follow from K(A & B) = K(A) K(B).
-    """
+def _event_independence_witness(c: FiniteCausalSpace, on: Iterable[str],
+                                a: Event, b: Event) -> Optional[Witness]:
+    """The witness of the first row of K_U with K(A & B) != K(A) K(B), if any:
+    ``_first_failing_row`` on the partitions {A, A^c} and {B, B^c}, whose cell
+    (0, 0), row mass 0 and column mass 0 are K(A & B), K(A) and K(B); on a
+    probability row the identities of the other three cells follow."""
+    on = tuple(on)
     k_u = c.kernel(frozenset(on))
     if a.space != b.space:
         raise SpaceError("events live on different spaces")
-    return _first_failing_row(k_u, _event_parts(c, a), 2, _event_parts(c, b), 2)
+    hit = _first_failing_row(k_u, _event_parts(c, a), 2, _event_parts(c, b), 2)
+    if hit is None:
+        return None
+    r, ((both, only_a), (only_b, _)), den = hit
+    omega = k_u.domain.outcome(r)
+    return Witness(f"at {omega}: K gives {Fraction(both, den)} on the intersection but "
+                   f"{Fraction(both + only_a, den)} * {Fraction(both + only_b, den)} "
+                   "on the factors", subset=tuple(sorted(on)), outcome=omega)
 
 
 def causally_independent(c: FiniteCausalSpace, on: Iterable[str],
                          a: Event, b: Event) -> bool:
     """Whether K_U(omega, A & B) = K_U(omega, A) K_U(omega, B) for every omega."""
-    return _first_failing_event_row(c, on, a, b) is None
+    return _event_independence_witness(c, on, a, b) is None
 
 
 def causally_independent_on(c: FiniteCausalSpace, on: Iterable[str],
@@ -517,17 +526,19 @@ def product(c1: FiniteCausalSpace, c2: FiniteCausalSpace) -> FiniteCausalSpace:
 
     K_{S}(omega, A1 x A2) = K1_{S n T1}(omega_1, A1) K2_{S n T2}(omega_2, A2).
     Coordinate names must be disjoint; use ``rename`` first if they clash.
+    K_S reads what the factors' kernels read, and its laws are their products.
     """
     space = product_space(c1.space, c2.space)
     names1 = set(c1.space.names)
     names2 = set(c2.space.names)
 
     def make(subset: frozenset) -> StochKernel:
-        # first-factor coordinates come first: atom a1 * len(k2.rows) + a2 pairs rows a1, a2
+        # first-factor coordinates come first: read atom j1 * len(k2.laws) + j2
+        # pairs laws j1 and j2, and its offset is o1 * |Omega_2| + o2
         k1 = c1.kernel(subset & names1)
         k2 = c2.kernel(subset & names2)
-        rows = tuple(_tensor(space, ra, rb) for ra in k1.rows for rb in k2.rows)
-        return StochKernel(space.restrict(subset), space, rows)
+        laws = tuple(_tensor(space, la, lb) for la in k1.laws for lb in k2.laws)
+        return StochKernel(space.restrict(subset), space, laws, k1.read + k2.read)
 
     return FiniteCausalSpace.lazy(space, _tensor(space, c1.P, c2.P), make)
 
@@ -542,6 +553,7 @@ def rename(c: FiniteCausalSpace, mapping: Mapping[str, str]) -> FiniteCausalSpac
 
     def make(subset: frozenset) -> StochKernel:
         old = c.kernel(frozenset(inverse[n] for n in subset))
-        return StochKernel(space.restrict(subset), space, tuple(moved(r) for r in old.rows))
+        return StochKernel(space.restrict(subset), space, tuple(moved(law) for law in old.laws),
+                           [mapping.get(n, n) for n in old.read])
 
     return FiniteCausalSpace.lazy(space, moved(c.P), make)

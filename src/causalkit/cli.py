@@ -19,7 +19,7 @@ from typing import Optional, Union
 from . import serialize
 from .causal import (
     FiniteCausalSpace,
-    _first_failing_event_row,
+    _event_independence_witness,
     causally_independent_on,
     classify_effect,
     classify_effect_on,
@@ -213,19 +213,8 @@ def cmd_independence(args) -> int:
                         "coordinate subsets")
     witness: Optional[Witness] = None
     if isinstance(first, Event):
-        row = _first_failing_event_row(space, on, first, second)
-        ok = row is None
-        if not ok:
-            k_u = space.kernel(frozenset(on))
-            both = first & second
-            witness = Witness(
-                message=(f"at {k_u.domain.outcome(row)}: K gives "
-                         f"{k_u.value(row, both)} on the intersection but "
-                         f"{k_u.value(row, first)} * {k_u.value(row, second)} "
-                         "on the factors"),
-                subset=tuple(sorted(on)),
-                outcome=k_u.domain.outcome(row),
-            )
+        witness = _event_independence_witness(space, on, first, second)
+        ok = witness is None
         details = (f"event pair checked on every atom of H_{{{','.join(sorted(on))}}}",)
     else:
         ok = causally_independent_on(space, on, first, second)

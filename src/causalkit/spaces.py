@@ -15,7 +15,10 @@ A kernel is one law per atom of ``read``, a subset of its domain's
 coordinates: an atom's row is its read-atom's law moved up the codomain by
 its values off ``read``, an offset that only ``_law_offsets`` derives.  A
 kernel built from rows reads every coordinate; a compiled K_S reads the
-pinned coordinates that some free variable reads.  Checks read the laws:
+pinned coordinates that some free variable reads, a product's K_S what its
+factors' kernels read, an intervention's K_S what the mechanism's and the
+space's kernels read in S, and a pinning kernel, a product inclusion and an
+identity kernel read nothing.  Checks read the laws:
 ``_kernel_part_sums`` sums every row of a kernel onto the parts of an
 outcome map over its law's support.
 
@@ -720,8 +723,7 @@ class StochKernel:
 
     @classmethod
     def identity(cls, space: CoordinateSpace) -> "StochKernel":
-        rows = tuple(FiniteMeasure.dirac(space, i) for i in range(space.n_outcomes))
-        return cls(space, space, rows)
+        return cls(space, space, (FiniteMeasure.dirac(space, 0),), ())
 
     @classmethod
     def constant(cls, domain: CoordinateSpace, measure: FiniteMeasure) -> "StochKernel":

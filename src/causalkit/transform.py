@@ -316,16 +316,12 @@ def compose(first: Transformation, second: Transformation) -> tuple[Transformati
 
 
 def inclusion_into_product(c1: FiniteCausalSpace, c2: FiniteCausalSpace) -> Transformation:
-    """Embed a factor into a product: kappa(omega, .) = delta_omega (x) P2."""
+    """Embed a factor into a product: kappa(omega, .) = delta_omega (x) P2,
+    which reads no coordinate, so its one law is delta_0 (x) P2."""
     target = product(c1, c2)
-    rows = tuple(_tensor(target.space, FiniteMeasure.dirac(c1.space, i), c2.P)
-                 for i in range(c1.space.n_outcomes))
-    kernel = StochKernel(c1.space, target.space, rows)
-    rho = IndexMap(
-        source=c1.space.names,
-        target=target.space.names,
-        mapping={n: n for n in c1.space.names},
-    )
+    law = _tensor(target.space, FiniteMeasure.dirac(c1.space, 0), c2.P)
+    kernel = StochKernel(c1.space, target.space, (law,), ())
+    rho = IndexMap(c1.space.names, target.space.names, {n: n for n in c1.space.names})
     return Transformation(source=c1, target=target, rho=rho, kernel=kernel)
 
 

@@ -100,6 +100,25 @@ def tampered_pinning_space(space, moves):
     return ck.FiniteCausalSpace.tabulated(space, full.P, table)
 
 
+def law_models(seed, shifted=False):
+    """A compiled ``_random_scm`` model on A0, A1, ... and a compiled binary
+    chain on V0, V1, V2: spaces whose kernels reuse laws, on disjoint names."""
+    from random import Random
+
+    from causalkit.oracle import _random_scm
+
+    return (ck.compile_scm(_random_scm(Random(seed), "A", shifted=shifted)),
+            ck.compile_scm(chain_scm(3)))
+
+
+def assert_row_built_twin(k, rows):
+    """``k`` equals and hashes as the kernel built from ``rows``, one per
+    atom, and reads them as its rows."""
+    built = ck.StochKernel(k.domain, k.codomain, tuple(rows))
+    assert k == built and built == k and hash(k) == hash(built)
+    assert tuple(k.rows) == built.rows
+
+
 def field_paths(value, prefix=()):
     """Key path of a JSON document itself and of every value nested in it."""
     yield prefix

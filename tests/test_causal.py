@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import cli, examples
-from conftest import causal_spaces, chain_scm, events, tampered_pinning_space
+from conftest import (assert_row_built_twin, causal_spaces, chain_scm, events, law_models,
+                      tampered_pinning_space)
 
 F = Fraction
 
@@ -154,23 +155,26 @@ def test_law_kernels_give_the_verdicts_of_their_materialised_rows(seed, shifted,
 
     from causalkit.oracle import _random_scm
 
-    c = ck.compile_scm(_random_scm(Random(seed), "V", shifted=shifted))
-    rows = ck.FiniteCausalSpace.tabulated(c.space, c.P, {
-        s: ck.StochKernel(c.kernel(s).domain, c.space, tuple(c.kernel(s).rows))
-        for s in c.subsets()})
-    subsets = list(c.subsets())
-    on, target, other = (data.draw(st.sampled_from(subsets)) for _ in range(3))
-    event = data.draw(events(c.space))
-    for check in (lambda x: ck.validate_causal_space(x),
-                  lambda x: ck.classify_effect_on(x, on, target),
-                  lambda x: ck.classify_effect(x, on, event),
-                  lambda x: ck.is_source(x, on, target),
-                  lambda x: ck.causally_independent_on(x, on, target, other),
-                  lambda x: ck.causally_independent(x, on, event, event.complement())):
-        got, expected = check(c), check(rows)
-        assert got == expected
-        if hasattr(got, "to_dict"):
-            assert got.to_dict() == expected.to_dict()
+    model = ck.compile_scm(_random_scm(Random(seed), "V", shifted=shifted))
+    first = model.space.names[:1]
+    for c in (model, ck.product(model, ck.compile_scm(_random_scm(Random(seed), "W"))),
+              ck.intervene(model, first, ck.project(model.P, first))):
+        rows = ck.FiniteCausalSpace.tabulated(c.space, c.P, {
+            s: ck.StochKernel(c.kernel(s).domain, c.space, tuple(c.kernel(s).rows))
+            for s in c.subsets()})
+        subsets = list(c.subsets())
+        on, target, other = (data.draw(st.sampled_from(subsets)) for _ in range(3))
+        event = data.draw(events(c.space))
+        for check in (lambda x: ck.validate_causal_space(x),
+                      lambda x: ck.classify_effect_on(x, on, target),
+                      lambda x: ck.classify_effect(x, on, event),
+                      lambda x: ck.is_source(x, on, target),
+                      lambda x: ck.causally_independent_on(x, on, target, other),
+                      lambda x: ck.causally_independent(x, on, event, event.complement())):
+            got, expected = check(c), check(rows)
+            assert got == expected
+            if hasattr(got, "to_dict"):
+                assert got.to_dict() == expected.to_dict()
 
 
 def test_missing_kernel_raises(xor):
@@ -515,20 +519,37 @@ def test_dependent_events_detected(xor):
     b = cyl(xor.space, Y=1)
     # on H_\emptyset the kernel row is P and the two are correlated
     assert not ck.causally_independent(xor, (), a, b)
+    # the witness gives K(A & B), then K(A) and K(B) in that order
+    from causalkit.causal import _event_independence_witness
+
+    witness = _event_independence_witness(xor, (), a, ck.Event.singleton(xor.space, 0))
+    assert (witness.message, witness.subset, witness.outcome) == (
+        "at (): K gives 0 on the intersection but 1/2 * 3/8 on the factors", (), ())
 
 
 def scan_independent_events(c, on, a, b):
-    """causally_independent as a per-row scan of K(A & B) == K(A) K(B)."""
+    """causally_independent as a per-row scan of K(A & B) == K(A) K(B): the
+    witness of the first failing row, its masses read from the row, or None."""
     k_u = c.kernel(frozenset(on))
-    return all(k_u.value(row, a & b) == k_u.value(row, a) * k_u.value(row, b)
-               for row in range(k_u.domain.n_outcomes))
+    for row in range(k_u.domain.n_outcomes):
+        both, mass_a, mass_b = (k_u.value(row, e) for e in (a & b, a, b))
+        if both != mass_a * mass_b:
+            omega = k_u.domain.outcome(row)
+            return ck.Witness(f"at {omega}: K gives {both} on the intersection but "
+                              f"{mass_a} * {mass_b} on the factors",
+                              subset=tuple(sorted(on)), outcome=omega)
+    return None
 
 
 @given(causal_spaces(), st.data())
 def test_event_independence_matches_per_row_scan(space, data):
+    from causalkit.causal import _event_independence_witness
+
     on = data.draw(st.sampled_from(list(ck.subsets_of(space.space.names))))
     a, b = data.draw(events(space.space)), data.draw(events(space.space))
-    assert ck.causally_independent(space, on, a, b) == scan_independent_events(space, on, a, b)
+    witness = scan_independent_events(space, on, a, b)
+    assert ck.causally_independent(space, on, a, b) == (witness is None)
+    assert _event_independence_witness(space, on, a, b) == witness
 
 
 def test_subsystem_independence_on_subsets(fork, xor):
@@ -810,3 +831,152 @@ def test_random_products_are_valid(seed_a, seed_b):
     b = ck.rename(b, {n: f"W{i}" for i, n in enumerate(b.space.names)})
     both = ck.product(a, b)
     assert ck.validate_causal_space(both).passed
+
+
+# ---------------------------------------------------------------------------
+# constructions hand their laws to StochKernel: each kernel is the one its
+# rows, built atom by atom as the formulas below build them, make
+
+
+def product_rows(c1, c2, subset):
+    """K_S of ``product(c1, c2)``, one tensor of factor rows per atom."""
+    from causalkit.spaces import _tensor
+
+    space = ck.product_space(c1.space, c2.space)
+    k1 = c1.kernel(subset & set(c1.space.names))
+    k2 = c2.kernel(subset & set(c2.space.names))
+    return [_tensor(space, ra, rb) for ra in k1.rows for rb in k2.rows]
+
+
+def renamed_rows(c, mapping, subset):
+    """K_S of ``rename(c, mapping)``, each old row moved to the new space."""
+    from causalkit.spaces import _push
+
+    space = ck.rename_space(c.space, mapping)
+    inverse = {mapping.get(n, n): n for n in c.space.names}
+    old = c.kernel(frozenset(inverse[n] for n in subset))
+    return [_push(space, row, range(space.n_outcomes)) for row in old.rows]
+
+
+def pinned_rows(P, subset):
+    """K_S of ``independent_pinning_space(P)``: at each S-atom, P on the rest
+    pushed to the atom's own outcomes."""
+    from causalkit.spaces import _push
+
+    space = P.space
+    rest = frozenset(space.names) - subset
+    rest_law, rest_lowest = ck.project(P, rest), space.projector(rest).lowest
+    return [_push(space, rest_law, [base + r for r in rest_lowest])
+            for base in space.projector(subset).lowest]
+
+
+def intervened_rows(c, U, mechanism, subset):
+    """K^do_S of ``intervene(c, U, Q, mechanism)``: at each S-atom, the
+    mixture of K_{S u U}'s rows by L_{S n U}'s row."""
+    from causalkit.spaces import _mixture
+
+    free = c.space.projector(subset - U)
+    to_inter = c.space.projector(subset & U).index
+    to_big = c.space.projector(subset | U).index
+    l_kernel, k_big = mechanism.kernel(subset & U), c.kernel(subset | U)
+    u_reps = c.space.projector(U).lowest
+    return [_mixture(c.space, l_kernel.rows[to_inter[rep]],
+                     [k_big.rows[to_big[free.lowest[free.index[rep]] + u]] for u in u_reps])
+            for rep in c.space.projector(subset).lowest]
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=10)
+def test_products_and_renames_place_their_factors_laws(seed, shifted):
+    model, chain = law_models(seed, shifted)
+    for c1, c2 in ((model, chain), (chain, model)):
+        both = ck.product(c1, c2)
+        for subset in map(frozenset, both.subsets()):
+            k = both.kernel(subset)
+            k1 = c1.kernel(subset & set(c1.space.names))
+            k2 = c2.kernel(subset & set(c2.space.names))
+            assert k.read == k1.read + k2.read
+            assert len(k.laws) == len(k1.laws) * len(k2.laws)
+            assert_row_built_twin(k, product_rows(c1, c2, subset))
+        mapping = {both.space.names[0]: "R", both.space.names[-1]: "Z"}
+        renamed = ck.rename(both, mapping)
+        for subset in map(frozenset, renamed.subsets()):
+            k = renamed.kernel(subset)
+            old = both.kernel(frozenset({v: n for n, v in mapping.items()}.get(n, n)
+                                        for n in subset))
+            assert k.read == tuple(mapping.get(n, n) for n in old.read)
+            assert_row_built_twin(k, renamed_rows(both, mapping, subset))
+
+
+def test_a_products_kernel_has_the_product_of_its_factors_law_counts():
+    chain = ck.compile_scm(chain_scm(4))
+    other = ck.rename(ck.compile_scm(chain_scm(3)), {f"V{i}": f"W{i}" for i in range(3)})
+    k = ck.product(chain, other).kernel(("V0", "V3", "W0", "W2"))
+    # V1 reads V0 and W1 reads W0; nothing reads V3 or W2
+    assert k.read == ("V0", "W0")
+    assert (len(chain.kernel(("V0", "V3")).laws), len(other.kernel(("W0", "W2")).laws),
+            len(k.laws), len(k.rows)) == (2, 2, 4, 16)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=10)
+def test_pinning_kernels_place_one_law(seed, shifted):
+    for c in law_models(seed, shifted):
+        pinned = ck.independent_pinning_space(c.P)
+        for subset in map(frozenset, pinned.subsets()):
+            k = pinned.kernel(subset)
+            assert k.read == () and len(k.laws) == 1
+            assert_row_built_twin(k, pinned_rows(c.P, subset))
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(), st.data())
+@settings(max_examples=10)
+def test_interventions_read_what_their_mechanism_and_kernels_read(seed, shifted, data):
+    from random import Random
+
+    from causalkit.oracle import _random_scm
+
+    for c in law_models(seed, shifted):
+        U = frozenset(data.draw(st.sets(st.sampled_from(c.space.names), min_size=1)))
+        u_space = c.space.restrict(U)
+        compiled = ck.rename(
+            ck.compile_scm(_random_scm(Random(seed), "M", cards=list(u_space.cards))),
+            {f"M{i}": n for i, n in enumerate(u_space.names)})
+        tabulated = ck.FiniteCausalSpace.tabulated(u_space, compiled.P, {
+            s: ck.StochKernel(compiled.kernel(s).domain, u_space, tuple(compiled.kernel(s).rows))
+            for s in compiled.subsets()})
+        q = ck.project(c.P, U)
+        for measure, mechanism in ((q, ck.independent_pinning_space(q)),
+                                   (compiled.P, compiled), (compiled.P, tabulated)):
+            done = ck.intervene(c, U, measure, mechanism)
+            for subset in map(frozenset, done.subsets()):
+                k = done.kernel(subset)
+                read = subset & {*mechanism.kernel(subset & U).read, *c.kernel(subset | U).read}
+                assert k.read == tuple(n for n in k.domain.names if n in read)
+                assert_row_built_twin(k, intervened_rows(c, U, mechanism, subset))
+
+
+def test_validate_shifts_no_law_of_a_product_or_an_intervention(monkeypatch):
+    from causalkit import spaces
+
+    shifts, shift = [], spaces._shift
+    monkeypatch.setattr(spaces, "_shift",
+                        lambda law, offset: shifts.append(offset) or shift(law, offset))
+    chain = ck.compile_scm(chain_scm(4))
+    other = ck.rename(ck.compile_scm(chain_scm(3)), {f"V{i}": f"W{i}" for i in range(3)})
+    both = ck.product(chain, other)
+    assert ck.validate_causal_space(both).passed
+    assert shifts == []
+    # building an intervened kernel reads K_{S u U}'s rows, which shifts
+    # them, so the intervened kernels are built before the count starts
+    done = ck.intervene(chain, ("V1",), ck.FiniteMeasure.uniform(chain.space.restrict(("V1",))))
+    done.materialize()
+    shifts.clear()
+    assert ck.validate_causal_space(done).passed
+    assert shifts == []
+    # not vacuous: both spaces have kernels that reuse laws, and reading
+    # their rows shifts them, by V3's stride, 8 in the product and 1 here
+    for k in (both.kernel(("V0", "V3", "W0")), done.kernel(("V3",))):
+        assert len(k.laws) < len(k.rows)
+        list(k.rows)
+    assert shifts == [8, 8, 8, 8, 1]

@@ -5,7 +5,7 @@ re-exports.  A name counts as used when it is read anywhere in the module,
 including inside a string annotation such as ``-> "CoordinateSpace"``.
 The CLI reads input only through public ``serialize`` names, only
 ``spaces`` reads a measure's integer row or places a kernel's laws, the
-oracle's ``_oracle_*`` functions read no fast-path checker, and only
+oracle's ``_oracle_*`` functions read no fast-path function, and only
 ``gaussian`` and ``examples`` load numpy when they are imported.
 """
 
@@ -157,22 +157,36 @@ def test_an_offset_derivation_outside_spaces_is_reported():
 
 
 # the brute-force oracle shares no checking code with the fast path: its
-# agreement with the fast path only means something if they share none
-FAST_PATH_NAMES = {"validate_causal_space", "is_source", "rigidity_check", "_classify",
-                   "_first_failing_row", "_part_sums", "_mixture", "_push", "_tensor",
-                   "project"}
-FAST_PATH_PREFIXES = ("classify_effect", "causally_independent", "check_")
+# agreement with the fast path only means something if they share none.  The
+# fast path is every function the fast-path modules define and every private
+# method of their classes (such as ``FiniteMeasure._sparse``), but for the two
+# enumerators the oracle may share; public methods are the objects' data
+FAST_PATH_MODULES = ("spaces", "causal", "transform", "scm", "gaussian", "tolerance")
+SHARED_ENUMERATORS = {"subsets_of", "atoms"}
+
+
+def module_functions(name):
+    """Names of a module's functions and of its classes' private methods."""
+    path = Path(causalkit.__file__).parent / f"{name}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.endswith("__")]
+    return {node.name for node in tree.body + methods if isinstance(node, ast.FunctionDef)}
+
+
+FAST_PATH_NAMES = set().union(*map(module_functions, FAST_PATH_MODULES)) - SHARED_ENUMERATORS
 
 
 def fast_path_reads(tree):
-    """(function, name) of each fast-path checker or row primitive that an
-    ``_oracle_*`` function reads, as a name or as an attribute."""
+    """(function, name) of each fast-path function that an ``_oracle_*``
+    function reads, as a name or as an attribute."""
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_oracle_"):
             for node in ast.walk(fn):
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute) else "")
-                if name in FAST_PATH_NAMES or name.startswith(FAST_PATH_PREFIXES):
+                if name in FAST_PATH_NAMES:
                     yield fn.name, name
 
 
@@ -187,10 +201,21 @@ def test_oracle_reads_no_fast_path_checker():
 def test_a_fast_path_read_in_the_oracle_is_reported():
     tree = ast.parse("def _oracle_a(c):\n    return validate_causal_space(c), spaces._tensor\n"
                      "def _oracle_b(c):\n    return causal.classify_effect_on(c), project(c)\n"
-                     "def helper(c):\n    return check_all(c)\n")
+                     "def helper(c):\n    return check_all(c)\n"
+                     "def _oracle_x(c, k, m):\n"
+                     "    _kernel_part_sums(k, m, 2), spaces._first_difference(m, m)\n"
+                     "    spaces._sparse(m), intervene(c, (), m), kernel_compose(k, k)\n"
+                     "    transform._push_kernels(k), is_global_source(c, ())\n"
+                     "    return subsets_of(c), atoms(c, ())\n")
     assert sorted(fast_path_reads(tree)) == [
         ("_oracle_a", "_tensor"), ("_oracle_a", "validate_causal_space"),
-        ("_oracle_b", "classify_effect_on"), ("_oracle_b", "project")]
+        ("_oracle_b", "classify_effect_on"), ("_oracle_b", "project"),
+        ("_oracle_x", "_first_difference"), ("_oracle_x", "_kernel_part_sums"),
+        ("_oracle_x", "_push_kernels"), ("_oracle_x", "_sparse"),
+        ("_oracle_x", "intervene"), ("_oracle_x", "is_global_source"),
+        ("_oracle_x", "kernel_compose")]
+    assert {"check_all", "check_tolerance", "rename", "_shift", "_numerator"} <= FAST_PATH_NAMES
+    assert not {"subsets_of", "atoms", "kernel", "outcome", "__init__"} & FAST_PATH_NAMES
 
 
 # numpy is the Gaussian scale's alone: a finite import or check never loads it

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import causalkit as ck
 from causalkit import examples
-from conftest import chain_scm, coordinate_spaces, events, kernels, measures
+from conftest import (assert_row_built_twin, chain_scm, coordinate_spaces, events,
+                      kernels, measures)
 
 F = Fraction
 
@@ -595,6 +596,22 @@ def test_a_law_kernel_equals_hashes_and_pickles_like_its_materialised_twin():
     assert hash(lone) == hash(ck.StochKernel(dom, space, tuple(lone.rows)))
 
 
+@pytest.mark.parametrize("cards", [[2, 2], [3, 1, 2], [1], []])
+def test_an_identity_kernel_equals_hashes_and_pickles_like_its_materialised_twin(cards):
+    import pickle
+
+    space = ck.CoordinateSpace.make([(f"V{i}", c) for i, c in enumerate(cards)])
+    k = ck.StochKernel.identity(space)
+    diracs = tuple(ck.FiniteMeasure.dirac(space, i) for i in range(space.n_outcomes))
+    # one law, delta_0, read through no coordinate unless it is the only row
+    assert k.laws == diracs[:1]
+    assert k.read == (() if space.n_outcomes > 1 else space.names)
+    assert_row_built_twin(k, diracs)
+    back = pickle.loads(pickle.dumps(k))
+    assert back == k and hash(back) == hash(k) and (back.laws, back.read) == (k.laws, k.read)
+    assert_row_built_twin(back, diracs)
+
+
 def test_reading_rows_shifts_each_reused_law_once_and_len_shifts_none(monkeypatch):
     calls = count_shifts(monkeypatch)
     k = shared_law_kernel()
@@ -618,14 +635,18 @@ def test_reading_rows_shifts_each_reused_law_once_and_len_shifts_none(monkeypatc
 def test_compiled_kernels_place_each_law_at_its_atoms_offset(seed, shifted, n):
     """Every atom's row is its law moved by lowest(atom) - lowest(the law's
     first atom), from the subset's own projector, and the laws come in the
-    order of their first atoms."""
+    order of their first atoms: for compiled models, and for a product, an
+    intervention and a pinning space of them."""
     from random import Random
 
     from causalkit.oracle import _random_scm
     from causalkit.spaces import _law_offsets, _shift
 
-    for scm in (_random_scm(Random(seed), "V", shifted=shifted), chain_scm(n)):
-        c = ck.compile_scm(scm)
+    model = ck.compile_scm(_random_scm(Random(seed), "A", shifted=shifted))
+    chain = ck.compile_scm(chain_scm(n))
+    first = model.space.names[:1]
+    for c in (model, chain, ck.product(model, chain), ck.independent_pinning_space(chain.P),
+              ck.intervene(model, first, ck.project(model.P, first))):
         for subset in c.subsets():
             k = c.kernel(subset)
             lowest = c.space.projector(subset).lowest

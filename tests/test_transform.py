@@ -16,7 +16,7 @@ import causalkit as ck
 from causalkit import examples
 from causalkit import transform
 from causalkit.oracle import _random_abstraction, _random_weights
-from conftest import tampered_pinning_space
+from conftest import assert_row_built_twin, law_models, tampered_pinning_space
 
 F = Fraction
 
@@ -280,6 +280,20 @@ def test_random_inclusions_into_products_pass(seed_a, seed_b):
     b = ck.rename(b, {n: f"W{i}" for i, n in enumerate(b.space.names)})
     t = ck.inclusion_into_product(a, b)
     assert ck.check_all(t).passed
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=10)
+def test_inclusion_into_product_places_one_law(seed, shifted):
+    from causalkit.spaces import _tensor
+
+    model, chain = law_models(seed, shifted)
+    for c1, c2 in ((model, chain), (chain, model), (model, ck.independent_pinning_space(chain.P))):
+        k = ck.inclusion_into_product(c1, c2).kernel
+        assert k.read == () and len(k.laws) == 1
+        # kappa(omega, .) = delta_omega (x) P2, built at every outcome
+        assert_row_built_twin(k, [_tensor(k.codomain, ck.FiniteMeasure.dirac(c1.space, i), c2.P)
+                                  for i in range(c1.space.n_outcomes)])
 
 
 # ---------------------------------------------------------------------------
